@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
+from collections import Counter
+from dataclasses import replace
 
 from .facet_family import generate_family
 from .graph_core import GraphError, format_graph, generate, parse_graph
@@ -12,8 +13,7 @@ from .inequality import format_hrep_file, parse_hrep_file
 from .matchings import (brute_force_max_weight_cm, enumerate_connected_matchings,
                         format_vrep)
 from .msi import dominates, minimal_separators_brute, project_msi
-from .polytope import (classify, class_histogram, export_vrep_interop, hrep,
-                       verify_valid, vrep)
+from .polytope import classify, export_vrep_interop, hrep, verify_valid, vrep
 from .solver import SolveConfig, branch_and_cut
 
 
@@ -52,13 +52,10 @@ def cmd_enumerate(args):
 def cmd_hrep(args):
     g = _load_graph(args.graph, args.limit)
     H = hrep(vrep(g, limit=args.count_limit))
-    rows = [q.canonicalized() for q in H.facets]
-    tagged = []
-    for q in rows:
-        fc = classify(q, g)
-        tagged.append(type(q)(q.coeffs, q.rhs, tag=fc.kind, provenance=q.provenance))
+    classes = [classify(q, g) for q in H.facets]
+    tagged = [replace(q, tag=fc.kind) for q, fc in zip(H.facets, classes)]
     out = format_hrep_file(tagged, g.m)
-    hist = class_histogram(H, g)
+    hist = Counter(fc.key for fc in classes)
     if args.tsv:
         out += "".join(f"class\t{k}\t{v}\n" for k, v in sorted(hist.items()))
     else:

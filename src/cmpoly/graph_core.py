@@ -33,19 +33,8 @@ class Graph:
     _adj: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        norm = []
         seen = set()
-        for u, v in self.edges:
-            if u == v:
-                raise GraphError(f"loop at vertex {u}")
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise GraphError(f"vertex out of range in edge ({u},{v})")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise GraphError(f"duplicate edge ({u},{v})")
-            seen.add(key)
-            norm.append(key)
-        self.edges = tuple(norm)
+        self.edges = tuple(_check_edge(self.n, u, v, seen) for u, v in self.edges)
         if self.weights is not None:
             self.weights = tuple(Fraction(w) for w in self.weights)
             if len(self.weights) != len(self.edges):
@@ -108,11 +97,29 @@ class Graph:
         return Graph(self.n, edges, weights), idmap
 
 
+def _check_edge(n, u, v, seen):
+    """Normalised key (min, max) of edge {u,v} of an n-vertex graph.
+
+    Rejects loops, out-of-range endpoints and keys already in `seen`, then
+    adds the key to `seen`.
+    """
+    if u == v:
+        raise GraphError(f"loop at vertex {u}")
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise GraphError(f"vertex out of range in edge ({u},{v})")
+    key = (min(u, v), max(u, v))
+    if key in seen:
+        raise GraphError(f"duplicate edge ({u},{v})")
+    seen.add(key)
+    return key
+
+
 def parse_graph(text):
     """Parse the graph file format: `p <n> <m>`, `e <u> <v> [w <num>/<den>]`."""
     n = None
     declared_m = None
     edges = []
+    seen = set()
     weights = []
     any_weight = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -140,13 +147,10 @@ def parse_graph(text):
                 u, v = int(tok[1]), int(tok[2])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer endpoint")
-            if u == v:
-                raise ParseError(f"line {lineno}: loop at vertex {u}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"line {lineno}: vertex out of range")
-            key = (min(u, v), max(u, v))
-            if key in {(min(a, b), max(a, b)) for a, b in edges}:
-                raise ParseError(f"line {lineno}: duplicate edge ({u},{v})")
+            try:
+                _check_edge(n, u, v, seen)
+            except GraphError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
             edges.append((u, v))
             if len(tok) == 5:
                 any_weight = True

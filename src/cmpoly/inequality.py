@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+
+from .rational_la import integer_row
 
 
 @dataclass(frozen=True)
@@ -33,23 +34,8 @@ class Inequality:
 
     def canonical(self):
         """Integer form (coeff tuple, rhs) scaled so the overall gcd is 1."""
-        scale = 1
-        for c in list(self.coeffs) + [self.rhs]:
-            d = c.denominator
-            scale = scale // gcd(scale, d) * d
-        ints = [int(c * scale) for c in self.coeffs]
-        r = int(self.rhs * scale)
-        g = 0
-        for v in ints + [r]:
-            g = gcd(g, abs(v))
-        if g > 1:
-            ints = [v // g for v in ints]
-            r //= g
+        *ints, r = integer_row(self.coeffs + (self.rhs,))
         return tuple(ints), r
-
-    def canonicalized(self):
-        ints, r = self.canonical()
-        return Inequality(ints, r, self.tag, self.provenance)
 
     def format_line(self):
         """`<c1> ... <cm> <= <rhs>` in canonical form, plus provenance comment."""

@@ -3,15 +3,15 @@ facet verification and classification, and interop export."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .facet_family import is_disconnected_pair, lambda_set
 from .graph_core import GraphError
 from .inequality import Inequality
 from .matchings import DEFAULT_ENUM_LIMIT, covered_vertices, enumerate_connected_matchings
-from .rational_la import affine_dimension
+from .rational_la import affine_dimension, eliminate, integer_row, inverse_columns
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,13 @@ class FacetClass:
     kind: str
     data: tuple = ()
 
+    @property
+    def key(self):
+        """Histogram key: the kind, with blossom rows split by handle size."""
+        if self.kind == "blossom":
+            return f"blossom[{len(self.data[0])}]"
+        return self.kind
+
 
 def vrep(g, limit=DEFAULT_ENUM_LIMIT):
     """V-description of the connected matching polytope of g."""
@@ -50,23 +57,6 @@ def vrep(g, limit=DEFAULT_ENUM_LIMIT):
 
 def polytope_dimension(V):
     return affine_dimension(V.points)
-
-
-def _primitive(vec):
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(v))
-    if g > 1:
-        return tuple(v // g for v in vec)
-    return tuple(vec)
-
-
-def _integer_row(fracs):
-    scale = 1
-    for x in fracs:
-        d = x.denominator
-        scale = scale // gcd(scale, d) * d
-    return _primitive([int(x * scale) for x in fracs])
 
 
 def hrep(V):
@@ -83,17 +73,21 @@ def hrep(V):
     inputs.  Adjacency of rays is decided by the tight-set containment test.
     """
     m = V.m
-    if polytope_dimension(V) != m:
-        raise GraphError("hrep requires a full-dimensional V-description")
-    cons = [_integer_row([Fraction(1)] + list(p)) for p in V.points]
     dim = m + 1
+    cons = [integer_row((1, *p)) for p in V.points]
+    basis_idx, _ = eliminate(cons)
+    if len(basis_idx) != dim:
+        raise GraphError("hrep requires a full-dimensional V-description")
+    if m == 0:
+        # A single point has no facets; the lone ray is the trivial row 0 <= 1.
+        return HRep(())
 
-    basis_idx = _greedy_basis(cons, dim)
-    rays = _initial_rays([cons[i] for i in basis_idx])
+    rays = inverse_columns([cons[i] for i in basis_idx])
     done = [cons[i] for i in basis_idx]
     tight = [(1 << dim) - 1 - (1 << i) for i in range(dim)]
 
-    rest = [i for i in range(len(cons)) if i not in set(basis_idx)]
+    chosen = set(basis_idx)
+    rest = [i for i in range(len(cons)) if i not in chosen]
 
     for ci in rest:
         a = cons[ci]
@@ -122,8 +116,8 @@ def hrep(V):
                 if any(k != kp and k != kn and common & tight[k] == common
                        for k in range(len(rays))):
                     continue
-                vec = _primitive([s[kp] * rays[kn][j] - s[kn] * rays[kp][j]
-                                  for j in range(dim)])
+                vec = integer_row([s[kp] * rays[kn][j] - s[kn] * rays[kp][j]
+                                   for j in range(dim)])
                 new_rays.append(vec)
         done.append(a)
         for vec in new_rays:
@@ -145,48 +139,6 @@ def hrep(V):
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def _greedy_basis(cons, dim):
-    """Indices of dim linearly independent constraint rows, first-fit."""
-    echelon = []
-    chosen = []
-    for i, row in enumerate(cons):
-        v = [Fraction(x) for x in row]
-        for piv_col, piv_row in echelon:
-            if v[piv_col] != 0:
-                f = v[piv_col]
-                v = [x - f * y for x, y in zip(v, piv_row)]
-        lead = next((j for j, x in enumerate(v) if x != 0), None)
-        if lead is None:
-            continue
-        inv = v[lead]
-        v = [x / inv for x in v]
-        echelon.append((lead, v))
-        chosen.append(i)
-        if len(chosen) == dim:
-            return chosen
-    raise GraphError("constraint rows do not span; polytope not full-dimensional")
-
-
-def _initial_rays(B):
-    """Extreme rays of the simplicial cone {y : B y >= 0}: columns of B^-1."""
-    dim = len(B)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(dim)]
-         for i, row in enumerate(B)]
-    for c in range(dim):
-        piv = next(i for i in range(c, dim) if a[i][c] != 0)
-        a[c], a[piv] = a[piv], a[c]
-        inv = a[c][c]
-        a[c] = [x / inv for x in a[c]]
-        for i in range(dim):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    cols = []
-    for j in range(dim):
-        cols.append(_integer_row([a[i][dim + j] for i in range(dim)]))
-    return cols
 
 
 def verify_valid(q, V):
@@ -222,7 +174,8 @@ def classify(q, g):
     if rhs == 1 and all(c in (0, 1) for c in ints):
         sup = set(support)
         for v in range(1, g.n + 1):
-            if sup == set(g.incident_edges(v)):
+            inc = g.incident_edges(v)
+            if inc and sup == set(inc):
                 return FacetClass("degree", (v,))
 
     if all(c in (0, 1) for c in ints):
@@ -247,15 +200,8 @@ def _induced_edges(g, H):
 
 
 def class_histogram(H, g):
-    """Count facets by class kind; blossom rows split by handle size."""
-    counts = {}
-    for q in H.facets:
-        fc = classify(q, g)
-        key = fc.kind
-        if fc.kind == "blossom":
-            key = f"blossom[{len(fc.data[0])}]"
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    """Count facets by class key."""
+    return Counter(classify(q, g).key for q in H.facets)
 
 
 def export_vrep_interop(V):

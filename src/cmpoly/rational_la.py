@@ -1,93 +1,91 @@
-"""Exact rational linear algebra: rank, affine dimension, rref.
+"""Exact linear algebra over the rationals, computed in integers.
 
-Rank uses fraction-free (Bareiss) elimination over integer-scaled rows so
-intermediate entries stay integral; rref works directly in Fractions.
+Rational rows enter through `integer_row`, their primitive integer multiple.
+`eliminate` is the one elimination routine: first-fit, fraction-free (Bareiss)
+elimination over integer rows.  Rank, affine dimension, basis selection and
+the inverse of a basis are all read off its output.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
-def _integer_rows(rows):
-    """Scale each row by the lcm of its denominators; preserves rank."""
-    out = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        scale = 1
-        for x in fr:
-            d = x.denominator
-            scale = scale // gcd(scale, d) * d
-        out.append([int(x * scale) for x in fr])
-    return out
+def integer_row(values):
+    """Primitive integer multiple of a rational row, sign kept.
+
+    Scales by the lcm of the denominators, then divides by the gcd of the
+    entries; an all-zero row stays zero.
+    """
+    scale = lcm(*[x.denominator for x in values])
+    ints = [x.numerator * (scale // x.denominator) for x in values]
+    g = gcd(*ints)
+    if g > 1:
+        ints = [x // g for x in ints]
+    return ints
+
+
+def eliminate(rows):
+    """First-fit fraction-free elimination of integer rows.
+
+    Returns (indices, echelon): the indices of the rows that are independent
+    of the rows before them, and for each such row the pivot column and the
+    reduced row.  Reduced row k is zero on the pivot columns of rows 0..k-1,
+    and by Sylvester's identity (Bareiss 1968) each of its entries is a
+    (k+1)-minor of the chosen rows, so every division is exact.  Stops once
+    the chosen rows span all columns.
+    """
+    ncols = len(rows[0]) if rows else 0
+    indices, echelon = [], []
+    for i, row in enumerate(rows):
+        v = row
+        prev = 1
+        for c, e in echelon:
+            p, f = e[c], v[c]
+            if f:
+                v = [(p * x - f * y) // prev for x, y in zip(v, e)]
+            else:
+                v = [p * x // prev for x in v]
+            prev = p
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        indices.append(i)
+        echelon.append((lead, v))
+        if len(indices) == ncols:
+            break
+    return indices, echelon
 
 
 def rank(rows):
-    """Exact rank over the rationals via Bareiss elimination."""
-    a = _integer_rows(rows)
-    if not a or not a[0]:
-        return 0
-    nrows, ncols = len(a), len(a[0])
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Exact rank over the rationals."""
+    return len(eliminate([integer_row(r) for r in rows])[0])
 
 
 def affine_dimension(points):
     """Dimension of the affine hull of a nonempty point set."""
-    pts = [list(map(Fraction, p)) for p in points]
-    if not pts:
+    if not points:
         raise ValueError("affine dimension of an empty point set")
-    p0 = pts[0]
-    diffs = [[x - y for x, y in zip(p, p0)] for p in pts[1:]]
-    if not diffs:
-        return 0
-    return rank(diffs)
+    return rank([(1, *p) for p in points]) - 1
 
 
-def rref(rows):
-    """Reduced row-echelon form; returns (matrix, pivot column indices)."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    if not a:
-        return [], []
-    nrows, ncols = len(a), len(a[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a, pivots
+def inverse_columns(B):
+    """Primitive integer columns that are positive multiples of the columns
+    of the inverse of the nonsingular square integer matrix B.
+
+    Eliminates [B | I] and back-substitutes for B y = e_j.  The last pivot
+    d is +-det B, so d * y is integral (Cramer) and every division is exact.
+    """
+    n = len(B)
+    _, echelon = eliminate([list(row) + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(B)])
+    d = echelon[-1][1][echelon[-1][0]]
+    cols = []
+    for j in range(n):
+        y = [0] * n
+        for k in reversed(range(n)):
+            c, e = echelon[k]
+            s = d * e[n + j] - sum(e[c2] * y[c2] for c2, _ in echelon[k + 1:])
+            y[c] = s // e[c]
+        cols.append(integer_row(y if d > 0 else [-x for x in y]))
+    return cols

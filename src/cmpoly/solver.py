@@ -220,7 +220,6 @@ def branch_and_cut(g, w, config=None):
              "family_rows": sum(1 for q in model.rows if q.tag == "family")}
 
     # open nodes: (bound, node id, fixed0, fixed1); best bound first, then id
-    next_id = 0
     open_nodes = [(None, 0, frozenset(), frozenset())]
     next_id = 1
     status = "optimal"
@@ -267,9 +266,9 @@ def branch_and_cut(g, w, config=None):
                     incumbent_val, incumbent_set = value, M
                 break
             if config.use_msi_separation and cuts_here < config.cut_rounds:
+                pool = {r.canonical() for r in model.cut_pool}
                 new = [q for q in separate_fractional(g, xstar)
-                       if q.canonical() not in
-                       {r.canonical() for r in model.cut_pool}]
+                       if q.canonical() not in pool]
                 if new:
                     model.cut_pool.extend(new)
                     stats["cuts"]["msi"] += len(new)

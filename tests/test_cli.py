@@ -65,6 +65,14 @@ class TestHrep:
         assert code == 0
         assert "class\tnonnegativity\t6" in out
 
+    @pytest.mark.parametrize("text", ["p 1 0\n", "p 3 0\n"])
+    def test_no_edges_no_facets(self, text, tmp_path, capsys):
+        path = tmp_path / "empty.g"
+        path.write_text(text)
+        code, out, _ = invoke(["hrep", "-g", str(path), "--no-meta"], capsys)
+        assert code == 0
+        assert out.splitlines() == ["h 0 0", "# class histogram: "]
+
 
 class TestFamily:
     def test_certify(self, c6_file, capsys):
@@ -83,6 +91,16 @@ class TestClassifyCmd:
                               capsys)
         assert code == 0
         assert "nonnegativity" in out
+
+    def test_isolated_vertex_row_is_other(self, tmp_path, capsys):
+        graph = tmp_path / "g.g"
+        graph.write_text("p 3 1\ne 1 2\n")
+        ineq = tmp_path / "g.ineq"
+        ineq.write_text("h 1 1\n0 <= 1\n")
+        code, out, _ = invoke(["classify", "-g", str(graph), "--ineq", str(ineq)],
+                              capsys)
+        assert code == 0
+        assert out == "0 <= 1  ->  other\n"
 
 
 class TestMsiCmd:

@@ -1,0 +1,47 @@
+"""Byte-for-byte golden outputs of the CLI with `--no-meta`.
+
+The files in tests/golden/ were generated from the repository root with:
+
+    cd tests/golden
+    for n in j26 cycle:7 path:7 cube:3; do
+        f=$(echo $n | tr -d :)
+        cmpoly gen --name $n -o $f.g
+        cmpoly hrep -g $f.g --no-meta -o hrep_$f.txt
+    done
+    cmpoly classify -g j26.g --ineq hrep_j26.txt --no-meta -o classify_j26.txt
+    cmpoly verify -g j26.g --ineq hrep_j26.txt --no-meta -o verify_j26.txt
+    cmpoly solve -g cycle8w.g --no-meta -o solve_cycle8w.txt
+    cmpoly solve -g cycle8w.g --no-meta --no-family-cuts -o solve_cycle8w_nofam.txt
+
+cycle8w.g is a hand-written weighted 8-cycle whose best matching {1,5} is
+disconnected, so the solver has to connect it.  A change to any of these
+outputs is a change to what cmpoly proves; regenerate them only on purpose.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from cmpoly.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    (["hrep", "-g", "j26.g"], "hrep_j26.txt"),
+    (["hrep", "-g", "cycle7.g"], "hrep_cycle7.txt"),
+    (["hrep", "-g", "path7.g"], "hrep_path7.txt"),
+    (["hrep", "-g", "cube3.g"], "hrep_cube3.txt"),
+    (["classify", "-g", "j26.g", "--ineq", "hrep_j26.txt"], "classify_j26.txt"),
+    (["verify", "-g", "j26.g", "--ineq", "hrep_j26.txt"], "verify_j26.txt"),
+    (["solve", "-g", "cycle8w.g"], "solve_cycle8w.txt"),
+    (["solve", "-g", "cycle8w.g", "--no-family-cuts"], "solve_cycle8w_nofam.txt"),
+]
+
+
+@pytest.mark.parametrize("argv,golden", CASES, ids=[c[1] for c in CASES])
+def test_golden(argv, golden, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code = run(argv + ["--no-meta"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode() == (GOLDEN / golden).read_bytes()

@@ -37,6 +37,10 @@ class TestParse:
         with pytest.raises(ParseError, match="duplicate"):
             parse_graph("p 3 2\ne 1 2\ne 2 1\n")
 
+    def test_duplicate_edge_names_its_line(self):
+        with pytest.raises(ParseError, match=r"line 4: duplicate edge \(3,2\)"):
+            parse_graph("p 3 3\ne 1 2\ne 2 3\ne 3 2\n")
+
     def test_out_of_range_vertex(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_graph("p 2 1\ne 1 5\n")

@@ -2,9 +2,10 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+import sympy
 
 from cmpoly.facet_family import family_inequality
-from cmpoly.graph_core import GraphError, generate
+from cmpoly.graph_core import Graph, GraphError, generate
 from cmpoly.inequality import Inequality
 from cmpoly.matchings import enumerate_connected_matchings
 from cmpoly.polytope import (FacetClass, HRep, VRep, class_histogram, classify,
@@ -45,16 +46,10 @@ def oracle_hull_facets(points):
 
 
 def _nullspace_vector(rows, m):
-    from cmpoly.rational_la import rref
-    R, piv = rref(rows)
-    if len(piv) != m - 1:
+    basis = sympy.Matrix(len(rows), m, [x for r in rows for x in r]).nullspace()
+    if len(basis) != 1:
         return None
-    free = next(j for j in range(m) if j not in piv)
-    v = [Fraction(0)] * m
-    v[free] = Fraction(1)
-    for r, c in zip(R, piv):
-        v[c] = -r[free]
-    return v
+    return [Fraction(str(x)) for x in basis[0]]
 
 
 class TestDimension:
@@ -87,6 +82,10 @@ class TestHrep:
             V = vrep(g)
             got = {q.canonical() for q in hrep(V).facets}
             assert got == oracle_hull_facets(V.points)
+
+    def test_point_has_no_facets(self):
+        assert hrep(VRep(0, ((),))) == HRep(())
+        assert hrep(vrep(Graph(3, ()))) == HRep(())
 
     def test_rejects_flat_input(self):
         V = VRep(2, ((0, 0), (1, 1)))
@@ -186,6 +185,11 @@ class TestClassify:
         g = generate("path:4")
         q = Inequality([1, 1, 0], 1)   # delta(2)
         assert classify(q, g) == FacetClass("degree", (2,))
+
+    def test_isolated_vertex_is_not_a_degree_row(self):
+        g = Graph(3, ((1, 2),))
+        assert classify(Inequality([0], 1), g) == FacetClass("other")
+        assert classify(Inequality([1], 1), g) == FacetClass("degree", (1,))
 
     def test_blossom_triangle(self):
         g = generate("complete:3")

@@ -1,11 +1,13 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmpoly.rational_la import affine_dimension, rank, rref
+from cmpoly.rational_la import (affine_dimension, eliminate, integer_row,
+                                inverse_columns, rank)
 
 
 small_matrix = st.lists(
@@ -73,26 +75,93 @@ class TestAffineDimension:
             assert affine_dimension(rotated) == affine_dimension(pts)
 
 
-class TestRref:
+def _old_canonical(row):
+    """The lcm/gcd scaling that Inequality.canonical used to inline."""
+    scale = 1
+    for c in row:
+        d = c.denominator
+        scale = scale // gcd(scale, d) * d
+    ints = [int(c * scale) for c in row]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    if g > 1:
+        ints = [v // g for v in ints]
+    return ints
+
+
+def _integer_matrix(rows):
+    return [integer_row(r) for r in rows]
+
+
+nonsingular = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(min_value=-4, max_value=4),
+                                min_size=n, max_size=n),
+                       min_size=n, max_size=n)
+).filter(lambda rows: sympy.Matrix(rows).det() != 0)
+
+
+class TestEliminate:
     def test_identity(self):
-        R, piv = rref([[1, 0], [0, 1]])
-        assert R == [[1, 0], [0, 1]] and piv == [0, 1]
+        indices, echelon = eliminate([[1, 0], [0, 1]])
+        assert indices == [0, 1] and echelon == [(0, [1, 0]), (1, [0, 1])]
 
     def test_zero(self):
-        R, piv = rref([[0, 0], [0, 0]])
-        assert R == [[0, 0], [0, 0]] and piv == []
+        assert eliminate([[0, 0], [0, 0]]) == ([], [])
 
     def test_dependent_rows(self):
-        R, piv = rref([[1, 2], [2, 4]])
-        assert R == [[1, 2], [0, 0]] and piv == [0]
+        indices, echelon = eliminate([[1, 2], [2, 4], [0, 3]])
+        assert indices == [0, 2] and [c for c, _ in echelon] == [0, 1]
+
+    def test_stops_at_full_column_rank(self):
+        indices, _ = eliminate([[1, 0], [0, 1], [1, 1]])
+        assert indices == [0, 1]
 
     @settings(max_examples=40, deadline=None)
     @given(small_matrix)
     def test_matches_sympy(self, rows):
-        R, piv = rref(rows)
-        SR, spiv = sympy.Matrix(rows).rref()
-        assert piv == list(spiv)
-        assert [[Fraction(x) for x in row] for row in SR.tolist()] == R
+        indices, _ = eliminate(_integer_matrix(rows))
+        prefix = [sympy.Matrix(rows[:i + 1]).rank() for i in range(len(rows))]
+        grew = [i for i in range(len(rows)) if prefix[i] > (prefix[i - 1] if i else 0)]
+        assert indices == grew
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_matrix)
+    def test_results_are_int(self, rows):
+        _, echelon = eliminate(_integer_matrix(rows))
+        assert all(type(c) is int and all(type(x) is int for x in e)
+                   for c, e in echelon)
+
+    @settings(max_examples=40, deadline=None)
+    @given(nonsingular)
+    def test_inverse_columns_match_sympy(self, B):
+        inv = sympy.Matrix(B).inv()
+        cols = inverse_columns(B)
+        assert len(cols) == len(B)
+        for j, col in enumerate(cols):
+            assert all(type(x) is int for x in col)
+            assert gcd(*col) == 1
+            ref = [Fraction(str(x)) for x in inv.col(j)]
+            k = next(i for i, x in enumerate(ref) if x != 0)
+            ratio = col[k] / ref[k]
+            assert ratio > 0
+            assert [ratio * x for x in ref] == col
+
+
+class TestIntegerRow:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=12),
+                    max_size=6))
+    def test_matches_old_canonical(self, row):
+        got = integer_row(row)
+        assert got == _old_canonical(row)
+        assert all(type(x) is int for x in got)
+
+    def test_keeps_sign(self):
+        assert integer_row([Fraction(-2, 3), Fraction(4, 9), 0]) == [-3, 2, 0]
+
+    def test_zero_row(self):
+        assert integer_row([0, Fraction(0)]) == [0, 0]
 
 
 def test_exactness_two_routes():
