@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals, computed in integers.
 
 Rational rows enter through `integer_row`, their primitive integer multiple.
-`eliminate` is the one elimination routine: first-fit, fraction-free (Bareiss)
-elimination over integer rows.  Rank, affine dimension, basis selection and
-the inverse of a basis are all read off its output.
+`bareiss_step` is the one fraction-free (Bareiss) row update.  `eliminate`,
+the first-fit elimination over integer rows, applies it; rank, affine
+dimension, basis selection and the inverse of a basis are all read off its
+output.  The exact simplex in `solver` pivots its integer tableau with the
+same step.
 """
 
 from __future__ import annotations
@@ -25,6 +27,21 @@ def integer_row(values):
     return ints
 
 
+def bareiss_step(row, pivot_row, col, prev):
+    """`row` with its entry in column `col` eliminated against `pivot_row`.
+
+    With p = pivot_row[col] and f = row[col], returns (p*row - f*pivot_row)
+    divided by `prev`.  When both rows come from one fraction-free
+    elimination and prev is its pivot before p, each entry of the result is
+    a minor of the input (Sylvester's identity; Bareiss 1968), so every
+    division is exact.
+    """
+    p, f = pivot_row[col], row[col]
+    if f:
+        return [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+    return [p * x // prev for x in row]
+
+
 def eliminate(rows):
     """First-fit fraction-free elimination of integer rows.
 
@@ -41,12 +58,8 @@ def eliminate(rows):
         v = row
         prev = 1
         for c, e in echelon:
-            p, f = e[c], v[c]
-            if f:
-                v = [(p * x - f * y) // prev for x, y in zip(v, e)]
-            else:
-                v = [p * x // prev for x in v]
-            prev = p
+            v = bareiss_step(v, e, c, prev)
+            prev = e[c]
         lead = next((j for j, x in enumerate(v) if x), None)
         if lead is None:
             continue

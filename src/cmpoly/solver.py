@@ -1,14 +1,17 @@
 """Exact branch-and-cut for maximum-weight connected matching.
 
 The LP relaxation (bounds, degree rows, optional a priori family cuts) is
-solved by a two-phase rational simplex with Bland's rule, so every bound and
-optimality claim is exact.  Fractional points are attacked with projected
-minimal separator cuts; integral but disconnected matchings trigger lazy
-connectivity cuts; remaining fractionality is resolved by branching.
+solved by a two-phase simplex with Bland's rule that pivots an integer
+tableau through `rational_la.bareiss_step`, the fraction-free row update of
+the exact elimination kernel, so every bound and optimality claim is exact.
+Fractional points are attacked with projected minimal separator cuts;
+integral but disconnected matchings trigger lazy connectivity cuts;
+remaining fractionality is resolved by branching.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,7 +20,12 @@ from .facet_family import generate_family
 from .graph_core import GraphError
 from .inequality import Inequality
 from .matchings import is_connected_matching
+from .rational_la import bareiss_step, integer_row
 from .msi import lazy_cut_for_disconnected, separate_fractional
+
+
+# MSI separation rounds per node before it branches
+CUT_ROUNDS = 5
 
 
 @dataclass
@@ -25,16 +33,13 @@ class SolveConfig:
     use_family_cuts: bool = True
     use_msi_separation: bool = True
     node_limit: int = 100_000
-    cut_rounds: int = 5
 
 
 @dataclass
 class Model:
-    graph: object
     objective: tuple
     rows: list
     cut_pool: list = field(default_factory=list)
-    config: SolveConfig = field(default_factory=SolveConfig)
 
 
 @dataclass
@@ -69,7 +74,7 @@ def build_base_lp(g, w, config=None):
                                provenance=f"v={v}"))
     if config.use_family_cuts:
         rows.extend(q for q, _cert in generate_family(g))
-    return Model(graph=g, objective=w, rows=rows, config=config)
+    return Model(objective=w, rows=rows)
 
 
 def solve_lp_exact(model, extra_rows=()):
@@ -85,104 +90,90 @@ def solve_lp_exact(model, extra_rows=()):
 
 
 def _simplex(c, A, b):
-    """Two-phase full-tableau simplex, Bland's rule, all-Fraction arithmetic.
+    """Two-phase full-tableau simplex, Bland's rule, integer pivoting.
 
     Maximizes c.x subject to A x <= b, x >= 0.  Columns: n structural vars,
-    k slacks, then artificials for rows with negative rhs.
+    k slacks, then artificials for rows with negative rhs.  Each row enters
+    as its primitive integer multiple with slack coefficient 1; a positive
+    row scale changes neither Bland's choices nor x.  T is d times the
+    rational tableau, where d = |last pivot| (the determinant of the basis up
+    to sign), and its last row is d times the reduced objective, so a pivot
+    is one `bareiss_step` per row (Edmonds 1967).
     """
     n = len(c)
-    k = len(A)
-    real = n + k
+    rows = [integer_row([*a, bi]) for a, bi in zip(A, b)]
+    real = n + len(rows)
+    ncols = real + sum(r[-1] < 0 for r in rows)
     T = []
-    need_art = []
-    for i in range(k):
-        row = [Fraction(x) for x in A[i]] + [Fraction(0)] * k + [Fraction(b[i])]
-        row[n + i] = Fraction(1)
-        if b[i] < 0:
-            row = [-x for x in row]
-            need_art.append(i)
-        T.append(row)
-    ncols = real
     basis = []
-    for i in range(k):
-        if i in need_art:
-            for r in T:
-                r.insert(ncols, Fraction(0))
-            T[i][ncols] = Fraction(1)
-            basis.append(ncols)
-            ncols += 1
-        else:
-            basis.append(n + i)
+    art = real
+    for i, r in enumerate(rows):
+        row = r[:-1] + [0] * (ncols - n) + r[-1:]
+        row[n + i] = 1
+        basis.append(n + i)
+        if r[-1] < 0:
+            row = [-x for x in row]
+            row[art] = 1
+            basis[i] = art
+            art += 1
+        T.append(row)
+    T.append(None)   # the objective row, set by run_phase
+    d = 1
     pivots = 0
-    zero = Fraction(0)
 
     def pivot(leave, enter):
-        nonlocal pivots
+        nonlocal d, pivots
         pivots += 1
-        piv = T[leave][enter]
-        T[leave] = [x / piv for x in T[leave]]
-        for i in range(len(T)):
-            if i != leave and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
+        e = T[leave]
+        T[:] = [r if r is e else bareiss_step(r, e, enter, d) for r in T]
+        d = e[enter]
+        if d < 0:
+            T[:] = [[-x for x in r] for r in T]
+            d = -d
         basis[leave] = enter
 
     def run_phase(obj, allowed):
-        # reduced costs z and objective value at the current basic solution
-        z = list(obj)
-        val = zero
-        for i, bi in enumerate(basis):
-            if z[bi] != 0:
-                f = z[bi]
-                z = [x - f * y for x, y in zip(z, T[i][:-1])]
-                val += f * T[i][-1]
-        in_basis = set(basis)
+        # objective row: d * (obj minus obj[basis[i]] times basic row i)
+        z = [d * o for o in obj] + [0]
+        for r, bi in zip(T, basis):
+            if obj[bi]:
+                z = [x - obj[bi] * y for x, y in zip(z, r)]
+        T[-1] = z
         while True:
-            enter = None
-            for j in range(allowed):
-                if z[j] > 0 and j not in in_basis:
-                    enter = j
-                    break
+            enter = next((j for j in range(allowed) if T[-1][j] > 0), None)
             if enter is None:
-                return val
+                return
             leave = None
-            best = None
-            for i in range(len(T)):
-                if T[i][enter] > 0:
-                    ratio = T[i][-1] / T[i][enter]
-                    if best is None or ratio < best or (
-                            ratio == best and basis[i] < basis[leave]):
-                        best = ratio
-                        leave = i
+            for i in range(len(basis)):
+                a = T[i][enter]
+                if a > 0:
+                    if leave is not None:
+                        # ratio T[i][-1]/a against T[leave][-1]/T[leave][enter]
+                        diff = T[i][-1] * T[leave][enter] - T[leave][-1] * a
+                        if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
+                            continue
+                    leave = i
             if leave is None:
                 raise GraphError("LP unbounded; missing variable bounds")
-            in_basis.discard(basis[leave])
-            in_basis.add(enter)
             pivot(leave, enter)
-            f = z[enter]
-            z = [x - f * y for x, y in zip(z, T[leave][:-1])]
-            val += f * T[leave][-1]
 
     if ncols > real:
-        obj1 = [zero] * real + [Fraction(-1)] * (ncols - real)
-        if run_phase(obj1, ncols) < 0:
+        run_phase([0] * real + [-1] * (ncols - real), ncols)
+        # the last entry is -d times the phase-1 optimum, -(sum of artificials)
+        if T[-1][-1] > 0:
             return None, None, None, pivots
-        # drive basic artificials (all at zero) out, dropping redundant rows
-        for i in reversed(range(len(T))):
+        # drive basic artificials (all at zero) out; every row has its own
+        # slack, so no tableau row is zero on all the real columns
+        for i in reversed(range(len(basis))):
             if basis[i] >= real:
-                enter = next((j for j in range(real) if T[i][j] != 0), None)
-                if enter is None:
-                    del T[i]
-                    del basis[i]
-                else:
-                    pivot(i, enter)
+                pivot(i, next(j for j in range(real) if T[i][j]))
 
-    obj2 = [Fraction(x) for x in c] + [zero] * (ncols - n)
-    value = run_phase(obj2, real)
-    x = [zero] * n
-    for i, bi in enumerate(basis):
+    run_phase(integer_row(c) + [0] * (ncols - n), real)
+    x = [Fraction(0)] * n
+    for r, bi in zip(T, basis):
         if bi < n:
-            x[bi] = T[i][-1]
+            x[bi] = Fraction(r[-1], d)
+    value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
     return value, x, list(basis), pivots
 
 
@@ -219,24 +210,20 @@ def branch_and_cut(g, w, config=None):
     stats = {"nodes": 0, "lp_pivots": 0, "cuts": {"msi": 0, "lazy": 0},
              "family_rows": sum(1 for q in model.rows if q.tag == "family")}
 
-    # open nodes: (bound, node id, fixed0, fixed1); best bound first, then id
+    # heap of open nodes (-bound, node id, fixed0, fixed1): best bound first,
+    # then lowest id; the root alone has no bound
     open_nodes = [(None, 0, frozenset(), frozenset())]
     next_id = 1
+    pool = set()   # canonical forms of the rows in model.cut_pool
     status = "optimal"
 
     while open_nodes:
         if stats["nodes"] >= config.node_limit:
             status = "node-limit"
             break
-        best_i = 0
-        for i in range(1, len(open_nodes)):
-            bi, ni = open_nodes[i][0], open_nodes[i][1]
-            bb, nb = open_nodes[best_i][0], open_nodes[best_i][1]
-            if bb is not None and (bi is None or bi > bb or (bi == bb and ni < nb)):
-                best_i = i
-        bound, node_id, fixed0, fixed1 = open_nodes.pop(best_i)
-        if bound is not None and bound <= incumbent_val:
-            log.append(f"node {node_id} bound {bound} cuts 0 status pruned")
+        neg_bound, node_id, fixed0, fixed1 = heapq.heappop(open_nodes)
+        if neg_bound is not None and -neg_bound <= incumbent_val:
+            log.append(f"node {node_id} bound {-neg_bound} cuts 0 status pruned")
             continue
         stats["nodes"] += 1
         extra = _fix_rows(g, fixed0, fixed1)
@@ -257,6 +244,7 @@ def branch_and_cut(g, w, config=None):
                 if len(M) >= 2 and not is_connected_matching(g, M):
                     cut = lazy_cut_for_disconnected(g, M)
                     model.cut_pool.append(cut)
+                    pool.add(cut.canonical())
                     stats["cuts"]["lazy"] += 1
                     cuts_here += 1
                     continue
@@ -265,10 +253,10 @@ def branch_and_cut(g, w, config=None):
                 if value > incumbent_val:
                     incumbent_val, incumbent_set = value, M
                 break
-            if config.use_msi_separation and cuts_here < config.cut_rounds:
-                pool = {r.canonical() for r in model.cut_pool}
-                new = [q for q in separate_fractional(g, xstar)
-                       if q.canonical() not in pool]
+            if config.use_msi_separation and cuts_here < CUT_ROUNDS:
+                found = [(q.canonical(), q) for q in separate_fractional(g, xstar)]
+                new = [q for key, q in found if key not in pool]
+                pool.update(key for key, _ in found)
                 if new:
                     model.cut_pool.extend(new)
                     stats["cuts"]["msi"] += len(new)
@@ -277,13 +265,13 @@ def branch_and_cut(g, w, config=None):
             log.append(f"node {node_id} bound {value} cuts {cuts_here} "
                        "status frac")
             bvar = min(frac, key=lambda e: (abs(xstar[e - 1] - half), e))
-            open_nodes.append((value, next_id, fixed0, fixed1 | {bvar}))
-            open_nodes.append((value, next_id + 1, fixed0 | {bvar}, fixed1))
+            heapq.heappush(open_nodes, (-value, next_id, fixed0, fixed1 | {bvar}))
+            heapq.heappush(open_nodes, (-value, next_id + 1, fixed0 | {bvar}, fixed1))
             next_id += 2
             break
 
     if status == "node-limit":
-        bounds = [bd for bd, _, _, _ in open_nodes if bd is not None]
+        bounds = [-nb for nb, _, _, _ in open_nodes if nb is not None]
         stats["upper_bound"] = max([incumbent_val] + bounds)
     log.append(f"opt {incumbent_val} matching {{{','.join(map(str, incumbent_set))}}}")
     stats["wall_time"] = time.monotonic() - start

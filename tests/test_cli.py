@@ -1,8 +1,10 @@
+import os
 import subprocess
 import sys
 
 import pytest
 
+import cmpoly
 from cmpoly.cli import run
 from cmpoly.graph_core import format_graph, generate, parse_graph
 
@@ -124,6 +126,24 @@ class TestSolve:
         assert code == 0
         assert out.strip().endswith("MATCH")
 
+    @pytest.mark.parametrize("text", [
+        "p 3 0\n",
+        # two components and the isolated vertex 6
+        "p 6 3\ne 1 2\ne 2 3\ne 4 5\n",
+        "p 5 4\n"
+        "e 1 2 w 123456789012345678901234567891/987654321098765432109876543211\n"
+        "e 2 3 w 314159265358979323846264338327/271828182845904523536028747135\n"
+        "e 3 4 w 161803398874989484820458683436/141421356237309504880168872420\n"
+        "e 4 5 w -577215664901532860606512090082/299792458000000000000000000001\n",
+    ], ids=["no-edges", "disconnected-isolated", "huge-weights"])
+    def test_degenerate_input_matches_oracle(self, text, tmp_path, capsys):
+        path = tmp_path / "g.g"
+        path.write_text(text)
+        code, out, _ = invoke(["solve", "-g", str(path), "--oracle-check",
+                               "--no-meta"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "MATCH"
+
     def test_reproducible_with_no_meta(self, j26_file, capsys):
         runs = []
         for _ in range(2):
@@ -165,18 +185,23 @@ class TestExport:
         assert lines[1] == "1 0 0 0 0 0 0"
 
 
+def run_cli_process(*argv):
+    """`python -m cmpoly.cli argv` in a child that imports this cmpoly."""
+    src = os.path.dirname(os.path.dirname(cmpoly.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "cmpoly.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 class TestUsage:
     def test_unknown_command_exits_two(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "cmpoly.cli", "frobnicate"],
-            capture_output=True, text=True)
+        proc = run_cli_process("frobnicate")
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
 
     def test_missing_graph_flag_exits_two(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "cmpoly.cli", "hrep"],
-            capture_output=True, text=True)
+        proc = run_cli_process("hrep")
         assert proc.returncode == 2
 
     def test_limit_guard(self, capsys, tmp_path):

@@ -1,0 +1,243 @@
+"""The integer-pivoting simplex against the all-Fraction simplex it replaced.
+
+`fraction_simplex` is the earlier `solver._simplex`, kept verbatim as the
+reference: same two phases, Bland's rule and artificial drive-out, with every
+entry a Fraction.  Both must return the same (value, x, basis, pivots) on the
+LPs branch-and-cut builds: base rows, branching fixes, MSI and lazy cut
+pools, and weights from small rationals up to 30-digit numerators and
+denominators.
+"""
+
+import random
+from fractions import Fraction
+
+from cmpoly import solver
+from cmpoly.graph_core import GraphError, generate, line_distance
+from cmpoly.msi import minimal_separators_brute, project_msi
+from cmpoly.solver import (SolveConfig, _fix_rows, _simplex, branch_and_cut, build_base_lp,
+                           solve_lp_exact)
+
+from conftest import random_connected_graph
+
+
+def fraction_simplex(c, A, b):
+    """Two-phase full-tableau simplex, Bland's rule, all-Fraction arithmetic.
+
+    Maximizes c.x subject to A x <= b, x >= 0.  Columns: n structural vars,
+    k slacks, then artificials for rows with negative rhs.
+    """
+    n = len(c)
+    k = len(A)
+    real = n + k
+    T = []
+    need_art = []
+    for i in range(k):
+        row = [Fraction(x) for x in A[i]] + [Fraction(0)] * k + [Fraction(b[i])]
+        row[n + i] = Fraction(1)
+        if b[i] < 0:
+            row = [-x for x in row]
+            need_art.append(i)
+        T.append(row)
+    ncols = real
+    basis = []
+    for i in range(k):
+        if i in need_art:
+            for r in T:
+                r.insert(ncols, Fraction(0))
+            T[i][ncols] = Fraction(1)
+            basis.append(ncols)
+            ncols += 1
+        else:
+            basis.append(n + i)
+    pivots = 0
+    zero = Fraction(0)
+
+    def pivot(leave, enter):
+        nonlocal pivots
+        pivots += 1
+        piv = T[leave][enter]
+        T[leave] = [x / piv for x in T[leave]]
+        for i in range(len(T)):
+            if i != leave and T[i][enter] != 0:
+                f = T[i][enter]
+                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
+        basis[leave] = enter
+
+    def run_phase(obj, allowed):
+        # reduced costs z and objective value at the current basic solution
+        z = list(obj)
+        val = zero
+        for i, bi in enumerate(basis):
+            if z[bi] != 0:
+                f = z[bi]
+                z = [x - f * y for x, y in zip(z, T[i][:-1])]
+                val += f * T[i][-1]
+        in_basis = set(basis)
+        while True:
+            enter = None
+            for j in range(allowed):
+                if z[j] > 0 and j not in in_basis:
+                    enter = j
+                    break
+            if enter is None:
+                return val
+            leave = None
+            best = None
+            for i in range(len(T)):
+                if T[i][enter] > 0:
+                    ratio = T[i][-1] / T[i][enter]
+                    if best is None or ratio < best or (
+                            ratio == best and basis[i] < basis[leave]):
+                        best = ratio
+                        leave = i
+            if leave is None:
+                raise GraphError("LP unbounded; missing variable bounds")
+            in_basis.discard(basis[leave])
+            in_basis.add(enter)
+            pivot(leave, enter)
+            f = z[enter]
+            z = [x - f * y for x, y in zip(z, T[leave][:-1])]
+            val += f * T[leave][-1]
+
+    if ncols > real:
+        obj1 = [zero] * real + [Fraction(-1)] * (ncols - real)
+        if run_phase(obj1, ncols) < 0:
+            return None, None, None, pivots
+        # drive basic artificials (all at zero) out, dropping redundant rows
+        for i in reversed(range(len(T))):
+            if basis[i] >= real:
+                enter = next((j for j in range(real) if T[i][j] != 0), None)
+                if enter is None:
+                    del T[i]
+                    del basis[i]
+                else:
+                    pivot(i, enter)
+
+    obj2 = [Fraction(x) for x in c] + [zero] * (ncols - n)
+    value = run_phase(obj2, real)
+    x = [zero] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            x[bi] = T[i][-1]
+    return value, x, list(basis), pivots
+
+
+def reference(model, extra=()):
+    """`fraction_simplex` on the LP that `solve_lp_exact(model, extra)` solves."""
+    rows = list(model.rows) + list(model.cut_pool) + list(extra)
+    return fraction_simplex(list(model.objective), [list(q.coeffs) for q in rows],
+                            [q.rhs for q in rows])
+
+
+BIG = 10 ** 30
+
+
+def corpus_weights(rng, g, huge):
+    """Random weights: small rationals, or 30-digit numerators and
+    denominators."""
+    if huge:
+        return [Fraction(rng.randint(-BIG // 5, BIG), rng.randint(BIG // 10, BIG))
+                for _ in range(g.m)]
+    return [Fraction(rng.randint(-4, 20), rng.randint(1, 4)) for _ in range(g.m)]
+
+
+def spread_weights(rng, g, huge):
+    """Weights in [3/2, 8] on a maximal set of edges pairwise at line-graph
+    distance >= 3 and in [0, 1] on the rest, so the LP optimum tends to be
+    disconnected and branch-and-cut has to cut and branch; with `huge`, each
+    is scaled by a 30-digit ratio in [1/2, 2]."""
+    heavy = []
+    for e in rng.sample(range(1, g.m + 1), g.m):
+        if all(line_distance(g, e, f) >= 3 for f in heavy):
+            heavy.append(e)
+    w = [Fraction(rng.randint(12, 64) if e in heavy else rng.randint(0, 8), 8)
+         for e in range(1, g.m + 1)]
+    if huge:
+        w = [x * Fraction(rng.randint(BIG, 2 * BIG), rng.randint(BIG, 2 * BIG))
+             for x in w]
+    return w
+
+
+def corpus_lps(seed):
+    """(model, extra rows) pairs for one seeded graph and weight draw.
+
+    The root LP; the projected MSIs of every minimal separator of one
+    non-adjacent pair (coefficients down to -2); then, on that cut pool, an
+    x_e=1 fix, a mixed x_e=0/x_f=1 fix, and two fixes to 1 on edges sharing
+    a vertex (infeasible).
+    """
+    rng = random.Random(seed)
+    g = random_connected_graph(seed, n_hi=8, m_cap=10)
+    w = corpus_weights(rng, g, huge=seed % 3 == 2)
+    model = build_base_lp(g, w, SolveConfig(use_family_cuts=seed % 2 == 0))
+    yield model, ()
+    pairs = [(a, b) for a in range(1, g.n + 1) for b in range(a + 1, g.n + 1)
+             if g.edge_id(a, b) is None]
+    if pairs:
+        a, b = rng.choice(pairs)
+        model.cut_pool.extend(project_msi(g, s)
+                              for s in minimal_separators_brute(g, a, b))
+        yield model, ()
+    e, f = rng.sample(range(1, g.m + 1), 2)
+    yield model, _fix_rows(g, set(), {e})
+    yield model, _fix_rows(g, {e}, {f})
+    v = max(range(1, g.n + 1), key=lambda u: len(g.incident_edges(u)))
+    yield model, _fix_rows(g, set(), set(g.incident_edges(v)[:2]))
+
+
+def test_integer_simplex_matches_fraction_simplex():
+    lps = phase1 = infeasible = minus2 = 0
+    for seed in range(60):
+        for model, extra in corpus_lps(seed):
+            got = solve_lp_exact(model, extra)
+            assert got == reference(model, extra), (seed, extra)
+            lps += 1
+            phase1 += any(q.rhs < 0 for q in extra)
+            infeasible += got[0] is None
+            minus2 += any(-2 in q.coeffs for q in model.cut_pool)
+    assert lps >= 250 and phase1 >= 150 and infeasible >= 50 and minus2 >= 50
+
+
+def test_branch_and_cut_lps_match_fraction_simplex(monkeypatch):
+    # every LP of whole solves on cycles with spread weights: MSI and lazy
+    # cut pools of several rounds, and the fixes of each branch
+    lps = phase1 = cut = 0
+    solve = solver.solve_lp_exact
+
+    def checked(model, extra=()):
+        nonlocal lps, phase1, cut
+        got = solve(model, extra)
+        assert got == reference(model, extra)
+        lps += 1
+        phase1 += any(q.rhs < 0 for q in extra)
+        cut += bool(model.cut_pool)
+        return got
+
+    monkeypatch.setattr(solver, "solve_lp_exact", checked)
+    for seed in range(20):
+        rng = random.Random(seed)
+        g = generate(f"cycle:{7 + seed % 4}")
+        w = spread_weights(rng, g, huge=seed % 3 == 2)
+        branch_and_cut(g, w, SolveConfig(use_family_cuts=seed % 4 == 0))
+    assert lps >= 90 and phase1 >= 25 and cut >= 70
+
+
+def test_negative_drive_out_pivot():
+    # max x s.t. -x <= -1, x <= 1.  Phase 1 ends with the artificial basic at
+    # zero on row 0, which then reads -s0 - s1 + a0 = 0: the drive-out pivots
+    # on the -1 of s0 and the integer tableau is negated.
+    c, A, b = [Fraction(1)], [[Fraction(-1)], [Fraction(1)]], [Fraction(-1), Fraction(1)]
+    got = _simplex(c, A, b)
+    assert got == fraction_simplex(c, A, b)
+    assert got == (1, [1], [1, 0], 2)
+
+
+def test_duplicate_equality_rows():
+    # x = 1 written twice: phase 1 leaves two artificials basic at zero and
+    # both drive-out pivots are negative
+    c = [Fraction(2)]
+    A = [[Fraction(1)], [Fraction(-1)], [Fraction(2)], [Fraction(-2)]]
+    b = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]
+    got = _simplex(c, A, b)
+    assert got == fraction_simplex(c, A, b)
+    assert got == (2, [1], [0, 2, 3, 4], 4)
