@@ -11,7 +11,6 @@ nonempty, L induces a clique in the line graph, and each triple
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graph_core import GraphError, is_biconnected_induced, is_connected_induced, line_distance
 from .inequality import Inequality
@@ -30,12 +29,20 @@ class FamilyCertificate:
 
 
 def lambda_set(g, e1, e2):
-    """Edge ids at line-graph distance exactly 2 from both e1 and e2."""
+    """Edge ids at line-graph distance exactly 2 from both e1 and e2.
+
+    An edge f is at distance 2 from e exactly when f shares no endpoint with
+    e but has an endpoint adjacent to one of e's endpoints.
+    """
     if e1 == e2:
         raise GraphError("lambda set needs two distinct edges")
-    return tuple(sorted(
-        f for f in range(1, g.m + 1)
-        if line_distance(g, f, e1) == 2 and line_distance(g, f, e2) == 2))
+    ends1, ends2 = set(g.endpoints(e1)), set(g.endpoints(e2))
+    near1 = {w for u in ends1 for w in g.neighbors(u)} - ends1
+    near2 = {w for u in ends2 for w in g.neighbors(u)} - ends2
+    ends = ends1 | ends2
+    return tuple(f for f, uv in enumerate(g.edges, start=1)
+                 if ends.isdisjoint(uv)
+                 and not near1.isdisjoint(uv) and not near2.isdisjoint(uv))
 
 
 def is_disconnected_pair(g, e1, e2):
@@ -55,14 +62,13 @@ def family_inequality(g, e1, e2):
     if not is_disconnected_pair(g, e1, e2):
         raise GraphError(f"edges {e1},{e2} are not a disconnected pair")
     lam = lambda_set(g, e1, e2)
-    coeffs = [Fraction(0)] * g.m
-    coeffs[e1 - 1] = Fraction(1)
-    coeffs[e2 - 1] = Fraction(1)
+    coeffs = [0] * g.m
+    coeffs[e1 - 1] = coeffs[e2 - 1] = 1
     for f in lam:
-        coeffs[f - 1] = Fraction(-1)
+        coeffs[f - 1] = -1
     lo, hi = min(e1, e2), max(e1, e2)
     prov = f"pair=({lo},{hi}) lambda={{{','.join(map(str, lam))}}}"
-    return Inequality(coeffs, Fraction(1), tag="family", provenance=prov)
+    return Inequality(coeffs, 1, tag="family", provenance=prov)
 
 
 def check_validity_hypothesis(g, e1, e2):

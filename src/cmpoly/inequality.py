@@ -1,4 +1,11 @@
-"""Exact-rational inequality rows (sense <=) with a canonical integer form."""
+"""Inequality rows (sense <=), stored as primitive integer rows.
+
+A row given with rational coefficients is kept as its primitive integer
+multiple (`rational_la.integer_row` over coeffs and rhs): ints whose gcd is
+1, or all zero.  A positive scale changes neither validity nor tightness, so
+rows that differ only by one compare equal, and the printed row is the
+stored one.
+"""
 
 from __future__ import annotations
 
@@ -14,28 +21,28 @@ class Inequality:
     """A row `coeffs . x <= rhs` with a classification tag and provenance note."""
 
     coeffs: tuple
-    rhs: Fraction
+    rhs: int
     tag: str = ""
     provenance: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
+        *ints, r = integer_row([*self.coeffs, self.rhs])
+        object.__setattr__(self, "coeffs", tuple(ints))
+        object.__setattr__(self, "rhs", r)
 
     @property
     def m(self):
         return len(self.coeffs)
 
     def evaluate(self, x):
-        return sum((c * Fraction(v) for c, v in zip(self.coeffs, x)), Fraction(0))
+        return sum(c * v for c, v in zip(self.coeffs, x))
 
     def is_satisfied(self, x):
         return self.evaluate(x) <= self.rhs
 
     def canonical(self):
-        """Integer form (coeff tuple, rhs) scaled so the overall gcd is 1."""
-        *ints, r = integer_row(self.coeffs + (self.rhs,))
-        return tuple(ints), r
+        """Integer form (coeff tuple, rhs) with overall gcd 1: the stored row."""
+        return self.coeffs, self.rhs
 
     def format_line(self):
         """`<c1> ... <cm> <= <rhs>` in canonical form, plus provenance comment."""

@@ -3,6 +3,10 @@ dominance, fractional separation by exact max-flow, and lazy connectivity cuts.
 
 A separator row  y_a + y_b - sum_{u in C} y_u <= 1  over vertex indicators is
 projected to edge space through y_u = sum_{e incident to u} x_e.
+
+Separation scales the vertex degrees y of a fractional point by their common
+denominator D, so the max-flow runs on integer capacities and each test
+against 1 becomes a test against D.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .graph_core import GraphError, _components_within, is_separator
 from .inequality import Inequality
@@ -72,7 +77,7 @@ def project_msi(g, s):
     (so coefficients can reach -2).
     """
     s.validate(g)
-    coeffs = [Fraction(0)] * g.m
+    coeffs = [0] * g.m
     for e in g.incident_edges(s.a):
         coeffs[e - 1] += 1
     for e in g.incident_edges(s.b):
@@ -81,7 +86,7 @@ def project_msi(g, s):
         for e in g.incident_edges(u):
             coeffs[e - 1] -= 1
     prov = f"msi a={s.a} b={s.b} C={{{','.join(map(str, s.C))}}}"
-    return Inequality(coeffs, Fraction(1), tag="msi", provenance=prov)
+    return Inequality(coeffs, 1, tag="msi", provenance=prov)
 
 
 def dominates(p, q):
@@ -92,9 +97,9 @@ def dominates(p, q):
     lo, hi = Fraction(0), None
     for pc, qc in list(zip(p.coeffs, q.coeffs)) + [(-p.rhs, -q.rhs)]:
         if pc > 0:
-            lo = max(lo, qc / pc)
+            lo = max(lo, Fraction(qc, pc))
         elif pc < 0:
-            bound = qc / pc
+            bound = Fraction(qc, pc)
             hi = bound if hi is None else min(hi, bound)
         elif qc > 0:
             return False
@@ -103,23 +108,18 @@ def dominates(p, q):
     return hi > lo or (hi == lo and lo > 0)
 
 
-def _vertex_degrees(g, xstar):
-    y = {}
-    for v in range(1, g.n + 1):
-        y[v] = sum((xstar[e - 1] for e in g.incident_edges(v)), Fraction(0))
-    return y
-
-
 def _min_vertex_cut(g, a, b, cap):
     """Minimum-capacity (a,b)-vertex separator by exact max-flow on the
-    vertex-split digraph; returns (flow value, cut vertex set)."""
+    vertex-split digraph with integer capacities cap; returns (flow value,
+    cut vertex set).  The cut is the set the source reaches in the final
+    residual graph, which is the same for every maximum flow."""
     # node encoding: (v, 0) = in-copy, (v, 1) = out-copy
-    inf = sum(cap.values(), Fraction(1))
+    inf = sum(cap.values()) + 1
     arcs = {}
 
     def add(u, v, c):
-        arcs.setdefault(u, {})[v] = arcs.get(u, {}).get(v, Fraction(0)) + c
-        arcs.setdefault(v, {}).setdefault(u, Fraction(0))
+        arcs.setdefault(u, {})[v] = arcs.get(u, {}).get(v, 0) + c
+        arcs.setdefault(v, {}).setdefault(u, 0)
 
     for v in range(1, g.n + 1):
         add((v, 0), (v, 1), inf if v in (a, b) else cap[v])
@@ -127,13 +127,13 @@ def _min_vertex_cut(g, a, b, cap):
         add((u, 1), (v, 0), inf)
         add((v, 1), (u, 0), inf)
     src, snk = (a, 1), (b, 0)
-    flow = Fraction(0)
+    flow = 0
     while True:
         parent = {src: None}
         queue = deque([src])
         while queue and snk not in parent:
             u = queue.popleft()
-            for v, c in sorted(arcs[u].items()):
+            for v, c in arcs[u].items():
                 if c > 0 and v not in parent:
                     parent[v] = u
                     queue.append(v)
@@ -175,19 +175,22 @@ def separate_fractional(g, xstar):
     for x in xstar:
         if x < 0 or x > 1:
             raise GraphError("xstar must lie in the unit box")
-    y = _vertex_degrees(g, xstar)
+    D = lcm(*[x.denominator for x in xstar])
+    X = [x.numerator * (D // x.denominator) for x in xstar]
+    # D times the degree sum of xstar at each vertex
+    y = {v: sum(X[e - 1] for e in g.incident_edges(v)) for v in range(1, g.n + 1)}
     for v, yv in y.items():
-        if yv > 1:
+        if yv > D:
             raise GraphError(f"degree sum at vertex {v} exceeds 1")
     cuts = {}
     for a in range(1, g.n + 1):
         for b in range(a + 1, g.n + 1):
             if g.edge_id(a, b) is not None:
                 continue
-            if y[a] + y[b] <= 1:
+            if y[a] + y[b] <= D:
                 continue
             flow, cut = _min_vertex_cut(g, a, b, y)
-            if y[a] + y[b] - flow <= 1:
+            if y[a] + y[b] - flow <= D:
                 continue
             sep = minimalize(g, Separator(a, b, tuple(cut)))
             row = project_msi(g, sep)

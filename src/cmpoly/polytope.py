@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .facet_family import is_disconnected_pair, lambda_set
 from .graph_core import GraphError
@@ -20,7 +19,7 @@ class VRep:
     points: tuple
 
     def __post_init__(self):
-        pts = tuple(tuple(Fraction(x) for x in p) for p in self.points)
+        pts = tuple(map(tuple, self.points))
         if len(set(pts)) != len(pts):
             raise ValueError("V-description points must be distinct")
         for p in pts:
@@ -83,7 +82,7 @@ def hrep(V):
         return HRep(())
 
     rays = inverse_columns([cons[i] for i in basis_idx])
-    done = [cons[i] for i in basis_idx]
+    done = dim   # constraints processed; bit k of a tight mask is the k-th one
     tight = [(1 << dim) - 1 - (1 << i) for i in range(dim)]
 
     chosen = set(basis_idx)
@@ -91,54 +90,40 @@ def hrep(V):
 
     for ci in rest:
         a = cons[ci]
-        s = [_dot(a, r) for r in rays]
+        bit = 1 << done
+        done += 1
+        s = [sum(x * y for x, y in zip(a, r)) for r in rays]
         if all(v >= 0 for v in s):
-            tight = [t | ((1 << len(done)) if v == 0 else 0)
-                     for t, v in zip(tight, s)]
-            done.append(a)
+            tight = [t | (bit if v == 0 else 0) for t, v in zip(tight, s)]
             continue
         keep_r, keep_t = [], []
         pos, neg = [], []
         for k, v in enumerate(s):
             if v >= 0:
                 keep_r.append(rays[k])
-                keep_t.append(tight[k] | ((1 << len(done)) if v == 0 else 0))
+                keep_t.append(tight[k] | (bit if v == 0 else 0))
             if v > 0:
                 pos.append(k)
             elif v < 0:
                 neg.append(k)
-        new_rays = []
         for kp in pos:
             for kn in neg:
                 common = tight[kp] & tight[kn]
-                if bin(common).count("1") < m - 1:
+                if common.bit_count() < m - 1:
                     continue
                 if any(k != kp and k != kn and common & tight[k] == common
                        for k in range(len(rays))):
                     continue
-                vec = integer_row([s[kp] * rays[kn][j] - s[kn] * rays[kp][j]
-                                   for j in range(dim)])
-                new_rays.append(vec)
-        done.append(a)
-        for vec in new_rays:
-            mask = 0
-            for bit, row in enumerate(done):
-                if _dot(row, vec) == 0:
-                    mask |= 1 << bit
-            keep_r.append(vec)
-            keep_t.append(mask)
+                # a positive combination of the two parents: tight exactly
+                # where both are, and on the new constraint
+                keep_r.append(integer_row([s[kp] * rays[kn][j] - s[kn] * rays[kp][j]
+                                           for j in range(dim)]))
+                keep_t.append(common | bit)
         rays, tight = keep_r, keep_t
 
-    facets = []
-    for y in rays:
-        coeffs = [-v for v in y[1:]]
-        facets.append(Inequality(coeffs, Fraction(y[0])))
+    facets = [Inequality([-v for v in y[1:]], y[0]) for y in rays]
     facets.sort(key=lambda q: (q.coeffs, q.rhs))
     return HRep(tuple(facets))
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def verify_valid(q, V):

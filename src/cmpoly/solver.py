@@ -57,21 +57,16 @@ def build_base_lp(g, w, config=None):
     w = tuple(Fraction(x) for x in w)
     if len(w) != g.m:
         raise GraphError(f"expected {g.m} weights, got {len(w)}")
-    rows = []
-    for e in range(1, g.m + 1):
-        coeffs = [Fraction(0)] * g.m
-        coeffs[e - 1] = Fraction(1)
-        rows.append(Inequality(coeffs, Fraction(1), tag="bound",
-                               provenance=f"ub x{e}"))
+    rows = [Inequality(_unit(g.m, e, 1), 1, tag="bound", provenance=f"ub x{e}")
+            for e in range(1, g.m + 1)]
     for v in range(1, g.n + 1):
         inc = g.incident_edges(v)
         if not inc:
             continue
-        coeffs = [Fraction(0)] * g.m
+        coeffs = [0] * g.m
         for e in inc:
-            coeffs[e - 1] = Fraction(1)
-        rows.append(Inequality(coeffs, Fraction(1), tag="degree",
-                               provenance=f"v={v}"))
+            coeffs[e - 1] = 1
+        rows.append(Inequality(coeffs, 1, tag="degree", provenance=f"v={v}"))
     if config.use_family_cuts:
         rows.extend(q for q, _cert in generate_family(g))
     return Model(objective=w, rows=rows)
@@ -177,19 +172,17 @@ def _simplex(c, A, b):
     return value, x, list(basis), pivots
 
 
+def _unit(m, e, sign):
+    coeffs = [0] * m
+    coeffs[e - 1] = sign
+    return coeffs
+
+
 def _fix_rows(g, fixed0, fixed1):
-    rows = []
-    for e in sorted(fixed0):
-        coeffs = [Fraction(0)] * g.m
-        coeffs[e - 1] = Fraction(1)
-        rows.append(Inequality(coeffs, Fraction(0), tag="branch",
-                               provenance=f"x{e}=0"))
-    for e in sorted(fixed1):
-        coeffs = [Fraction(0)] * g.m
-        coeffs[e - 1] = Fraction(-1)
-        rows.append(Inequality(coeffs, Fraction(-1), tag="branch",
-                               provenance=f"x{e}=1"))
-    return rows
+    return ([Inequality(_unit(g.m, e, 1), 0, tag="branch", provenance=f"x{e}=0")
+             for e in sorted(fixed0)]
+            + [Inequality(_unit(g.m, e, -1), -1, tag="branch", provenance=f"x{e}=1")
+               for e in sorted(fixed1)])
 
 
 def branch_and_cut(g, w, config=None):

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -19,6 +20,13 @@ def random_connected_graph(seed, n_lo=4, n_hi=8, max_extra=4, m_cap=12):
         u, v = rng.sample(verts, 2)
         edges.add((min(u, v), max(u, v)))
     return Graph(n, tuple(sorted(edges)))
+
+
+def assert_primitive_int_row(q):
+    """q's coefficients and rhs are all ints, with gcd 1."""
+    values = [*q.coeffs, q.rhs]
+    assert all(type(v) is int for v in values), values
+    assert gcd(*values) == 1, values
 
 
 def to_networkx(g):

@@ -8,7 +8,7 @@ from cmpoly.facet_family import (check_facet_hypothesis, check_validity_hypothes
 from cmpoly.graph_core import Graph, GraphError, generate
 from cmpoly.matchings import enumerate_cm_sets, enumerate_connected_matchings
 
-from conftest import random_connected_graph
+from conftest import assert_primitive_int_row, random_connected_graph
 
 
 class TestLambdaSet:
@@ -27,8 +27,9 @@ class TestLambdaSet:
 
     def test_brute_force_definition(self):
         from cmpoly.graph_core import line_distance
-        for seed in range(8):
-            g = random_connected_graph(seed)
+        graphs = [random_connected_graph(seed) for seed in range(8)]
+        graphs += [generate(name) for name in ("petersen", "cube:3", "j26")]
+        for g in graphs:
             for e1 in range(1, g.m + 1):
                 for e2 in range(e1 + 1, g.m + 1):
                     expect = tuple(sorted(
@@ -156,6 +157,11 @@ class TestGenerateFamily:
         assert pairs == [(1, 4), (2, 5), (3, 6)]
         assert all(not cert.facet_certified for _, cert in fam)
         assert all(cert.empty_lambda for _, cert in fam)
+
+    def test_rows_are_primitive_int(self):
+        for seed in range(10):
+            for q, _cert in generate_family(random_connected_graph(seed)):
+                assert_primitive_int_row(q)
 
     def test_order_and_size_bound(self):
         for seed in range(10):

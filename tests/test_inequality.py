@@ -1,0 +1,42 @@
+from fractions import Fraction
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cmpoly.inequality import Inequality, parse_inequality_line
+
+from conftest import assert_primitive_int_row
+
+fracs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+rows_and_points = st.integers(1, 5).flatmap(
+    lambda m: st.tuples(st.lists(fracs, min_size=m, max_size=m),
+                        st.lists(fracs, min_size=m, max_size=m)))
+
+
+class TestInequality:
+    def test_stored_as_primitive_int_row(self):
+        q = Inequality([Fraction(1, 2), -1, 0], Fraction(3, 4))
+        assert q.coeffs == (2, -4, 0) and q.rhs == 3
+        assert_primitive_int_row(q)
+        assert q.canonical() == ((2, -4, 0), 3)
+
+    def test_positive_scale_compares_equal(self):
+        assert Inequality([2, 4], 6) == Inequality([Fraction(1, 2), 1], Fraction(3, 2))
+        assert Inequality([2, 4], 6) != Inequality([-2, -4], -6)
+
+    @given(rows_and_points, st.one_of(st.just(Fraction(0)), fracs))
+    def test_evaluate_agrees_with_the_unscaled_row(self, row_and_point, slack):
+        coeffs, x = row_and_point
+        lhs = sum((c * v for c, v in zip(coeffs, x)), Fraction(0))
+        rhs = lhs + slack
+        q = Inequality(coeffs, rhs)
+        assert (q.evaluate(x) <= q.rhs) == (lhs <= rhs)
+        assert (q.evaluate(x) == q.rhs) == (lhs == rhs)
+        assert q.is_satisfied(x) == (lhs <= rhs)
+
+
+class TestParse:
+    def test_line_gives_primitive_int_row(self):
+        q = parse_inequality_line("1/2 -1 0 <= 3/4  # tag=family")
+        assert (q.coeffs, q.rhs, q.tag) == ((2, -4, 0), 3, "family")
+        assert_primitive_int_row(q)

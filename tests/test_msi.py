@@ -5,11 +5,11 @@ import pytest
 from cmpoly.graph_core import Graph, GraphError, generate
 from cmpoly.inequality import Inequality
 from cmpoly.matchings import enumerate_cm_sets, enumerate_connected_matchings, incidence_vector
-from cmpoly.msi import (Separator, dominates, is_minimal_separator,
+from cmpoly.msi import (Separator, _min_vertex_cut, dominates, is_minimal_separator,
                         lazy_cut_for_disconnected, minimal_separators_brute,
                         minimalize, project_msi, separate_fractional)
 
-from conftest import random_connected_graph
+from conftest import assert_primitive_int_row, random_connected_graph
 
 
 class TestMinimalSeparator:
@@ -44,6 +44,15 @@ class TestProjectMsi:
         g = generate("cycle:6")
         q = project_msi(g, Separator(2, 5, (3, 6)))
         assert q.canonical() == ((1, 0, -1, 1, 0, -1), 1)
+
+    def test_rows_are_primitive_int(self):
+        for seed in range(10):
+            g = random_connected_graph(seed)
+            for a in range(1, g.n + 1):
+                for b in range(a + 1, g.n + 1):
+                    if g.edge_id(a, b) is None:
+                        for s in minimal_separators_brute(g, a, b, max_size=2):
+                            assert_primitive_int_row(project_msi(g, s))
 
     def test_rejects_non_separator(self):
         g = generate("cycle:6")
@@ -84,6 +93,13 @@ class TestDominates:
         p = Inequality([2, 2], 2)
         q = Inequality([1, 1], 1)
         assert dominates(p, q) and dominates(q, p)
+
+    def test_exact_ratio_on_huge_rhs(self):
+        # (10**20 - 1) / 10**20 is 1.0 in floating point
+        p = Inequality([1], 10**20)
+        q = Inequality([1], 10**20 - 1)
+        assert not dominates(p, q)
+        assert dominates(q, p)
 
     def test_dimension_mismatch(self):
         with pytest.raises(GraphError):
@@ -133,7 +149,25 @@ class TestSeparateFractional:
             separate_fractional(g, [1, 1, 0, 0, 0, 0])
 
 
+class TestMinVertexCut:
+    def test_integer_capacities_stay_int(self):
+        # C6 from 1 to 4: one vertex of each side path must go
+        g = generate("cycle:6")
+        flow, cut = _min_vertex_cut(g, 1, 4, {v: 2 for v in range(1, 7)})
+        assert type(flow) is int and flow == 4
+        assert cut == {2, 6}
+
+
 class TestLazyCut:
+    def test_rows_are_primitive_int(self):
+        from itertools import combinations
+        from cmpoly.matchings import is_connected_matching, is_matching
+        for seed in range(10):
+            g = random_connected_graph(seed)
+            for M in combinations(range(1, g.m + 1), 2):
+                if is_matching(g, M) and not is_connected_matching(g, M):
+                    assert_primitive_int_row(lazy_cut_for_disconnected(g, M))
+
     def test_c6(self):
         g = generate("cycle:6")
         q = lazy_cut_for_disconnected(g, (1, 4))

@@ -13,7 +13,7 @@ from cmpoly.polytope import (FacetClass, HRep, VRep, class_histogram, classify,
                              polytope_dimension, verify_valid, vrep)
 from cmpoly.rational_la import affine_dimension, rank
 
-from conftest import random_connected_graph
+from conftest import assert_primitive_int_row, random_connected_graph
 
 
 def oracle_hull_facets(points):
@@ -82,6 +82,13 @@ class TestHrep:
             V = vrep(g)
             got = {q.canonical() for q in hrep(V).facets}
             assert got == oracle_hull_facets(V.points)
+
+    def test_facets_are_primitive_int(self):
+        for name in ["j26", "cycle:7", "cube:3"]:
+            V = vrep(generate(name))
+            assert all(type(x) is int for p in V.points for x in p)
+            for q in hrep(V).facets:
+                assert_primitive_int_row(q)
 
     def test_point_has_no_facets(self):
         assert hrep(VRep(0, ((),))) == HRep(())

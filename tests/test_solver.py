@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from cmpoly import solver
 from cmpoly.graph_core import Graph, GraphError, generate
 from cmpoly.matchings import brute_force_max_weight_cm, enumerate_connected_matchings, is_connected_matching
-from cmpoly.solver import (SolveConfig, branch_and_cut, build_base_lp,
+from cmpoly.solver import (SolveConfig, _fix_rows, branch_and_cut, build_base_lp,
                            root_gap_report, solve_lp_exact)
 
-from conftest import random_connected_graph
+from conftest import assert_primitive_int_row, random_connected_graph
 
 
 def random_weights(seed, m):
@@ -43,6 +44,14 @@ class TestBuildBaseLp:
     def test_dimension_mismatch(self):
         with pytest.raises(GraphError):
             build_base_lp(generate("path:3"), [1])
+
+    def test_rows_are_primitive_int(self):
+        for seed in range(10):
+            g = random_connected_graph(seed)
+            for q in build_base_lp(g, random_weights(seed, g.m)).rows:
+                assert_primitive_int_row(q)
+            for q in _fix_rows(g, {1, g.m}, {2}):
+                assert_primitive_int_row(q)
 
 
 class TestLpExact:
@@ -91,11 +100,12 @@ class TestBranchAndCut:
     def test_result_invariants(self):
         for seed in range(10):
             g = random_connected_graph(seed)
-            res = branch_and_cut(g, random_weights(seed, g.m))
+            w = random_weights(seed, g.m)
+            res = branch_and_cut(g, w)
             assert res.status == "optimal"
             assert res.value >= 0
             assert is_connected_matching(g, res.matching)
-            assert sum((g.weight(e) * 0 for e in []), Fraction(0)) == 0
+            assert res.value == sum(w[e - 1] for e in res.matching)
 
     def test_oracle_equivalence(self):
         for seed in range(25):
@@ -114,18 +124,32 @@ class TestBranchAndCut:
             val, _ = brute_force_max_weight_cm(g, w)
             assert res.value == val
 
-    def test_cuts_valid_on_polytope(self):
-        for seed in range(8):
-            g = random_connected_graph(seed)
-            w = random_weights(seed + 77, g.m)
-            from cmpoly.solver import build_base_lp
-            model = build_base_lp(g, w)
-            res = branch_and_cut(g, w)
+    def test_cuts_valid_on_polytope(self, monkeypatch):
+        # every MSI and lazy cut a solve adds to its model's cut pool is valid
+        # on all connected matchings; the model is taken from the LP calls
+        models = []
+        solve = solver.solve_lp_exact
+
+        def capture(model, extra=()):
+            models.append(model)
+            return solve(model, extra)
+
+        monkeypatch.setattr(solver, "solve_lp_exact", capture)
+        msi = lazy = 0
+        for k in (7, 8, 9):
+            g = generate(f"cycle:{k}")
             vecs = enumerate_connected_matchings(g)
-            # replay: every cut class row produced for this instance is valid
-            model2 = build_base_lp(g, w)
-            assert all(all(q.evaluate(x) <= q.rhs for x in vecs)
-                       for q in model2.rows if q.tag == "family")
+            for seed in range(6):
+                models.clear()
+                res = branch_and_cut(g, random_weights(seed, g.m),
+                                     SolveConfig(use_family_cuts=False))
+                pool = models[-1].cut_pool
+                assert len(pool) == res.stats["cuts"]["msi"] + res.stats["cuts"]["lazy"]
+                for q in pool:
+                    assert all(q.evaluate(x) <= q.rhs for x in vecs), q
+                msi += res.stats["cuts"]["msi"]
+                lazy += res.stats["cuts"]["lazy"]
+        assert msi >= 1 and lazy >= 1
 
     def test_determinism(self):
         g = random_connected_graph(7)
