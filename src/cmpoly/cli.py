@@ -136,7 +136,7 @@ def cmd_solve(args):
     if not args.no_meta:
         lines.append(f"wall_time {res.stats['wall_time']:.3f}s")
     if args.oracle_check:
-        val, _ = brute_force_max_weight_cm(g, w)
+        val, _ = brute_force_max_weight_cm(g, w, limit=args.count_limit)
         lines.append("MATCH" if val == res.value and res.status == "optimal"
                      else "MISMATCH")
     _emit("\n".join(lines) + "\n", args.output)

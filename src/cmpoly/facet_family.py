@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import GraphError, is_biconnected_induced, is_connected_induced, line_distance
+from .graph_core import (GraphError, is_biconnected_induced, is_connected_induced,
+                         reach_within, vertex_mask)
 from .inequality import Inequality
 from .matchings import covered_vertices, exists_cm_superset
 
@@ -61,7 +62,10 @@ def family_inequality(g, e1, e2):
     """Row +1 on e1,e2, -1 on each lambda edge, rhs 1."""
     if not is_disconnected_pair(g, e1, e2):
         raise GraphError(f"edges {e1},{e2} are not a disconnected pair")
-    lam = lambda_set(g, e1, e2)
+    return _family_row(g, e1, e2, lambda_set(g, e1, e2))
+
+
+def _family_row(g, e1, e2, lam):
     coeffs = [0] * g.m
     coeffs[e1 - 1] = coeffs[e2 - 1] = 1
     for f in lam:
@@ -84,7 +88,10 @@ def check_validity_hypothesis(g, e1, e2):
     """
     if not is_disconnected_pair(g, e1, e2):
         raise GraphError(f"edges {e1},{e2} are not a disconnected pair")
-    lam = lambda_set(g, e1, e2)
+    return _is_valid(g, e1, e2, lambda_set(g, e1, e2))
+
+
+def _is_valid(g, e1, e2, lam):
     return not exists_cm_superset(g, [e1, e2], forbidden=lam)
 
 
@@ -93,9 +100,19 @@ def path_precheck(g, e1, e2):
     lambda edges.  Usually implies the validity hypothesis, but not always:
     a matching avoiding the lambda edges can still be connected through one
     of them, so a positive precheck is no substitute for the exact test."""
-    lam = lambda_set(g, e1, e2)
-    h, idmap = g.without_edges(lam)
-    return line_distance(h, idmap[e1], idmap[e2]) == float("inf")
+    return _path_precheck(g, e1, e2, lambda_set(g, e1, e2))
+
+
+def _path_precheck(g, e1, e2, lam):
+    # Two edges share a component of a graph exactly when their endpoints do.
+    nbr = list(g.neighbor_masks())
+    for f in lam:
+        u, v = g.endpoints(f)
+        nbr[u] &= ~(1 << v)
+        nbr[v] &= ~(1 << u)
+    everything = (1 << (g.n + 1)) - 2
+    reach = reach_within(nbr, everything, vertex_mask(g.endpoints(e1)))
+    return not reach & vertex_mask(g.endpoints(e2))
 
 
 def check_facet_hypothesis(g, e1, e2, L):
@@ -104,14 +121,18 @@ def check_facet_hypothesis(g, e1, e2, L):
     L = tuple(sorted(L))
     if L != lambda_set(g, e1, e2):
         raise GraphError("L must equal the lambda set of the pair")
-    if not L:
+    return _facet_hypothesis(g, e1, e2, L)
+
+
+def _facet_hypothesis(g, e1, e2, lam):
+    if not lam:
         return False
-    for i, f in enumerate(L):
-        for f2 in L[i + 1:]:
+    for i, f in enumerate(lam):
+        for f2 in lam[i + 1:]:
             if not set(g.endpoints(f)) & set(g.endpoints(f2)):
                 return False
     pair_cover = covered_vertices(g, [e1, e2])
-    for f in L:
+    for f in lam:
         S = pair_cover | set(g.endpoints(f))
         if not is_biconnected_induced(g, S):
             return False
@@ -120,23 +141,27 @@ def check_facet_hypothesis(g, e1, e2, L):
 
 def generate_family(g):
     """One (Inequality, FamilyCertificate) per unordered disconnected pair that
-    passes the validity hypothesis, ordered by (min id, max id)."""
+    passes the validity hypothesis, ordered by (min id, max id).
+
+    Each pair is decided once: one disconnected test, one lambda set, one
+    validity search, one certificate.
+    """
     out = []
     for e1 in range(1, g.m + 1):
         for e2 in range(e1 + 1, g.m + 1):
             if not is_disconnected_pair(g, e1, e2):
                 continue
-            if not check_validity_hypothesis(g, e1, e2):
-                continue
             lam = lambda_set(g, e1, e2)
+            if not _is_valid(g, e1, e2, lam):
+                continue
             cert = FamilyCertificate(
                 pair=(e1, e2),
                 lam=lam,
                 disconnected_pair=True,
                 valid=True,
-                path_precheck=path_precheck(g, e1, e2),
-                facet_certified=check_facet_hypothesis(g, e1, e2, lam),
+                path_precheck=_path_precheck(g, e1, e2, lam),
+                facet_certified=_facet_hypothesis(g, e1, e2, lam),
                 empty_lambda=not lam,
             )
-            out.append((family_inequality(g, e1, e2), cert))
+            out.append((_family_row(g, e1, e2, lam), cert))
     return out

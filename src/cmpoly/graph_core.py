@@ -31,6 +31,7 @@ class Graph:
     edges: tuple
     weights: tuple | None = None
     _adj: dict = field(default=None, repr=False, compare=False)
+    _nbr: list = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -66,6 +67,17 @@ class Graph:
                 adj[v].sort()
             self._adj = adj
         return self._adj
+
+    def neighbor_masks(self):
+        """Vertex bitmasks of the neighbourhoods: bit u of entry v is set iff
+        {u,v} is an edge.  Vertex v is bit v; entry 0 is unused."""
+        if self._nbr is None:
+            nbr = [0] * (self.n + 1)
+            for u, v in self.edges:
+                nbr[u] |= 1 << v
+                nbr[v] |= 1 << u
+            self._nbr = nbr
+        return self._nbr
 
     def neighbors(self, v):
         return [u for u, _ in self.adjacency()[v]]
@@ -263,24 +275,55 @@ def line_distance(g, e, f):
     return math.inf
 
 
+def vertex_mask(S):
+    """Bitmask of a vertex collection: bit v is set iff v is in S."""
+    mask = 0
+    for v in S:
+        mask |= 1 << v
+    return mask
+
+
+def mask_vertices(mask):
+    """Set of the vertices whose bits are set in mask."""
+    out = set()
+    while mask:
+        low = mask & -mask
+        out.add(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def reach_within(nbr, room, start):
+    """Bitmask of the vertices reachable from start inside room.
+
+    nbr is a neighbour-mask list as returned by Graph.neighbor_masks; room
+    and start are vertex bitmasks with start inside room.  Induced
+    connectivity, components and separators all reduce to this search.
+    """
+    seen = frontier = start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = nbr[low.bit_length() - 1] & room & ~seen
+        seen |= new
+        frontier |= new
+    return seen
+
+
+def is_connected_mask(g, mask):
+    """True iff G[mask] is connected; the empty mask counts as connected."""
+    return reach_within(g.neighbor_masks(), mask, mask & -mask) == mask
+
+
 def _components_within(g, S):
-    """Connected components of G[S] as a list of sets."""
-    S = set(S)
-    adj = g.adjacency()
+    """Connected components of G[S] as a list of sets, ordered by least vertex."""
+    nbr = g.neighbor_masks()
+    rest = vertex_mask(S)
     comps = []
-    unseen = set(S)
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u, _ in adj[v]:
-                if u in S and u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        comps.append(comp)
-        unseen -= comp
+    while rest:
+        comp = reach_within(nbr, rest, rest & -rest)
+        comps.append(mask_vertices(comp))
+        rest ^= comp
     return comps
 
 
@@ -290,9 +333,7 @@ def is_connected_induced(g, S):
     for v in S:
         if not (1 <= v <= g.n):
             raise GraphError(f"vertex {v} out of range")
-    if len(S) <= 1:
-        return True
-    return len(_components_within(g, S)) == 1
+    return is_connected_mask(g, vertex_mask(S))
 
 
 def is_biconnected_induced(g, S):

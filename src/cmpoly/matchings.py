@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graph_core import GraphError, is_connected_induced
+from .graph_core import (GraphError, is_connected_induced, is_connected_mask, reach_within,
+                         vertex_mask)
 
 DEFAULT_ENUM_LIMIT = 200_000
 
@@ -41,31 +42,35 @@ def incidence_vector(g, M):
     return tuple(x)
 
 
+def _edge_masks(g):
+    """Vertex bitmask of each edge's endpoints, indexed by edge id (entry 0 unused)."""
+    return [0] + [(1 << u) | (1 << v) for u, v in g.edges]
+
+
 def enumerate_cm_sets(g, limit=DEFAULT_ENUM_LIMIT):
     """All connected matchings as sorted edge-id tuples, lexicographic order.
 
     Backtracks over edge ids in increasing order, pruning only on matching
     violations; connectivity is tested at emission (it is not monotone under
-    edge addition, so it cannot prune).
+    edge addition, so it cannot prune).  Covered vertices are a bitmask.
     """
-    cover = [set(g.endpoints(e)) for e in range(1, g.m + 1)]
+    cover = _edge_masks(g)
     out = []
 
     def rec(current, covered, start):
-        if is_connected_induced(g, covered):
+        if is_connected_mask(g, covered):
             if len(out) >= limit:
                 raise SizeLimitExceeded(
                     f"more than {limit} connected matchings; raise the limit")
             out.append(tuple(current))
         for e in range(start, g.m + 1):
-            ends = cover[e - 1]
-            if covered & ends:
+            if covered & cover[e]:
                 continue
             current.append(e)
-            rec(current, covered | ends, e + 1)
+            rec(current, covered | cover[e], e + 1)
             current.pop()
 
-    rec([], set(), 1)
+    rec([], 0, 1)
     return out
 
 
@@ -79,28 +84,39 @@ def exists_cm_superset(g, R, forbidden=()):
 
     Edges in forbidden may not be picked as matching edges, but they still
     belong to g and count toward the connectivity of the covered set.
+
+    Backtracks over the free edges (neither in R nor forbidden, disjoint
+    from R) with the covered vertices as a bitmask C.  A subtree is cut
+    when C does not lie in one component of G[C | U], where U is what the
+    subtree's remaining compatible free edges could still cover.  The cut
+    is exact: every matching the subtree can reach covers a set between C
+    and C | U, so if that set is connected it joins all of C inside
+    G[C | U].  The neighbour masks hold every edge of g, forbidden ones
+    included, so the cut judges connectivity as the final test does.
     """
     R = sorted(set(R))
     if not is_matching(g, R):
         raise GraphError("R is not a matching")
-    base_cover = covered_vertices(g, R)
-    cover = [set(g.endpoints(e)) for e in range(1, g.m + 1)]
+    nbr = g.neighbor_masks()
+    cover = _edge_masks(g)
+    base = vertex_mask(covered_vertices(g, R))
     banned = set(R) | set(forbidden)
-    free = [e for e in range(1, g.m + 1)
-            if e not in banned and not (cover[e - 1] & base_cover)]
+    free = [cover[e] for e in range(1, g.m + 1)
+            if e not in banned and not cover[e] & base]
 
     def rec(covered, idx):
-        if is_connected_induced(g, covered):
+        low = covered & -covered
+        if reach_within(nbr, covered, low) == covered:
             return True
-        for k in range(idx, len(free)):
-            ends = cover[free[k] - 1]
-            if covered & ends:
-                continue
-            if rec(covered | ends, k + 1):
-                return True
-        return False
+        options = [k for k in range(idx, len(free)) if not covered & free[k]]
+        room = covered
+        for k in options:
+            room |= free[k]
+        if reach_within(nbr, room, low) & covered != covered:
+            return False
+        return any(rec(covered | free[k], k + 1) for k in options)
 
-    return rec(base_cover, 0)
+    return rec(base, 0)
 
 
 def brute_force_max_weight_cm(g, w, limit=DEFAULT_ENUM_LIMIT):

@@ -7,6 +7,7 @@ import pytest
 import cmpoly
 from cmpoly.cli import run
 from cmpoly.graph_core import format_graph, generate, parse_graph
+from cmpoly.matchings import enumerate_cm_sets
 
 
 @pytest.fixture
@@ -141,6 +142,16 @@ class TestSolve:
         path.write_text(text)
         code, out, _ = invoke(["solve", "-g", str(path), "--oracle-check",
                                "--no-meta"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "MATCH"
+
+    def test_oracle_check_honours_count_limit(self, c6_file, capsys):
+        count = len(enumerate_cm_sets(generate("cycle:6")))
+        argv = ["solve", "-g", c6_file, "--oracle-check", "--no-meta", "--count-limit"]
+        code, out, err = invoke(argv + [str(count - 1)], capsys)
+        assert code == 1
+        assert out == "" and "raise the limit" in err
+        code, out, _ = invoke(argv + [str(count)], capsys)
         assert code == 0
         assert out.splitlines()[-1] == "MATCH"
 

@@ -1,11 +1,13 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from cmpoly.facet_family import (check_facet_hypothesis, check_validity_hypothesis,
-                                 family_inequality, generate_family,
-                                 is_disconnected_pair, lambda_set, path_precheck)
-from cmpoly.graph_core import Graph, GraphError, generate
+from cmpoly.facet_family import (FamilyCertificate, check_facet_hypothesis,
+                                 check_validity_hypothesis, family_inequality,
+                                 generate_family, is_disconnected_pair, lambda_set,
+                                 path_precheck)
+from cmpoly.graph_core import Graph, GraphError, generate, line_distance
 from cmpoly.matchings import enumerate_cm_sets, enumerate_connected_matchings
 
 from conftest import assert_primitive_int_row, random_connected_graph
@@ -119,6 +121,15 @@ class TestPathPrecheck:
                     if path_precheck(g, e1, e2):
                         assert check_validity_hypothesis(g, e1, e2)
 
+    def test_matches_line_graph_definition(self, random_suite):
+        # e1 and e2 in different components of the line graph of G - lambda
+        for g in random_suite[:40] + [generate("petersen"), generate("cube:3")]:
+            for e1 in range(1, g.m + 1):
+                for e2 in range(e1 + 1, g.m + 1):
+                    h, idmap = g.without_edges(lambda_set(g, e1, e2))
+                    expect = line_distance(h, idmap[e1], idmap[e2]) == math.inf
+                    assert path_precheck(g, e1, e2) == expect, (e1, e2)
+
 
 class TestFacetHypothesis:
     def test_p6_not_biconnected(self):
@@ -147,7 +158,44 @@ class TestFacetHypothesis:
         assert any(c.pair == (4, 6) and c.lam == (3,) for c in certified)
 
 
+def reference_family(g):
+    """generate_family rebuilt pair by pair from the public predicates."""
+    out = []
+    for e1 in range(1, g.m + 1):
+        for e2 in range(e1 + 1, g.m + 1):
+            if not is_disconnected_pair(g, e1, e2):
+                continue
+            if not check_validity_hypothesis(g, e1, e2):
+                continue
+            lam = lambda_set(g, e1, e2)
+            cert = FamilyCertificate(
+                pair=(e1, e2), lam=lam, disconnected_pair=True, valid=True,
+                path_precheck=path_precheck(g, e1, e2),
+                facet_certified=check_facet_hypothesis(g, e1, e2, lam),
+                empty_lambda=not lam)
+            out.append((family_inequality(g, e1, e2), cert))
+    return out
+
+
+def row_key(q):
+    return q.coeffs, q.rhs, q.tag, q.provenance
+
+
 class TestGenerateFamily:
+    def test_matches_per_pair_reference(self, random_suite):
+        named = [generate(n) for n in ("petersen", "j26", "cube:3", "cycle:8", "path:7")]
+        larger = [random_connected_graph(seed, n_lo=8, n_hi=11, max_extra=6, m_cap=16)
+                  for seed in range(20)]
+        certs = []
+        for g in random_suite + named + larger:
+            got, want = generate_family(g), reference_family(g)
+            assert [c for _, c in got] == [c for _, c in want]
+            assert [row_key(q) for q, _ in got] == [row_key(q) for q, _ in want]
+            certs += [c for _, c in got]
+        # the corpus reaches both outcomes of every certificate flag
+        for flag in ("path_precheck", "facet_certified", "empty_lambda"):
+            assert {getattr(c, flag) for c in certs} == {True, False}, flag
+
     def test_k4_empty(self):
         assert generate_family(generate("complete:4")) == []
 

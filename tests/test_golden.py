@@ -12,9 +12,15 @@ The files in tests/golden/ were generated from the repository root with:
     cmpoly verify -g j26.g --ineq hrep_j26.txt --no-meta -o verify_j26.txt
     cmpoly solve -g cycle8w.g --no-meta -o solve_cycle8w.txt
     cmpoly solve -g cycle8w.g --no-meta --no-family-cuts -o solve_cycle8w_nofam.txt
+    for f in j26 cube3 mixed8; do
+        cmpoly family -g $f.g --certify --no-meta -o family_$f.txt
+    done
+    cmpoly family -g j26.g --tsv --certify --no-meta -o family_j26.tsv
 
 cycle8w.g is a hand-written weighted 8-cycle whose best matching {1,5} is
-disconnected, so the solver has to connect it.  A change to any of these
+disconnected, so the solver has to connect it.  mixed8.g is a hand-written
+8-vertex graph whose family has a facet-certified row, rows that are not,
+and a row with an empty lambda set.  A change to any of these
 outputs is a change to what cmpoly proves; regenerate them only on purpose.
 """
 
@@ -35,6 +41,10 @@ CASES = [
     (["verify", "-g", "j26.g", "--ineq", "hrep_j26.txt"], "verify_j26.txt"),
     (["solve", "-g", "cycle8w.g"], "solve_cycle8w.txt"),
     (["solve", "-g", "cycle8w.g", "--no-family-cuts"], "solve_cycle8w_nofam.txt"),
+    (["family", "-g", "j26.g", "--certify"], "family_j26.txt"),
+    (["family", "-g", "cube3.g", "--certify"], "family_cube3.txt"),
+    (["family", "-g", "mixed8.g", "--certify"], "family_mixed8.txt"),
+    (["family", "-g", "j26.g", "--tsv", "--certify"], "family_j26.tsv"),
 ]
 
 

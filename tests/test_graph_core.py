@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,9 +7,10 @@ import networkx as nx
 import pytest
 
 from cmpoly.graph_core import (DegenerateInput, Graph, GraphError, ParseError,
-                               format_graph, generate, is_biconnected_induced,
-                               is_connected_induced, is_separator, line_distance,
-                               parse_graph)
+                               _components_within, format_graph, generate,
+                               is_biconnected_induced, is_connected_induced,
+                               is_separator, line_distance, mask_vertices,
+                               parse_graph, reach_within, vertex_mask)
 
 from conftest import random_connected_graph, to_networkx
 
@@ -152,6 +154,65 @@ class TestConnectedInduced:
             for size in range(2, min(g.n, 5) + 1):
                 for S in combinations(range(1, g.n + 1), size):
                     assert is_connected_induced(g, S) == nx.is_connected(G.subgraph(S))
+
+
+def set_bfs_components(g, S):
+    """Reference components of G[S]: set-based BFS from the least unseen vertex."""
+    S = set(S)
+    unseen = set(S)
+    comps = []
+    while unseen:
+        start = min(unseen)
+        comp = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in g.neighbors(v):
+                if u in S and u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        comps.append(comp)
+        unseen -= comp
+    return comps
+
+
+def kernel_corpus():
+    named = [generate(n) for n in ("petersen", "j26", "cube:3", "cube:4", "path:9")]
+    drawn = [random_connected_graph(seed, n_lo=4, n_hi=14, max_extra=10, m_cap=30)
+             for seed in range(40)]
+    return named + drawn
+
+
+class TestMaskKernel:
+    def test_neighbor_masks_match_adjacency(self):
+        for g in kernel_corpus():
+            nbr = g.neighbor_masks()
+            assert nbr[0] == 0
+            for v in range(1, g.n + 1):
+                assert mask_vertices(nbr[v]) == set(g.neighbors(v))
+
+    def test_cache_is_not_state(self):
+        g, h = generate("j26"), generate("j26")
+        g.neighbor_masks()
+        assert g == h and repr(g) == repr(h)
+
+    def test_mask_round_trip(self):
+        for S in (set(), {1}, {2, 5, 9}, set(range(1, 40))):
+            assert mask_vertices(vertex_mask(S)) == S
+
+    def test_matches_set_bfs_on_random_subsets(self):
+        rng = random.Random(7)
+        for g in kernel_corpus():
+            nbr = g.neighbor_masks()
+            for _ in range(25):
+                p = rng.random()
+                S = {v for v in range(1, g.n + 1) if rng.random() < p}
+                expect = set_bfs_components(g, S)
+                assert _components_within(g, S) == expect
+                assert is_connected_induced(g, S) == (len(expect) <= 1)
+                for comp in expect:
+                    for v in comp:
+                        assert reach_within(nbr, vertex_mask(S), 1 << v) == vertex_mask(comp)
 
 
 class TestBiconnectedInduced:

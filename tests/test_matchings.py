@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 from itertools import chain, combinations
 
 import networkx as nx
 import pytest
 
+from cmpoly.facet_family import is_disconnected_pair, lambda_set
 from cmpoly.graph_core import Graph, GraphError, generate
 from cmpoly.matchings import (SizeLimitExceeded, brute_force_max_weight_cm,
                               enumerate_cm_sets, enumerate_connected_matchings,
@@ -124,6 +126,38 @@ class TestSuperset:
                 expect = any(set(R) <= set(M) for M in cms)
                 assert exists_cm_superset(g, R) == expect
 
+    @pytest.mark.parametrize("name", ["petersen", "j26", "cube:3"])
+    def test_named_graphs_match_enumeration(self, name):
+        outcomes = superset_outcomes(generate(name), random.Random(name))
+        assert outcomes == {True, False}
+
+    def test_random_graphs_match_enumeration(self):
+        # sparse draws have the cut-off free edges that a too-eager prune misjudges
+        for seed in range(60):
+            superset_outcomes(random_connected_graph(seed, 7, 12, 4, 15), random.Random(seed))
+        for seed in range(25):
+            superset_outcomes(random_connected_graph(seed, 6, 10, 6, 14), random.Random(seed))
+
+
+def superset_outcomes(g, rng):
+    """Check exists_cm_superset on every disconnected pair R, with forbidden
+    set to R's lambda set, to no edges and to a drawn edge set, against a
+    filter over all connected matchings: R inside M, no forbidden edge in
+    M - R.  Returns the set of answers seen."""
+    cms = [set(M) for M in enumerate_cm_sets(g)]
+    outcomes = set()
+    for e1 in range(1, g.m + 1):
+        for e2 in range(e1 + 1, g.m + 1):
+            if not is_disconnected_pair(g, e1, e2):
+                continue
+            R = {e1, e2}
+            drawn = [f for f in range(1, g.m + 1) if rng.random() < 0.3]
+            for forbidden in (lambda_set(g, e1, e2), (), drawn):
+                expect = any(R <= M and not (M - R) & set(forbidden) for M in cms)
+                assert exists_cm_superset(g, R, forbidden) == expect, (g, R, forbidden)
+                outcomes.add(expect)
+    return outcomes
+
 
 class TestBruteForce:
     def test_all_negative(self):
@@ -146,7 +180,6 @@ class TestBruteForce:
         assert val == 0 and M == ()
 
     def test_equals_enumeration_max(self):
-        import random
         for seed in range(30):
             g = random_connected_graph(seed)
             rng = random.Random(seed + 1000)
