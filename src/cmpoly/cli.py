@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -166,7 +167,9 @@ def cmd_export(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The `cmpoly` parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="cmpoly",
         description="Inspect and optimize over the connected matching polytope.")
@@ -239,8 +242,7 @@ def build_parser():
 
 
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (GraphError, ValueError, OSError) as exc:

@@ -20,13 +20,12 @@ from .matchings import covered_vertices, exists_cm_superset
 
 @dataclass(frozen=True)
 class FamilyCertificate:
+    """What a family row's pair was found to satisfy.  Every emitted pair is
+    disconnected and valid, so only the checks that can fail are kept."""
     pair: tuple
     lam: tuple
-    disconnected_pair: bool
-    valid: bool
     path_precheck: bool
     facet_certified: bool
-    empty_lambda: bool
 
 
 def lambda_set(g, e1, e2):
@@ -157,11 +156,8 @@ def generate_family(g):
             cert = FamilyCertificate(
                 pair=(e1, e2),
                 lam=lam,
-                disconnected_pair=True,
-                valid=True,
                 path_precheck=_path_precheck(g, e1, e2, lam),
                 facet_certified=_facet_hypothesis(g, e1, e2, lam),
-                empty_lambda=not lam,
             )
             out.append((_family_row(g, e1, e2, lam), cert))
     return out

@@ -1,6 +1,7 @@
 """Exact branch-and-cut for maximum-weight connected matching.
 
-The LP relaxation (bounds, degree rows, optional a priori family cuts) is
+The LP relaxation at a node is the model's own rows (degree rows, optional a
+priori family rows, the cut pool) over the edges the node has not fixed; it is
 solved by a two-phase simplex with Bland's rule that pivots an integer
 tableau through `rational_la.bareiss_step`, the fraction-free row update of
 the exact elimination kernel, so every bound and optimality claim is exact.
@@ -52,13 +53,13 @@ class SolveResult:
 
 
 def build_base_lp(g, w, config=None):
-    """Bounds and degree rows; family rows appended a priori when enabled."""
+    """Degree rows, which with x >= 0 imply x_e <= 1 (so no bound rows);
+    family rows appended a priori when enabled."""
     config = config or SolveConfig()
     w = tuple(Fraction(x) for x in w)
     if len(w) != g.m:
         raise GraphError(f"expected {g.m} weights, got {len(w)}")
-    rows = [Inequality(_unit(g.m, e, 1), 1, tag="bound", provenance=f"ub x{e}")
-            for e in range(1, g.m + 1)]
+    rows = []
     for v in range(1, g.n + 1):
         inc = g.incident_edges(v)
         if not inc:
@@ -72,16 +73,28 @@ def build_base_lp(g, w, config=None):
     return Model(objective=w, rows=rows)
 
 
-def solve_lp_exact(model, extra_rows=()):
-    """Exact optimum of  max c.x  s.t. rows, x >= 0  by two-phase simplex.
+def solve_lp_exact(model, fixed0=frozenset(), fixed1=frozenset()):
+    """Exact optimum of  max c.x  s.t. rows, x >= 0, x_e = 0 on fixed0 and
+    x_e = 1 on fixed1, by two-phase simplex (Bland's rule in both phases).
 
-    Returns (value, xstar, basis, pivots); (None, None, None, pivots) when the
-    row system is infeasible.  Bland's rule in both phases keeps the run
-    deterministic and finite.
+    A fixed edge leaves the LP: its column is dropped, after it is subtracted
+    from every rhs when fixed to 1.  Returns (value, xstar, pivots) with xstar
+    over all m edges; (None, None, pivots) when the LP is infeasible.
     """
-    rows = list(model.rows) + list(model.cut_pool) + list(extra_rows)
-    c = list(model.objective)
-    return _simplex(c, [list(q.coeffs) for q in rows], [q.rhs for q in rows])
+    rows = model.rows + model.cut_pool
+    c = model.objective
+    free = [j for j in range(len(c)) if j + 1 not in fixed0 and j + 1 not in fixed1]
+    ones = [e - 1 for e in fixed1]
+    value, xfree, _basis, pivots = _simplex(
+        [c[j] for j in free],
+        [[q.coeffs[j] for j in free] for q in rows],
+        [q.rhs - sum(q.coeffs[j] for j in ones) for q in rows])
+    if value is None:
+        return None, None, pivots
+    x = [Fraction(int(e in fixed1)) for e in range(1, len(c) + 1)]
+    for j, xj in zip(free, xfree):
+        x[j] = xj
+    return value + sum(c[j] for j in ones), x, pivots
 
 
 def _simplex(c, A, b):
@@ -172,19 +185,6 @@ def _simplex(c, A, b):
     return value, x, list(basis), pivots
 
 
-def _unit(m, e, sign):
-    coeffs = [0] * m
-    coeffs[e - 1] = sign
-    return coeffs
-
-
-def _fix_rows(g, fixed0, fixed1):
-    return ([Inequality(_unit(g.m, e, 1), 0, tag="branch", provenance=f"x{e}=0")
-             for e in sorted(fixed0)]
-            + [Inequality(_unit(g.m, e, -1), -1, tag="branch", provenance=f"x{e}=1")
-               for e in sorted(fixed1)])
-
-
 def branch_and_cut(g, w, config=None):
     """Best-bound branch-and-cut; the optimum equals the brute-force oracle.
 
@@ -193,6 +193,8 @@ def branch_and_cut(g, w, config=None):
     otherwise branch on the most fractional variable, =1 child first.
     """
     config = config or SolveConfig()
+    if config.node_limit < 1:
+        raise GraphError(f"node limit must be at least 1, got {config.node_limit}")
     start = time.monotonic()
     model = build_base_lp(g, w, config)
     half = Fraction(1, 2)
@@ -219,11 +221,10 @@ def branch_and_cut(g, w, config=None):
             log.append(f"node {node_id} bound {-neg_bound} cuts 0 status pruned")
             continue
         stats["nodes"] += 1
-        extra = _fix_rows(g, fixed0, fixed1)
         cuts_here = 0
 
         while True:
-            value, xstar, _basis, pivots = solve_lp_exact(model, extra)
+            value, xstar, pivots = solve_lp_exact(model, fixed0, fixed1)
             stats["lp_pivots"] += pivots
             if value is None or value <= incumbent_val:
                 shown = "infeasible" if value is None else value
@@ -276,6 +277,4 @@ def root_gap_report(g, w):
     """Root LP values (without family rows, with family rows)."""
     no_fam = build_base_lp(g, w, SolveConfig(use_family_cuts=False))
     with_fam = build_base_lp(g, w, SolveConfig(use_family_cuts=True))
-    v0, _, _, _ = solve_lp_exact(no_fam)
-    v1, _, _, _ = solve_lp_exact(with_fam)
-    return v0, v1
+    return solve_lp_exact(no_fam)[0], solve_lp_exact(with_fam)[0]

@@ -155,6 +155,13 @@ class TestSolve:
         assert code == 0
         assert out.splitlines()[-1] == "MATCH"
 
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_node_limit_below_one_exits_one(self, c6_file, capsys, limit):
+        code, out, err = invoke(["solve", "-g", c6_file, "--no-meta",
+                                 "--node-limit", limit], capsys)
+        assert code == 1
+        assert out == "" and "node limit" in err
+
     def test_reproducible_with_no_meta(self, j26_file, capsys):
         runs = []
         for _ in range(2):

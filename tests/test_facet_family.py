@@ -169,10 +169,9 @@ def reference_family(g):
                 continue
             lam = lambda_set(g, e1, e2)
             cert = FamilyCertificate(
-                pair=(e1, e2), lam=lam, disconnected_pair=True, valid=True,
+                pair=(e1, e2), lam=lam,
                 path_precheck=path_precheck(g, e1, e2),
-                facet_certified=check_facet_hypothesis(g, e1, e2, lam),
-                empty_lambda=not lam)
+                facet_certified=check_facet_hypothesis(g, e1, e2, lam))
             out.append((family_inequality(g, e1, e2), cert))
     return out
 
@@ -192,9 +191,11 @@ class TestGenerateFamily:
             assert [c for _, c in got] == [c for _, c in want]
             assert [row_key(q) for q, _ in got] == [row_key(q) for q, _ in want]
             certs += [c for _, c in got]
-        # the corpus reaches both outcomes of every certificate flag
-        for flag in ("path_precheck", "facet_certified", "empty_lambda"):
+        # the corpus reaches both outcomes of every certificate flag, and
+        # both empty and nonempty lambda sets
+        for flag in ("path_precheck", "facet_certified"):
             assert {getattr(c, flag) for c in certs} == {True, False}, flag
+        assert {bool(c.lam) for c in certs} == {True, False}
 
     def test_k4_empty(self):
         assert generate_family(generate("complete:4")) == []
@@ -204,7 +205,7 @@ class TestGenerateFamily:
         pairs = [cert.pair for _, cert in fam]
         assert pairs == [(1, 4), (2, 5), (3, 6)]
         assert all(not cert.facet_certified for _, cert in fam)
-        assert all(cert.empty_lambda for _, cert in fam)
+        assert all(cert.lam == () for _, cert in fam)
 
     def test_rows_are_primitive_int(self):
         for seed in range(10):
@@ -242,10 +243,11 @@ class TestGenerateFamily:
         for seed in range(10):
             g = random_connected_graph(seed)
             for q, cert in generate_family(g):
-                assert cert.valid and cert.disconnected_pair
+                assert is_disconnected_pair(g, *cert.pair)
+                assert check_validity_hypothesis(g, *cert.pair)
+                assert cert.lam == lambda_set(g, *cert.pair)
                 if cert.facet_certified:
-                    assert cert.valid and not cert.empty_lambda
-                assert cert.empty_lambda == (len(cert.lam) == 0)
+                    assert cert.lam
 
 
 class TestJ26Family:

@@ -1,11 +1,18 @@
-"""The integer-pivoting simplex against the all-Fraction simplex it replaced.
+"""The integer-pivoting simplex against the all-Fraction simplex it replaced,
+and the node LPs against the formulation they replaced.
 
 `fraction_simplex` is the earlier `solver._simplex`, kept verbatim as the
 reference: same two phases, Bland's rule and artificial drive-out, with every
-entry a Fraction.  Both must return the same (value, x, basis, pivots) on the
-LPs branch-and-cut builds: base rows, branching fixes, MSI and lazy cut
-pools, and weights from small rationals up to 30-digit numerators and
-denominators.
+entry a Fraction.  Both must return the same (value, x, basis, pivots) on
+every LP that `solve_lp_exact` hands to `_simplex`: base rows, branching
+fixes, MSI and lazy cut pools, and weights from small rationals up to
+30-digit numerators and denominators.
+
+The node LPs once carried one x_e <= 1 row per edge and one row per branching
+fix.  `old_formulation` rebuilds that LP; `solve_lp_exact`, which drops the
+bound rows and eliminates the fixed columns, must reach the same optimal
+value and report infeasibility in the same cases, and its x must satisfy
+every old row.
 """
 
 import random
@@ -14,8 +21,8 @@ from fractions import Fraction
 from cmpoly import solver
 from cmpoly.graph_core import GraphError, generate, line_distance
 from cmpoly.msi import minimal_separators_brute, project_msi
-from cmpoly.solver import (SolveConfig, _fix_rows, _simplex, branch_and_cut, build_base_lp,
-                           solve_lp_exact)
+from cmpoly.solver import (SolveConfig, _simplex, branch_and_cut, build_base_lp,
+                           root_gap_report, solve_lp_exact)
 
 from conftest import random_connected_graph
 
@@ -122,11 +129,51 @@ def fraction_simplex(c, A, b):
     return value, x, list(basis), pivots
 
 
-def reference(model, extra=()):
-    """`fraction_simplex` on the LP that `solve_lp_exact(model, extra)` solves."""
-    rows = list(model.rows) + list(model.cut_pool) + list(extra)
-    return fraction_simplex(list(model.objective), [list(q.coeffs) for q in rows],
-                            [q.rhs for q in rows])
+def old_formulation(model, fixed0=(), fixed1=()):
+    """(c, A, b) of the same node LP with its rows as they were: the model rows
+    and cut pool, x_e <= 1 for every edge, x_e <= 0 for e in fixed0 and
+    -x_e <= -1 for e in fixed1."""
+    m = len(model.objective)
+
+    def unit(e, sign):
+        return [sign if f == e else 0 for f in range(1, m + 1)]
+
+    rows = ([(list(q.coeffs), q.rhs) for q in model.rows + model.cut_pool]
+            + [(unit(e, 1), 1) for e in range(1, m + 1)]
+            + [(unit(e, 1), 0) for e in sorted(fixed0)]
+            + [(unit(e, -1), -1) for e in sorted(fixed1)])
+    return list(model.objective), [a for a, _ in rows], [b for _, b in rows]
+
+
+def assert_solves_old_formulation(model, fixed0, fixed1, got):
+    """`got` = solve_lp_exact(model, fixed0, fixed1) has the optimal value of
+    the old formulation, or is infeasible with it, and its x is an optimal
+    point of it."""
+    c, A, b = old_formulation(model, fixed0, fixed1)
+    value, x, _pivots = got
+    assert value == fraction_simplex(c, A, b)[0]
+    if value is None:
+        assert x is None
+        return
+    assert all(xj >= 0 for xj in x)
+    assert all(sum(a * xj for a, xj in zip(row, x)) <= bi for row, bi in zip(A, b))
+    assert sum(cj * xj for cj, xj in zip(c, x)) == value
+
+
+def pin_simplex(monkeypatch):
+    """Route solver._simplex through a check against fraction_simplex on the
+    same (c, A, b); returns the list of the (c, A, b) seen, in order."""
+    seen = []
+    simplex = solver._simplex
+
+    def pinned(c, A, b):
+        got = simplex(c, A, b)
+        assert got == fraction_simplex(c, A, b), (c, A, b)
+        seen.append((c, A, b))
+        return got
+
+    monkeypatch.setattr(solver, "_simplex", pinned)
+    return seen
 
 
 BIG = 10 ** 30
@@ -159,57 +206,84 @@ def spread_weights(rng, g, huge):
 
 
 def corpus_lps(seed):
-    """(model, extra rows) pairs for one seeded graph and weight draw.
+    """(model, fixed0, fixed1) triples for one seeded graph and weight draw.
 
     The root LP; the projected MSIs of every minimal separator of one
-    non-adjacent pair (coefficients down to -2); then, on that cut pool, an
-    x_e=1 fix, a mixed x_e=0/x_f=1 fix, and two fixes to 1 on edges sharing
-    a vertex (infeasible).
+    non-adjacent pair (a, b) (coefficients down to -2); then, on that cut
+    pool:
+    - an x_e=1 fix, and a mixed x_e=0/x_f=1 fix;
+    - an edge at a and an edge at b fixed to 1, which overdraws the rhs of
+      the separator rows that count both;
+    - both edges of a disconnected pair fixed to 1, which overdraws the
+      pair's family row, so phase 1 must raise x(Λ) to 1;
+    - two edges sharing a vertex fixed to 1 (infeasible), once with that
+      vertex's other edges free and once with them fixed to 0, so the
+      vertex's degree row reads 0 <= -1;
+    - one edge fixed to 1 and every other edge fixed to 0, so no column is
+      left.
     """
     rng = random.Random(seed)
     g = random_connected_graph(seed, n_hi=8, m_cap=10)
     w = corpus_weights(rng, g, huge=seed % 3 == 2)
     model = build_base_lp(g, w, SolveConfig(use_family_cuts=seed % 2 == 0))
-    yield model, ()
+    edges = set(range(1, g.m + 1))
+    yield model, set(), set()
     pairs = [(a, b) for a in range(1, g.n + 1) for b in range(a + 1, g.n + 1)
              if g.edge_id(a, b) is None]
     if pairs:
         a, b = rng.choice(pairs)
         model.cut_pool.extend(project_msi(g, s)
                               for s in minimal_separators_brute(g, a, b))
-        yield model, ()
-    e, f = rng.sample(range(1, g.m + 1), 2)
-    yield model, _fix_rows(g, set(), {e})
-    yield model, _fix_rows(g, {e}, {f})
+        yield model, set(), set()
+        ea, eb = rng.choice(g.incident_edges(a)), rng.choice(g.incident_edges(b))
+        yield model, set(), {ea, eb}
+    e, f = rng.sample(sorted(edges), 2)
+    yield model, set(), {e}
+    yield model, {e}, {f}
+    for q in model.rows:
+        if q.tag == "family":
+            yield model, set(), {j + 1 for j, coef in enumerate(q.coeffs) if coef == 1}
+            break
     v = max(range(1, g.n + 1), key=lambda u: len(g.incident_edges(u)))
-    yield model, _fix_rows(g, set(), set(g.incident_edges(v)[:2]))
+    two = set(g.incident_edges(v)[:2])
+    yield model, set(), two
+    yield model, set(g.incident_edges(v)) - two, two
+    yield model, edges - {e}, {e}
 
 
-def test_integer_simplex_matches_fraction_simplex():
-    lps = phase1 = infeasible = minus2 = 0
+def test_integer_simplex_matches_fraction_simplex(monkeypatch):
+    seen = pin_simplex(monkeypatch)
+    lps = phase1 = infeasible = minus2 = empty = 0
     for seed in range(60):
-        for model, extra in corpus_lps(seed):
-            got = solve_lp_exact(model, extra)
-            assert got == reference(model, extra), (seed, extra)
+        for model, fixed0, fixed1 in corpus_lps(seed):
+            got = solve_lp_exact(model, fixed0, fixed1)
+            assert_solves_old_formulation(model, fixed0, fixed1, got)
+            c, _, b = seen[-1]
             lps += 1
-            phase1 += any(q.rhs < 0 for q in extra)
+            phase1 += any(bi < 0 for bi in b)
             infeasible += got[0] is None
             minus2 += any(-2 in q.coeffs for q in model.cut_pool)
+            empty += not c
+    assert len(seen) == lps
     assert lps >= 250 and phase1 >= 150 and infeasible >= 50 and minus2 >= 50
+    assert empty >= 50
 
 
 def test_branch_and_cut_lps_match_fraction_simplex(monkeypatch):
     # every LP of whole solves on cycles with spread weights: MSI and lazy
-    # cut pools of several rounds, and the fixes of each branch
+    # cut pools of several rounds, and the fixes of each branch.  Without
+    # family rows and MSI separation the trees on cycle:10 go deep
+    # enough for fixes to overdraw a row, so those LPs run phase 1.
+    seen = pin_simplex(monkeypatch)
     lps = phase1 = cut = 0
     solve = solver.solve_lp_exact
 
-    def checked(model, extra=()):
+    def checked(model, fixed0=frozenset(), fixed1=frozenset()):
         nonlocal lps, phase1, cut
-        got = solve(model, extra)
-        assert got == reference(model, extra)
+        got = solve(model, fixed0, fixed1)
+        assert_solves_old_formulation(model, fixed0, fixed1, got)
         lps += 1
-        phase1 += any(q.rhs < 0 for q in extra)
+        phase1 += any(bi < 0 for bi in seen[-1][2])
         cut += bool(model.cut_pool)
         return got
 
@@ -219,7 +293,25 @@ def test_branch_and_cut_lps_match_fraction_simplex(monkeypatch):
         g = generate(f"cycle:{7 + seed % 4}")
         w = spread_weights(rng, g, huge=seed % 3 == 2)
         branch_and_cut(g, w, SolveConfig(use_family_cuts=seed % 4 == 0))
+        g = generate("cycle:10")
+        w = spread_weights(rng, g, huge=False)
+        branch_and_cut(g, w, SolveConfig(use_family_cuts=False,
+                                         use_msi_separation=False))
     assert lps >= 90 and phase1 >= 25 and cut >= 70
+
+
+def test_root_gap_report_with_huge_weights():
+    # 30-digit rational weights: both root values equal the old formulation's
+    for seed in range(12):
+        rng = random.Random(seed)
+        g = random_connected_graph(seed, n_hi=8, m_cap=10)
+        w = corpus_weights(rng, g, huge=True)
+        want = tuple(
+            fraction_simplex(*old_formulation(
+                build_base_lp(g, w, SolveConfig(use_family_cuts=fam))))[0]
+            for fam in (False, True))
+        assert root_gap_report(g, w) == want
+        assert any(v.denominator > 10 ** 20 for v in want)
 
 
 def test_negative_drive_out_pivot():

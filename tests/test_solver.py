@@ -6,8 +6,8 @@ import pytest
 from cmpoly import solver
 from cmpoly.graph_core import Graph, GraphError, generate
 from cmpoly.matchings import brute_force_max_weight_cm, enumerate_connected_matchings, is_connected_matching
-from cmpoly.solver import (SolveConfig, _fix_rows, branch_and_cut, build_base_lp,
-                           root_gap_report, solve_lp_exact)
+from cmpoly.solver import (SolveConfig, branch_and_cut, build_base_lp, root_gap_report,
+                           solve_lp_exact)
 
 from conftest import assert_primitive_int_row, random_connected_graph
 
@@ -22,12 +22,24 @@ class TestBuildBaseLp:
     def test_path3(self):
         g = generate("path:3")
         model = build_base_lp(g, [1, 1], SolveConfig(use_family_cuts=False))
-        assert sum(1 for q in model.rows if q.tag == "degree") == 3
-        assert sum(1 for q in model.rows if q.tag == "bound") == 2
-        assert not any(q.tag == "family" for q in model.rows)
+        assert [q.tag for q in model.rows] == ["degree"] * 3
         # P3 has no disconnected pair, so family cuts add nothing
         model = build_base_lp(g, [1, 1], SolveConfig(use_family_cuts=True))
         assert not any(q.tag == "family" for q in model.rows)
+
+    @pytest.mark.parametrize("family", [False, True])
+    def test_degree_rows_bound_every_edge(self, family):
+        # no bound rows: every edge column has a +1 in some degree row, so
+        # with x >= 0 the degree rows imply x_e <= 1 and keep the LP bounded
+        graphs = [random_connected_graph(seed, n_hi=10, m_cap=16) for seed in range(30)]
+        graphs += [Graph(6, ((1, 2), (2, 3), (4, 5))),   # K2 component, isolated 6
+                   Graph(2, ((1, 2),)), Graph(3, ())]
+        for g in graphs:
+            model = build_base_lp(g, [1] * g.m, SolveConfig(use_family_cuts=family))
+            assert {q.tag for q in model.rows} <= {"degree", "family"}
+            degree = [q for q in model.rows if q.tag == "degree"]
+            assert all(any(q.coeffs[e - 1] == 1 for q in degree)
+                       for e in range(1, g.m + 1)), g
 
     def test_c6_family_rows(self):
         g = generate("cycle:6")
@@ -50,26 +62,24 @@ class TestBuildBaseLp:
             g = random_connected_graph(seed)
             for q in build_base_lp(g, random_weights(seed, g.m)).rows:
                 assert_primitive_int_row(q)
-            for q in _fix_rows(g, {1, g.m}, {2}):
-                assert_primitive_int_row(q)
 
 
 class TestLpExact:
     def test_nonpositive_weights(self):
         g = generate("path:4")
         model = build_base_lp(g, [-1, 0, -2])
-        value, x, basis, _ = solve_lp_exact(model)
+        value, x, _ = solve_lp_exact(model)
         assert value == 0 and all(v == 0 for v in x)
 
     def test_single_edge(self):
         g = Graph(2, ((1, 2),))
-        value, x, _, _ = solve_lp_exact(build_base_lp(g, [5]))
+        value, x, _ = solve_lp_exact(build_base_lp(g, [5]))
         assert value == 5 and x == [1]
 
     def test_c6_family_row_caps_pair(self):
         g = generate("cycle:6")
         w = [1, 0, 0, 1, 0, 0]
-        value, _, _, _ = solve_lp_exact(build_base_lp(g, w))
+        value, _, _ = solve_lp_exact(build_base_lp(g, w))
         assert value == 1
 
     def test_deterministic(self):
@@ -80,12 +90,22 @@ class TestLpExact:
         assert a == b
 
     def test_infeasible_fixing_detected(self):
-        from cmpoly.solver import _fix_rows
         g = generate("path:3")
         model = build_base_lp(g, [1, 1])
         # both edges share vertex 2; fixing both to 1 contradicts the degree row
-        value, x, basis, _ = solve_lp_exact(model, _fix_rows(g, set(), {1, 2}))
-        assert value is None
+        value, x, _ = solve_lp_exact(model, fixed1={1, 2})
+        assert value is None and x is None
+
+    def test_fixed_columns_put_back(self):
+        # path:4 with x1 = 1 and x3 = 0: x2 is forced to 0 by vertex 2, and
+        # the value counts the fixed edge's weight
+        g = generate("path:4")
+        model = build_base_lp(g, [3, 5, 7])
+        value, x, _ = solve_lp_exact(model, fixed0={3}, fixed1={1})
+        assert (value, x) == (3, [1, 0, 0])
+        # every column fixed: no LP is left, only the fixed point
+        value, x, pivots = solve_lp_exact(model, fixed0={2}, fixed1={1, 3})
+        assert (value, x, pivots) == (10, [1, 0, 1], 0)
 
 
 class TestBranchAndCut:
@@ -130,9 +150,9 @@ class TestBranchAndCut:
         models = []
         solve = solver.solve_lp_exact
 
-        def capture(model, extra=()):
+        def capture(model, fixed0=frozenset(), fixed1=frozenset()):
             models.append(model)
-            return solve(model, extra)
+            return solve(model, fixed0, fixed1)
 
         monkeypatch.setattr(solver, "solve_lp_exact", capture)
         msi = lazy = 0
@@ -169,6 +189,13 @@ class TestBranchAndCut:
                                          node_limit=1))
         assert res.status == "node-limit"
         assert res.stats["upper_bound"] >= res.value
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_node_limit_below_one_rejected(self, limit):
+        # no node is solved, so no bound would be known
+        with pytest.raises(GraphError):
+            branch_and_cut(generate("cycle:6"), [1, 0, 0, 1, 0, 0],
+                           SolveConfig(node_limit=limit))
 
     def test_log_format(self):
         g = generate("cycle:6")
