@@ -283,16 +283,6 @@ def vertex_mask(S):
     return mask
 
 
-def mask_vertices(mask):
-    """Set of the vertices whose bits are set in mask."""
-    out = set()
-    while mask:
-        low = mask & -mask
-        out.add(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def reach_within(nbr, room, start):
     """Bitmask of the vertices reachable from start inside room.
 
@@ -315,18 +305,6 @@ def is_connected_mask(g, mask):
     return reach_within(g.neighbor_masks(), mask, mask & -mask) == mask
 
 
-def _components_within(g, S):
-    """Connected components of G[S] as a list of sets, ordered by least vertex."""
-    nbr = g.neighbor_masks()
-    rest = vertex_mask(S)
-    comps = []
-    while rest:
-        comp = reach_within(nbr, rest, rest & -rest)
-        comps.append(mask_vertices(comp))
-        rest ^= comp
-    return comps
-
-
 def is_connected_induced(g, S):
     """True iff G[S] is connected; empty and singleton sets count as connected."""
     S = set(S)
@@ -347,27 +325,27 @@ def is_biconnected_induced(g, S):
         raise DegenerateInput(f"biconnectivity needs |S| >= 3, got {len(S)}")
     if not is_connected_induced(g, S):
         return False
-    for v in S:
-        if len(_components_within(g, S - {v})) > 1:
-            return False
-    return True
+    mask = vertex_mask(S)
+    return all(is_connected_mask(g, mask ^ (1 << v)) for v in S)
 
 
 def is_separator(g, a, b, C):
     """True iff removing C disconnects a from b.
 
-    Preconditions (violations raise distinct messages): a != b, neither in C,
-    and {a,b} not an edge (an adjacent pair is not separable).
+    Preconditions (violations raise distinct messages): a != b, a, b and C
+    in range, neither a nor b in C, and {a,b} not an edge (an adjacent pair
+    is not separable).
     """
     C = set(C)
     if a == b:
         raise GraphError("separator endpoints must differ")
+    for v in (a, b, *C):
+        if not (1 <= v <= g.n):
+            raise GraphError(f"vertex {v} out of range")
     if a in C or b in C:
         raise GraphError("separator must not contain its endpoints")
-    if g.edge_id(a, b) is not None:
+    nbr = g.neighbor_masks()
+    if nbr[a] >> b & 1:
         raise GraphError(f"vertices {a} and {b} are adjacent, not separable")
-    remaining = set(range(1, g.n + 1)) - C
-    for comp in _components_within(g, remaining):
-        if a in comp:
-            return b not in comp
-    raise GraphError(f"vertex {a} out of range")
+    room = vertex_mask(range(1, g.n + 1)) & ~vertex_mask(C)
+    return not reach_within(nbr, room, 1 << a) >> b & 1

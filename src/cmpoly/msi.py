@@ -6,7 +6,10 @@ projected to edge space through y_u = sum_{e incident to u} x_e.
 
 Separation scales the vertex degrees y of a fractional point by their common
 denominator D, so the max-flow runs on integer capacities and each test
-against 1 becomes a test against D.
+against 1 becomes a test against D.  The vertex-split network is built once
+per point and copied for each pair (a,b): a flow from a's out-copy to b's
+in-copy never uses the arcs of a or b, so the same capacities serve every
+pair.  Separator sides are vertex bitmasks from graph_core.reach_within.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .graph_core import GraphError, _components_within, is_separator
+from .graph_core import GraphError, is_separator, reach_within, vertex_mask
 from .inequality import Inequality
 from .matchings import covered_vertices, is_connected_matching, is_matching
 
@@ -36,38 +39,37 @@ class Separator:
                 f"C={set(self.C)} does not separate {self.a} from {self.b}")
 
 
+def _redundant_vertex(g, a, b, C):
+    """Least vertex of the mask C without a neighbour in both a's and b's
+    component of G - C, or None when C is a minimal (a,b)-separator."""
+    nbr = g.neighbor_masks()
+    room = vertex_mask(range(1, g.n + 1)) & ~C
+    side_a = reach_within(nbr, room, 1 << a)
+    side_b = reach_within(nbr, room, 1 << b)
+    rest = C
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        if not (nbr[u] & side_a and nbr[u] & side_b):
+            return u
+        rest ^= low
+    return None
+
+
 def is_minimal_separator(g, s):
     """True iff every vertex of C neighbors both the a-side and b-side
     components of G - C (no proper subset of C separates)."""
     s.validate(g)
-    C = set(s.C)
-    comps = _components_within(g, set(range(1, g.n + 1)) - C)
-    side_a = next(c for c in comps if s.a in c)
-    side_b = next(c for c in comps if s.b in c)
-    for u in C:
-        nbrs = set(g.neighbors(u))
-        if not (nbrs & side_a) or not (nbrs & side_b):
-            return False
-    return True
+    return _redundant_vertex(g, s.a, s.b, vertex_mask(s.C)) is None
 
 
 def minimalize(g, s):
-    """Shrink C to a minimal separator by dropping, in increasing vertex id,
-    any member without a neighbor on both sides."""
-    C = set(s.C)
-    changed = True
-    while changed:
-        changed = False
-        comps = _components_within(g, set(range(1, g.n + 1)) - C)
-        side_a = next(c for c in comps if s.a in c)
-        side_b = next(c for c in comps if s.b in c)
-        for u in sorted(C):
-            nbrs = set(g.neighbors(u))
-            if not (nbrs & side_a) or not (nbrs & side_b):
-                C.discard(u)
-                changed = True
-                break
-    return Separator(s.a, s.b, tuple(C))
+    """Shrink C to a minimal separator by dropping, one at a time, the least
+    member without a neighbor on both sides of G - C."""
+    C = vertex_mask(s.C)
+    while (u := _redundant_vertex(g, s.a, s.b, C)) is not None:
+        C ^= 1 << u
+    return Separator(s.a, s.b, tuple(u for u in s.C if C >> u & 1))
 
 
 def project_msi(g, s):
@@ -108,25 +110,35 @@ def dominates(p, q):
     return hi > lo or (hi == lo and lo > 0)
 
 
-def _min_vertex_cut(g, a, b, cap):
-    """Minimum-capacity (a,b)-vertex separator by exact max-flow on the
-    vertex-split digraph with integer capacities cap; returns (flow value,
-    cut vertex set).  The cut is the set the source reaches in the final
-    residual graph, which is the same for every maximum flow."""
-    # node encoding: (v, 0) = in-copy, (v, 1) = out-copy
-    inf = sum(cap.values()) + 1
-    arcs = {}
-
-    def add(u, v, c):
-        arcs.setdefault(u, {})[v] = arcs.get(u, {}).get(v, 0) + c
-        arcs.setdefault(v, {}).setdefault(u, 0)
-
+def _split_network(g, y):
+    """Residual capacities of the vertex-split digraph for integer vertex
+    capacities y (indexed by vertex): node 2v is v's in-copy, node 2v+1 its
+    out-copy, the arc 2v -> 2v+1 has capacity y[v], and each edge {u,v}
+    gives arcs 2u+1 -> 2v and 2v+1 -> 2u that no cut can afford."""
+    big = sum(y) + 1
+    net = [{} for _ in range(2 * g.n + 2)]
     for v in range(1, g.n + 1):
-        add((v, 0), (v, 1), inf if v in (a, b) else cap[v])
+        net[2 * v][2 * v + 1] = y[v]
+        net[2 * v + 1][2 * v] = 0
     for u, v in g.edges:
-        add((u, 1), (v, 0), inf)
-        add((v, 1), (u, 0), inf)
-    src, snk = (a, 1), (b, 0)
+        for s, t in ((u, v), (v, u)):
+            net[2 * s + 1][2 * t] = big
+            net[2 * t][2 * s + 1] = 0
+    return net
+
+
+def _min_vertex_cut(net, a, b):
+    """Minimum-capacity (a,b)-vertex separator by exact max-flow on a copy
+    of the split network net, from a's out-copy to b's in-copy; returns
+    (flow value, cut vertex set).
+
+    One network serves every pair: no augmenting path enters the source or
+    leaves the sink, so the arcs of a and b never carry flow and their
+    capacities never matter.  The cut is the set the source reaches in the
+    final residual graph, which is the same for every maximum flow; the
+    last, failed augmenting search visits exactly that set."""
+    arcs = [dict(out) for out in net]
+    src, snk = 2 * a + 1, 2 * b
     flow = 0
     while True:
         parent = {src: None}
@@ -149,16 +161,7 @@ def _min_vertex_cut(g, a, b, cap):
             arcs[u][v] -= aug
             arcs[v][u] += aug
         flow += aug
-    reach = {src}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v, c in arcs[u].items():
-            if c > 0 and v not in reach:
-                reach.add(v)
-                queue.append(v)
-    cut = {v for v in range(1, g.n + 1)
-           if (v, 0) in reach and (v, 1) not in reach}
+    cut = {u >> 1 for u in parent if not u & 1 and u + 1 not in parent}
     return flow, cut
 
 
@@ -178,23 +181,23 @@ def separate_fractional(g, xstar):
     D = lcm(*[x.denominator for x in xstar])
     X = [x.numerator * (D // x.denominator) for x in xstar]
     # D times the degree sum of xstar at each vertex
-    y = {v: sum(X[e - 1] for e in g.incident_edges(v)) for v in range(1, g.n + 1)}
-    for v, yv in y.items():
-        if yv > D:
+    y = [0] + [sum(X[e - 1] for e in g.incident_edges(v)) for v in range(1, g.n + 1)]
+    for v in range(1, g.n + 1):
+        if y[v] > D:
             raise GraphError(f"degree sum at vertex {v} exceeds 1")
+    nbr = g.neighbor_masks()
+    net = _split_network(g, y)
     cuts = {}
     for a in range(1, g.n + 1):
         for b in range(a + 1, g.n + 1):
-            if g.edge_id(a, b) is not None:
+            if nbr[a] >> b & 1 or y[a] + y[b] <= D:
                 continue
-            if y[a] + y[b] <= D:
-                continue
-            flow, cut = _min_vertex_cut(g, a, b, y)
+            flow, cut = _min_vertex_cut(net, a, b)
             if y[a] + y[b] - flow <= D:
                 continue
             sep = minimalize(g, Separator(a, b, tuple(cut)))
             row = project_msi(g, sep)
-            if row.evaluate(xstar) > row.rhs:
+            if row.evaluate(X) > row.rhs * D:
                 cuts.setdefault(row.canonical(), row)
     return [cuts[k] for k in sorted(cuts)]
 
@@ -207,12 +210,13 @@ def lazy_cut_for_disconnected(g, M):
         raise GraphError("M is not a matching")
     if len(M) < 2 or is_connected_matching(g, M):
         raise GraphError("M must be a disconnected matching with >= 2 edges")
-    covered = covered_vertices(g, M)
-    comps = _components_within(g, covered)
-    a = min(comps[0])
-    b = min(min(c) for c in comps[1:])
-    pool = set(range(1, g.n + 1)) - covered
-    sep = minimalize(g, Separator(a, b, tuple(pool)))
+    covered = vertex_mask(covered_vertices(g, M))
+    low = covered & -covered
+    a = low.bit_length() - 1
+    rest = covered & ~reach_within(g.neighbor_masks(), covered, low)
+    b = (rest & -rest).bit_length() - 1
+    pool = tuple(v for v in range(1, g.n + 1) if not covered >> v & 1)
+    sep = minimalize(g, Separator(a, b, pool))
     return project_msi(g, sep)
 
 

@@ -29,6 +29,26 @@ def assert_primitive_int_row(q):
     assert gcd(*values) == 1, values
 
 
+def set_bfs_components(g, S):
+    """Reference components of G[S]: set-based BFS from the least unseen vertex."""
+    S = set(S)
+    unseen = set(S)
+    comps = []
+    while unseen:
+        start = min(unseen)
+        comp = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in g.neighbors(v):
+                if u in S and u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        comps.append(comp)
+        unseen -= comp
+    return comps
+
+
 def to_networkx(g):
     import networkx as nx
     G = nx.Graph()

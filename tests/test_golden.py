@@ -16,6 +16,8 @@ The files in tests/golden/ were generated from the repository root with:
         cmpoly family -g $f.g --certify --no-meta -o family_$f.txt
     done
     cmpoly family -g j26.g --tsv --certify --no-meta -o family_j26.tsv
+    cmpoly msi -g j26.g --dominance --no-meta -o msi_j26.txt
+    cmpoly msi -g cycle7.g --max-separator 2 --no-meta -o msi_cycle7.txt
 
 cycle8w.g is a hand-written weighted 8-cycle whose best matching {1,5} is
 disconnected, so the solver has to connect it.  mixed8.g is a hand-written
@@ -45,6 +47,8 @@ CASES = [
     (["family", "-g", "cube3.g", "--certify"], "family_cube3.txt"),
     (["family", "-g", "mixed8.g", "--certify"], "family_mixed8.txt"),
     (["family", "-g", "j26.g", "--tsv", "--certify"], "family_j26.tsv"),
+    (["msi", "-g", "j26.g", "--dominance"], "msi_j26.txt"),
+    (["msi", "-g", "cycle7.g", "--max-separator", "2"], "msi_cycle7.txt"),
 ]
 
 

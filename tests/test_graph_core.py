@@ -7,12 +7,11 @@ import networkx as nx
 import pytest
 
 from cmpoly.graph_core import (DegenerateInput, Graph, GraphError, ParseError,
-                               _components_within, format_graph, generate,
-                               is_biconnected_induced, is_connected_induced,
-                               is_separator, line_distance, mask_vertices,
+                               format_graph, generate, is_biconnected_induced,
+                               is_connected_induced, is_separator, line_distance,
                                parse_graph, reach_within, vertex_mask)
 
-from conftest import random_connected_graph, to_networkx
+from conftest import random_connected_graph, set_bfs_components, to_networkx
 
 
 class TestParse:
@@ -156,26 +155,6 @@ class TestConnectedInduced:
                     assert is_connected_induced(g, S) == nx.is_connected(G.subgraph(S))
 
 
-def set_bfs_components(g, S):
-    """Reference components of G[S]: set-based BFS from the least unseen vertex."""
-    S = set(S)
-    unseen = set(S)
-    comps = []
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in g.neighbors(v):
-                if u in S and u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        comps.append(comp)
-        unseen -= comp
-    return comps
-
-
 def kernel_corpus():
     named = [generate(n) for n in ("petersen", "j26", "cube:3", "cube:4", "path:9")]
     drawn = [random_connected_graph(seed, n_lo=4, n_hi=14, max_extra=10, m_cap=30)
@@ -189,7 +168,7 @@ class TestMaskKernel:
             nbr = g.neighbor_masks()
             assert nbr[0] == 0
             for v in range(1, g.n + 1):
-                assert mask_vertices(nbr[v]) == set(g.neighbors(v))
+                assert nbr[v] == vertex_mask(g.neighbors(v))
 
     def test_cache_is_not_state(self):
         g, h = generate("j26"), generate("j26")
@@ -198,7 +177,8 @@ class TestMaskKernel:
 
     def test_mask_round_trip(self):
         for S in (set(), {1}, {2, 5, 9}, set(range(1, 40))):
-            assert mask_vertices(vertex_mask(S)) == S
+            mask = vertex_mask(S)
+            assert {v for v in range(mask.bit_length()) if mask >> v & 1} == S
 
     def test_matches_set_bfs_on_random_subsets(self):
         rng = random.Random(7)
@@ -208,7 +188,6 @@ class TestMaskKernel:
                 p = rng.random()
                 S = {v for v in range(1, g.n + 1) if rng.random() < p}
                 expect = set_bfs_components(g, S)
-                assert _components_within(g, S) == expect
                 assert is_connected_induced(g, S) == (len(expect) <= 1)
                 for comp in expect:
                     for v in comp:
@@ -232,6 +211,14 @@ class TestBiconnectedInduced:
         g = generate("path:3")
         with pytest.raises(DegenerateInput):
             is_biconnected_induced(g, {1, 2})
+
+    def test_matches_networkx(self):
+        for seed in range(10):
+            g = random_connected_graph(seed)
+            G = to_networkx(g)
+            for size in range(3, min(g.n, 6) + 1):
+                for S in combinations(range(1, g.n + 1), size):
+                    assert is_biconnected_induced(g, S) == nx.is_biconnected(G.subgraph(S))
 
     def test_implies_connected(self):
         for seed in range(10):
@@ -269,6 +256,25 @@ class TestSeparator:
         g = generate("cycle:6")
         with pytest.raises(GraphError, match="differ"):
             is_separator(g, 2, 2, {3})
+
+    def test_out_of_range_vertex_rejected(self):
+        g = generate("cycle:6")
+        for a, b, C in ((1, 99, {2, 6}), (99, 1, {2, 6}), (0, 4, {2, 6}),
+                        (1, 4, {2, 6, 7}), (1, 4, {-1, 2, 6})):
+            bad = next(v for v in (a, b, *C) if not 1 <= v <= 6)
+            with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+                is_separator(g, a, b, C)
+
+    def test_matches_set_bfs(self, random_suite):
+        rng = random.Random(11)
+        for g in random_suite:
+            for a, b in combinations(range(1, g.n + 1), 2):
+                if b in g.neighbors(a):
+                    continue
+                C = {v for v in range(1, g.n + 1) if v not in (a, b) and rng.random() < 0.4}
+                comps = set_bfs_components(g, set(range(1, g.n + 1)) - C)
+                side_a = next(c for c in comps if a in c)
+                assert is_separator(g, a, b, C) == (b not in side_a)
 
     def test_monotone_in_c(self):
         g = generate("cycle:6")

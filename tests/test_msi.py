@@ -1,15 +1,131 @@
+import random
+from collections import deque
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from cmpoly.graph_core import Graph, GraphError, generate
 from cmpoly.inequality import Inequality
 from cmpoly.matchings import enumerate_cm_sets, enumerate_connected_matchings, incidence_vector
-from cmpoly.msi import (Separator, _min_vertex_cut, dominates, is_minimal_separator,
-                        lazy_cut_for_disconnected, minimal_separators_brute,
-                        minimalize, project_msi, separate_fractional)
+from cmpoly.graph_core import is_separator
+from cmpoly.matchings import covered_vertices, is_connected_matching, is_matching
+from cmpoly.msi import (Separator, _min_vertex_cut, _split_network, dominates,
+                        is_minimal_separator, lazy_cut_for_disconnected,
+                        minimal_separators_brute, minimalize, project_msi,
+                        separate_fractional)
 
-from conftest import assert_primitive_int_row, random_connected_graph
+from conftest import assert_primitive_int_row, random_connected_graph, set_bfs_components
+
+
+def reference_min_vertex_cut(g, a, b, cap):
+    """The per-pair construction: a fresh split network for (a,b) with
+    infinite capacity on a and b, max-flow, then a separate residual reach
+    search from the source."""
+    inf = sum(cap.values()) + 1
+    arcs = {}
+
+    def add(u, v, c):
+        arcs.setdefault(u, {})[v] = arcs.get(u, {}).get(v, 0) + c
+        arcs.setdefault(v, {}).setdefault(u, 0)
+
+    for v in range(1, g.n + 1):
+        add((v, 0), (v, 1), inf if v in (a, b) else cap[v])
+    for u, v in g.edges:
+        add((u, 1), (v, 0), inf)
+        add((v, 1), (u, 0), inf)
+    src, snk = (a, 1), (b, 0)
+    flow = 0
+    while True:
+        parent = {src: None}
+        queue = deque([src])
+        while queue and snk not in parent:
+            u = queue.popleft()
+            for v, c in arcs[u].items():
+                if c > 0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if snk not in parent:
+            break
+        path = []
+        v = snk
+        while parent[v] is not None:
+            path.append((parent[v], v))
+            v = parent[v]
+        aug = min(arcs[u][v] for u, v in path)
+        for u, v in path:
+            arcs[u][v] -= aug
+            arcs[v][u] += aug
+        flow += aug
+    reach = {src}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for v, c in arcs[u].items():
+            if c > 0 and v not in reach:
+                reach.add(v)
+                queue.append(v)
+    cut = {v for v in range(1, g.n + 1)
+           if (v, 0) in reach and (v, 1) not in reach}
+    return flow, cut
+
+
+def reference_sides(g, s, C):
+    comps = set_bfs_components(g, set(range(1, g.n + 1)) - C)
+    return next(c for c in comps if s.a in c), next(c for c in comps if s.b in c)
+
+
+def reference_is_minimal(g, s):
+    """Set-based check: every vertex of C neighbours both sides of G - C."""
+    side_a, side_b = reference_sides(g, s, set(s.C))
+    return all(set(g.neighbors(u)) & side_a and set(g.neighbors(u)) & side_b
+               for u in s.C)
+
+
+def reference_minimalize(g, s):
+    """Set-based minimalization: drop the least vertex without a neighbour on
+    both sides, recompute the sides, repeat."""
+    C = set(s.C)
+    changed = True
+    while changed:
+        changed = False
+        side_a, side_b = reference_sides(g, s, C)
+        for u in sorted(C):
+            nbrs = set(g.neighbors(u))
+            if not (nbrs & side_a) or not (nbrs & side_b):
+                C.discard(u)
+                changed = True
+                break
+    return Separator(s.a, s.b, tuple(C))
+
+
+def reference_lazy_cut(g, M):
+    """Set-based lazy cut: a is the least vertex of the first component of
+    the covered vertices, b the least vertex of the other components."""
+    covered = covered_vertices(g, M)
+    comps = set_bfs_components(g, covered)
+    a = min(comps[0])
+    b = min(min(c) for c in comps[1:])
+    pool = set(range(1, g.n + 1)) - covered
+    return project_msi(g, reference_minimalize(g, Separator(a, b, tuple(pool))))
+
+
+def nonadjacent_pairs(g):
+    return [(a, b) for a, b in combinations(range(1, g.n + 1), 2)
+            if g.edge_id(a, b) is None]
+
+
+def random_separators(g, rng, draws):
+    """Separators C of random non-adjacent pairs, C drawn from the other vertices."""
+    pairs = nonadjacent_pairs(g)
+    out = []
+    for _ in range(draws if pairs else 0):
+        a, b = rng.choice(pairs)
+        p = rng.random()
+        C = {v for v in range(1, g.n + 1) if v not in (a, b) and rng.random() < p}
+        if is_separator(g, a, b, C):
+            out.append(Separator(a, b, tuple(C)))
+    return out
 
 
 class TestMinimalSeparator:
@@ -37,6 +153,27 @@ class TestMinimalSeparator:
         s = minimalize(g, Separator(1, 4, (2, 3, 6)))
         assert set(s.C) in ({2, 6}, {3, 6})
         assert is_minimal_separator(g, s)
+
+    def test_out_of_range_endpoint_rejected(self):
+        g = generate("cycle:6")
+        for s in (Separator(1, 99, (2, 6)), Separator(1, 4, (2, 6, 99))):
+            with pytest.raises(GraphError, match="vertex 99 out of range"):
+                s.validate(g)
+            with pytest.raises(GraphError, match="vertex 99 out of range"):
+                project_msi(g, s)
+
+    def test_matches_set_based_reference(self, random_suite):
+        rng = random.Random(3)
+        checked = shrunk = 0
+        for g in random_suite:
+            for s in random_separators(g, rng, 12):
+                assert is_minimal_separator(g, s) == reference_is_minimal(g, s)
+                got = minimalize(g, s)
+                assert got == reference_minimalize(g, s)
+                assert is_minimal_separator(g, got)
+                checked += 1
+                shrunk += got != s
+        assert checked >= 300 and shrunk >= 100
 
 
 class TestProjectMsi:
@@ -153,9 +290,39 @@ class TestMinVertexCut:
     def test_integer_capacities_stay_int(self):
         # C6 from 1 to 4: one vertex of each side path must go
         g = generate("cycle:6")
-        flow, cut = _min_vertex_cut(g, 1, 4, {v: 2 for v in range(1, 7)})
+        flow, cut = _min_vertex_cut(_split_network(g, [0] + [2] * 6), 1, 4)
         assert type(flow) is int and flow == 4
         assert cut == {2, 6}
+
+    def test_network_is_not_consumed(self):
+        g = generate("cycle:6")
+        net = _split_network(g, [0, 1, 2, 3, 4, 5, 6])
+        before = [dict(out) for out in net]
+        first = _min_vertex_cut(net, 1, 4)
+        assert net == before
+        assert _min_vertex_cut(net, 1, 4) == first
+
+    def test_shared_network_matches_per_pair_network(self, random_suite):
+        rng = random.Random(5)
+        pairs = zero_cuts = 0
+        for g in random_suite:
+            cap = {v: rng.choice((0, 0, 1, 2, 3, 5, 8)) for v in range(1, g.n + 1)}
+            net = _split_network(g, [0] + [cap[v] for v in range(1, g.n + 1)])
+            for a, b in nonadjacent_pairs(g):
+                flow, cut = _min_vertex_cut(net, a, b)
+                assert (flow, cut) == reference_min_vertex_cut(g, a, b, cap)
+                assert is_separator(g, a, b, cut)
+                assert sum(cap[v] for v in cut) == flow
+                # brute force over every separator of the pair
+                rest = [v for v in range(1, g.n + 1) if v not in (a, b)]
+                best = min(sum(cap[v] for v in C)
+                           for k in range(len(rest) + 1)
+                           for C in combinations(rest, k)
+                           if is_separator(g, a, b, C))
+                assert flow == best
+                pairs += 1
+                zero_cuts += any(cap[v] == 0 for v in rest)
+        assert pairs >= 500 and zero_cuts >= 100
 
 
 class TestLazyCut:
@@ -195,6 +362,16 @@ class TestLazyCut:
                     continue
                 q = lazy_cut_for_disconnected(g, M)
                 assert q.evaluate(incidence_vector(g, M)) == 2
+
+    def test_matches_set_based_reference(self, random_suite):
+        checked = 0
+        for g in random_suite:
+            for k in (2, 3):
+                for M in combinations(range(1, g.m + 1), k):
+                    if is_matching(g, M) and not is_connected_matching(g, M):
+                        assert lazy_cut_for_disconnected(g, M) == reference_lazy_cut(g, M)
+                        checked += 1
+        assert checked >= 200
 
     def test_cut_valid_on_polytope(self):
         for seed in range(10):
