@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import (GraphError, is_biconnected_induced, is_connected_induced,
-                         reach_within, vertex_mask)
+from .graph_core import (GraphError, is_biconnected_mask, is_connected_mask, mask_bits,
+                         reach_within, union_over)
 from .inequality import Inequality
-from .matchings import covered_vertices, exists_cm_superset
+from .matchings import exists_cm_superset
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,6 @@ class FamilyCertificate:
     disconnected and valid, so only the checks that can fail are kept."""
     pair: tuple
     lam: tuple
-    path_precheck: bool
     facet_certified: bool
 
 
@@ -36,25 +35,21 @@ def lambda_set(g, e1, e2):
     """
     if e1 == e2:
         raise GraphError("lambda set needs two distinct edges")
-    ends1, ends2 = set(g.endpoints(e1)), set(g.endpoints(e2))
-    near1 = {w for u in ends1 for w in g.neighbors(u)} - ends1
-    near2 = {w for u in ends2 for w in g.neighbors(u)} - ends2
-    ends = ends1 | ends2
-    return tuple(f for f, uv in enumerate(g.edges, start=1)
-                 if ends.isdisjoint(uv)
-                 and not near1.isdisjoint(uv) and not near2.isdisjoint(uv))
+    ends1, ends2 = g.cover_mask((e1,)), g.cover_mask((e2,))
+    # edges at a neighbour of e1 and at a neighbour of e2, but at no endpoint
+    at, nbr = g.incident_masks, g.neighbor_masks
+    lam = (union_over(at, union_over(nbr, ends1)) & union_over(at, union_over(nbr, ends2))
+           & ~union_over(at, ends1 | ends2))
+    return tuple(mask_bits(lam))
 
 
 def is_disconnected_pair(g, e1, e2):
     """True iff e1,e2 are vertex-disjoint and their four endpoints induce a
-    disconnected subgraph."""
+    disconnected subgraph.  Two edges sharing an endpoint cover a connected
+    set, so the connectivity test alone decides."""
     if e1 == e2:
         raise GraphError("pair needs two distinct edges")
-    a = set(g.endpoints(e1))
-    b = set(g.endpoints(e2))
-    if a & b:
-        return False
-    return not is_connected_induced(g, a | b)
+    return not is_connected_mask(g, g.cover_mask((e1, e2)))
 
 
 def family_inequality(g, e1, e2):
@@ -99,19 +94,14 @@ def path_precheck(g, e1, e2):
     lambda edges.  Usually implies the validity hypothesis, but not always:
     a matching avoiding the lambda edges can still be connected through one
     of them, so a positive precheck is no substitute for the exact test."""
-    return _path_precheck(g, e1, e2, lambda_set(g, e1, e2))
-
-
-def _path_precheck(g, e1, e2, lam):
     # Two edges share a component of a graph exactly when their endpoints do.
-    nbr = list(g.neighbor_masks())
-    for f in lam:
+    nbr = list(g.neighbor_masks)
+    for f in lambda_set(g, e1, e2):
         u, v = g.endpoints(f)
         nbr[u] &= ~(1 << v)
         nbr[v] &= ~(1 << u)
-    everything = (1 << (g.n + 1)) - 2
-    reach = reach_within(nbr, everything, vertex_mask(g.endpoints(e1)))
-    return not reach & vertex_mask(g.endpoints(e2))
+    reach = reach_within(nbr, g.all_vertices, g.endpoint_masks[e1])
+    return not reach & g.endpoint_masks[e2]
 
 
 def check_facet_hypothesis(g, e1, e2, L):
@@ -126,16 +116,13 @@ def check_facet_hypothesis(g, e1, e2, L):
 def _facet_hypothesis(g, e1, e2, lam):
     if not lam:
         return False
+    ends = g.endpoint_masks
     for i, f in enumerate(lam):
         for f2 in lam[i + 1:]:
-            if not set(g.endpoints(f)) & set(g.endpoints(f2)):
+            if not ends[f] & ends[f2]:
                 return False
-    pair_cover = covered_vertices(g, [e1, e2])
-    for f in lam:
-        S = pair_cover | set(g.endpoints(f))
-        if not is_biconnected_induced(g, S):
-            return False
-    return True
+    pair_cover = ends[e1] | ends[e2]
+    return all(is_biconnected_mask(g, pair_cover | ends[f]) for f in lam)
 
 
 def generate_family(g):
@@ -156,7 +143,6 @@ def generate_family(g):
             cert = FamilyCertificate(
                 pair=(e1, e2),
                 lam=lam,
-                path_precheck=_path_precheck(g, e1, e2, lam),
                 facet_certified=_facet_hypothesis(g, e1, e2, lam),
             )
             out.append((_family_row(g, e1, e2, lam), cert))

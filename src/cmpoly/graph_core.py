@@ -25,13 +25,19 @@ class Graph:
 
     Edge id i refers to edges[i-1]; ids follow input order.  Optional
     rational edge weights default to 1.
+
+    Vertex and edge sets are int bitmasks: vertex v is bit v, edge id e is
+    bit e.  Three tables are built once: neighbor_masks[v] (the vertices
+    adjacent to v), incident_masks[v] (the edge ids at v) and
+    endpoint_masks[e] (the two endpoints of e); entry 0 is unused.
     """
 
     n: int
     edges: tuple
     weights: tuple | None = None
-    _adj: dict = field(default=None, repr=False, compare=False)
-    _nbr: list = field(default=None, repr=False, compare=False)
+    neighbor_masks: list = field(init=False, repr=False, compare=False)
+    incident_masks: list = field(init=False, repr=False, compare=False)
+    endpoint_masks: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -40,10 +46,24 @@ class Graph:
             self.weights = tuple(Fraction(w) for w in self.weights)
             if len(self.weights) != len(self.edges):
                 raise GraphError("weight count does not match edge count")
+        self.neighbor_masks = [0] * (self.n + 1)
+        self.incident_masks = [0] * (self.n + 1)
+        self.endpoint_masks = [0]
+        for e, (u, v) in enumerate(self.edges, start=1):
+            self.neighbor_masks[u] |= 1 << v
+            self.neighbor_masks[v] |= 1 << u
+            self.incident_masks[u] |= 1 << e
+            self.incident_masks[v] |= 1 << e
+            self.endpoint_masks.append(1 << u | 1 << v)
 
     @property
     def m(self):
         return len(self.edges)
+
+    @property
+    def all_vertices(self):
+        """Mask of the vertices 1..n."""
+        return (1 << (self.n + 1)) - 2
 
     def endpoints(self, e):
         """Endpoints of edge id e (1-based)."""
@@ -51,48 +71,33 @@ class Graph:
             raise GraphError(f"edge id {e} out of range 1..{self.m}")
         return self.edges[e - 1]
 
+    def cover_mask(self, edge_ids):
+        """Mask of the vertices covered by the given edge ids."""
+        mask = 0
+        for e in edge_ids:
+            self.endpoints(e)
+            mask |= self.endpoint_masks[e]
+        return mask
+
     def weight(self, e):
         if self.weights is None:
             return Fraction(1)
         return self.weights[e - 1]
 
-    def adjacency(self):
-        """vertex -> sorted list of (neighbor, edge id)."""
-        if self._adj is None:
-            adj = {v: [] for v in range(1, self.n + 1)}
-            for i, (u, v) in enumerate(self.edges, start=1):
-                adj[u].append((v, i))
-                adj[v].append((u, i))
-            for v in adj:
-                adj[v].sort()
-            self._adj = adj
-        return self._adj
-
-    def neighbor_masks(self):
-        """Vertex bitmasks of the neighbourhoods: bit u of entry v is set iff
-        {u,v} is an edge.  Vertex v is bit v; entry 0 is unused."""
-        if self._nbr is None:
-            nbr = [0] * (self.n + 1)
-            for u, v in self.edges:
-                nbr[u] |= 1 << v
-                nbr[v] |= 1 << u
-            self._nbr = nbr
-        return self._nbr
-
     def neighbors(self, v):
-        return [u for u, _ in self.adjacency()[v]]
+        """Neighbours of v, sorted."""
+        return mask_bits(self.neighbor_masks[_vertex(self, v)])
 
     def incident_edges(self, v):
         """Edge ids of delta(v), sorted."""
-        return sorted(i for _, i in self.adjacency()[v])
+        return mask_bits(self.incident_masks[_vertex(self, v)])
 
     def edge_id(self, u, v):
         """Edge id of {u,v}, or None."""
-        key = (min(u, v), max(u, v))
-        for i, e in enumerate(self.edges, start=1):
-            if e == key:
-                return i
-        return None
+        if u == v or not (1 <= u <= self.n and 1 <= v <= self.n):
+            return None
+        common = self.incident_masks[u] & self.incident_masks[v]
+        return common.bit_length() - 1 if common else None
 
     def without_edges(self, edge_ids):
         """Copy of the graph with the given edge ids deleted (vertices kept).
@@ -251,28 +256,30 @@ def _gen_arg(name, arg, minimum):
 def line_distance(g, e, f):
     """Shortest-path distance between edges e and f in the line graph.
 
-    Returns math.inf when e and f lie in different components.
+    Returns math.inf when e and f lie in different components.  Breadth-first
+    over edge masks: the next layer is every edge at a vertex of this layer.
     """
     g.endpoints(e)
     g.endpoints(f)
     if e == f:
         return 0
-    adj = g.adjacency()
-    dist = {e: 0}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            u, v = g.endpoints(cur)
-            for w in (u, v):
-                for _, i in adj[w]:
-                    if i not in dist:
-                        dist[i] = dist[cur] + 1
-                        if i == f:
-                            return dist[i]
-                        nxt.append(i)
-        frontier = nxt
+    seen = layer = 1 << e
+    dist = 0
+    while layer:
+        dist += 1
+        layer = union_over(g.incident_masks, union_over(g.endpoint_masks, layer)) & ~seen
+        if layer >> f & 1:
+            return dist
+        seen |= layer
     return math.inf
+
+
+def _vertex(g, v):
+    """v, once checked to be a vertex of g: a mask table read at a negative
+    index would silently return another vertex's mask."""
+    if not (1 <= v <= g.n):
+        raise GraphError(f"vertex {v} out of range")
+    return v
 
 
 def vertex_mask(S):
@@ -283,11 +290,31 @@ def vertex_mask(S):
     return mask
 
 
+def mask_bits(mask):
+    """The set bits of mask, ascending."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
+def union_over(table, mask):
+    """OR of table[i] over the set bits i of mask: with the tables of Graph,
+    the neighbours of a vertex set, the edges at a vertex set or the
+    vertices covered by an edge set."""
+    out = 0
+    for i in mask_bits(mask):
+        out |= table[i]
+    return out
+
+
 def reach_within(nbr, room, start):
     """Bitmask of the vertices reachable from start inside room.
 
-    nbr is a neighbour-mask list as returned by Graph.neighbor_masks; room
-    and start are vertex bitmasks with start inside room.  Induced
+    nbr is a neighbour-mask table such as Graph.neighbor_masks; room and
+    start are vertex bitmasks with start inside room.  Induced
     connectivity, components and separators all reduce to this search.
     """
     seen = frontier = start
@@ -302,16 +329,18 @@ def reach_within(nbr, room, start):
 
 def is_connected_mask(g, mask):
     """True iff G[mask] is connected; the empty mask counts as connected."""
-    return reach_within(g.neighbor_masks(), mask, mask & -mask) == mask
+    return reach_within(g.neighbor_masks, mask, mask & -mask) == mask
+
+
+def is_biconnected_mask(g, mask):
+    """True iff G[mask] is connected and stays connected without any one vertex."""
+    return is_connected_mask(g, mask) and all(
+        is_connected_mask(g, mask ^ 1 << v) for v in mask_bits(mask))
 
 
 def is_connected_induced(g, S):
     """True iff G[S] is connected; empty and singleton sets count as connected."""
-    S = set(S)
-    for v in S:
-        if not (1 <= v <= g.n):
-            raise GraphError(f"vertex {v} out of range")
-    return is_connected_mask(g, vertex_mask(S))
+    return is_connected_mask(g, vertex_mask(_vertex(g, v) for v in S))
 
 
 def is_biconnected_induced(g, S):
@@ -323,10 +352,7 @@ def is_biconnected_induced(g, S):
     S = set(S)
     if len(S) < 3:
         raise DegenerateInput(f"biconnectivity needs |S| >= 3, got {len(S)}")
-    if not is_connected_induced(g, S):
-        return False
-    mask = vertex_mask(S)
-    return all(is_connected_mask(g, mask ^ (1 << v)) for v in S)
+    return is_biconnected_mask(g, vertex_mask(_vertex(g, v) for v in S))
 
 
 def is_separator(g, a, b, C):
@@ -336,16 +362,12 @@ def is_separator(g, a, b, C):
     in range, neither a nor b in C, and {a,b} not an edge (an adjacent pair
     is not separable).
     """
-    C = set(C)
     if a == b:
         raise GraphError("separator endpoints must differ")
-    for v in (a, b, *C):
-        if not (1 <= v <= g.n):
-            raise GraphError(f"vertex {v} out of range")
-    if a in C or b in C:
+    ends = vertex_mask((_vertex(g, a), _vertex(g, b)))
+    cut = vertex_mask(_vertex(g, v) for v in C)
+    if cut & ends:
         raise GraphError("separator must not contain its endpoints")
-    nbr = g.neighbor_masks()
-    if nbr[a] >> b & 1:
+    if g.neighbor_masks[a] >> b & 1:
         raise GraphError(f"vertices {a} and {b} are adjacent, not separable")
-    room = vertex_mask(range(1, g.n + 1)) & ~vertex_mask(C)
-    return not reach_within(nbr, room, 1 << a) >> b & 1
+    return not reach_within(g.neighbor_masks, g.all_vertices & ~cut, 1 << a) >> b & 1

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graph_core import (GraphError, is_connected_induced, is_connected_mask, reach_within,
-                         vertex_mask)
+from .graph_core import GraphError, is_connected_mask, reach_within
 
 DEFAULT_ENUM_LIMIT = 200_000
 
@@ -14,25 +13,15 @@ class SizeLimitExceeded(GraphError):
     """Enumeration produced more objects than the configured cap."""
 
 
-def covered_vertices(g, M):
-    verts = set()
-    for e in M:
-        verts.update(g.endpoints(e))
-    return verts
-
-
 def is_matching(g, M):
-    verts = []
-    for e in M:
-        verts.extend(g.endpoints(e))
-    return len(verts) == len(set(verts))
+    """True iff the edge ids of M (a sequence, repeats allowed) cover 2|M|
+    distinct vertices, i.e. no two entries share an endpoint."""
+    return g.cover_mask(M).bit_count() == 2 * len(M)
 
 
 def is_connected_matching(g, M):
     """True iff M is a matching whose covered vertices induce a connected subgraph."""
-    if not is_matching(g, M):
-        return False
-    return is_connected_induced(g, covered_vertices(g, M))
+    return is_matching(g, M) and is_connected_mask(g, g.cover_mask(M))
 
 
 def incidence_vector(g, M):
@@ -42,11 +31,6 @@ def incidence_vector(g, M):
     return tuple(x)
 
 
-def _edge_masks(g):
-    """Vertex bitmask of each edge's endpoints, indexed by edge id (entry 0 unused)."""
-    return [0] + [(1 << u) | (1 << v) for u, v in g.edges]
-
-
 def enumerate_cm_sets(g, limit=DEFAULT_ENUM_LIMIT):
     """All connected matchings as sorted edge-id tuples, lexicographic order.
 
@@ -54,7 +38,7 @@ def enumerate_cm_sets(g, limit=DEFAULT_ENUM_LIMIT):
     violations; connectivity is tested at emission (it is not monotone under
     edge addition, so it cannot prune).  Covered vertices are a bitmask.
     """
-    cover = _edge_masks(g)
+    cover = g.endpoint_masks
     out = []
 
     def rec(current, covered, start):
@@ -97,12 +81,13 @@ def exists_cm_superset(g, R, forbidden=()):
     R = sorted(set(R))
     if not is_matching(g, R):
         raise GraphError("R is not a matching")
-    nbr = g.neighbor_masks()
-    cover = _edge_masks(g)
-    base = vertex_mask(covered_vertices(g, R))
-    banned = set(R) | set(forbidden)
+    nbr = g.neighbor_masks
+    cover = g.endpoint_masks
+    base = g.cover_mask(R)
+    forbidden = set(forbidden)
+    # an edge of R covers vertices of base, so the test on base excludes it
     free = [cover[e] for e in range(1, g.m + 1)
-            if e not in banned and not cover[e] & base]
+            if e not in forbidden and not cover[e] & base]
 
     def rec(covered, idx):
         low = covered & -covered

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .graph_core import GraphError, is_separator, reach_within, vertex_mask
+from .graph_core import GraphError, is_separator, mask_bits, reach_within, vertex_mask
 from .inequality import Inequality
-from .matchings import covered_vertices, is_connected_matching, is_matching
+from .matchings import is_connected_matching, is_matching
 
 
 @dataclass(frozen=True)
@@ -42,17 +42,13 @@ class Separator:
 def _redundant_vertex(g, a, b, C):
     """Least vertex of the mask C without a neighbour in both a's and b's
     component of G - C, or None when C is a minimal (a,b)-separator."""
-    nbr = g.neighbor_masks()
-    room = vertex_mask(range(1, g.n + 1)) & ~C
+    nbr = g.neighbor_masks
+    room = g.all_vertices & ~C
     side_a = reach_within(nbr, room, 1 << a)
     side_b = reach_within(nbr, room, 1 << b)
-    rest = C
-    while rest:
-        low = rest & -rest
-        u = low.bit_length() - 1
+    for u in mask_bits(C):
         if not (nbr[u] & side_a and nbr[u] & side_b):
             return u
-        rest ^= low
     return None
 
 
@@ -69,7 +65,7 @@ def minimalize(g, s):
     C = vertex_mask(s.C)
     while (u := _redundant_vertex(g, s.a, s.b, C)) is not None:
         C ^= 1 << u
-    return Separator(s.a, s.b, tuple(u for u in s.C if C >> u & 1))
+    return Separator(s.a, s.b, tuple(mask_bits(C)))
 
 
 def project_msi(g, s):
@@ -171,6 +167,8 @@ def separate_fractional(g, xstar):
     For each non-adjacent pair (a,b) with y_a + y_b > 1, a minimum-weight
     vertex separator is found by max-flow; rows with a strictly positive
     violation are minimalized, deduplicated, and returned in canonical order.
+    Minimalizing keeps the violation: the row evaluates to y_a + y_b - y(C')
+    with C' inside the cut, and y(cut) is the flow.
     """
     xstar = [Fraction(x) for x in xstar]
     if len(xstar) != g.m:
@@ -185,7 +183,7 @@ def separate_fractional(g, xstar):
     for v in range(1, g.n + 1):
         if y[v] > D:
             raise GraphError(f"degree sum at vertex {v} exceeds 1")
-    nbr = g.neighbor_masks()
+    nbr = g.neighbor_masks
     net = _split_network(g, y)
     cuts = {}
     for a in range(1, g.n + 1):
@@ -195,10 +193,8 @@ def separate_fractional(g, xstar):
             flow, cut = _min_vertex_cut(net, a, b)
             if y[a] + y[b] - flow <= D:
                 continue
-            sep = minimalize(g, Separator(a, b, tuple(cut)))
-            row = project_msi(g, sep)
-            if row.evaluate(X) > row.rhs * D:
-                cuts.setdefault(row.canonical(), row)
+            row = project_msi(g, minimalize(g, Separator(a, b, tuple(cut))))
+            cuts.setdefault(row.canonical(), row)
     return [cuts[k] for k in sorted(cuts)]
 
 
@@ -210,12 +206,12 @@ def lazy_cut_for_disconnected(g, M):
         raise GraphError("M is not a matching")
     if len(M) < 2 or is_connected_matching(g, M):
         raise GraphError("M must be a disconnected matching with >= 2 edges")
-    covered = vertex_mask(covered_vertices(g, M))
+    covered = g.cover_mask(M)
     low = covered & -covered
     a = low.bit_length() - 1
-    rest = covered & ~reach_within(g.neighbor_masks(), covered, low)
+    rest = covered & ~reach_within(g.neighbor_masks, covered, low)
     b = (rest & -rest).bit_length() - 1
-    pool = tuple(v for v in range(1, g.n + 1) if not covered >> v & 1)
+    pool = tuple(mask_bits(g.all_vertices & ~covered))
     sep = minimalize(g, Separator(a, b, pool))
     return project_msi(g, sep)
 
@@ -225,12 +221,12 @@ def minimal_separators_brute(g, a, b, max_size=None):
     from itertools import combinations
     if g.edge_id(a, b) is not None:
         raise GraphError("adjacent pair has no separator")
-    rest = sorted(set(range(1, g.n + 1)) - {a, b})
+    rest = [v for v in range(1, g.n + 1) if v not in (a, b)]
     limit = max_size if max_size is not None else len(rest)
     found = []
     for size in range(limit + 1):
         for C in combinations(rest, size):
-            s = Separator(a, b, C)
-            if is_separator(g, a, b, C) and is_minimal_separator(g, s):
-                found.append(s)
+            if (is_separator(g, a, b, C)
+                    and _redundant_vertex(g, a, b, vertex_mask(C)) is None):
+                found.append(Separator(a, b, C))
     return found

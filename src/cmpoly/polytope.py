@@ -7,9 +7,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .facet_family import is_disconnected_pair, lambda_set
-from .graph_core import GraphError
+from .graph_core import GraphError, mask_bits, union_over
 from .inequality import Inequality
-from .matchings import DEFAULT_ENUM_LIMIT, covered_vertices, enumerate_connected_matchings
+from .matchings import DEFAULT_ENUM_LIMIT, enumerate_connected_matchings
 from .rational_la import affine_dimension, eliminate, integer_row, inverse_columns
 
 
@@ -152,22 +152,23 @@ def classify(q, g):
     """
     ints, rhs = q.canonical()
     support = [i + 1 for i, c in enumerate(ints) if c != 0]
+    sup = sum(1 << e for e in support)   # edge-id mask
 
     if rhs == 0 and len(support) == 1 and ints[support[0] - 1] == -1:
         return FacetClass("nonnegativity", (support[0],))
 
-    if rhs == 1 and all(c in (0, 1) for c in ints):
-        sup = set(support)
+    if rhs == 1 and sup and all(c in (0, 1) for c in ints):
         for v in range(1, g.n + 1):
-            inc = g.incident_edges(v)
-            if inc and sup == set(inc):
+            if g.incident_masks[v] == sup:
                 return FacetClass("degree", (v,))
 
     if all(c in (0, 1) for c in ints):
-        H = tuple(sorted(covered_vertices(g, support)))
-        if len(H) >= 3 and len(H) % 2 == 1 and rhs == (len(H) - 1) // 2:
-            if set(support) == _induced_edges(g, H):
-                return FacetClass("blossom", (H,))
+        H = g.cover_mask(support)
+        size = H.bit_count()
+        if size >= 3 and size % 2 == 1 and rhs == (size - 1) // 2:
+            outside = union_over(g.incident_masks, g.all_vertices & ~H)
+            if sup == union_over(g.incident_masks, H) & ~outside:
+                return FacetClass("blossom", (tuple(mask_bits(H)),))
 
     if rhs == 1 and all(c in (-1, 0, 1) for c in ints):
         plus = [i + 1 for i, c in enumerate(ints) if c == 1]
@@ -177,11 +178,6 @@ def classify(q, g):
                 return FacetClass("family", (tuple(plus), minus))
 
     return FacetClass("other")
-
-
-def _induced_edges(g, H):
-    Hs = set(H)
-    return {i for i, (u, v) in enumerate(g.edges, start=1) if u in Hs and v in Hs}
 
 
 def class_histogram(H, g):

@@ -10,7 +10,43 @@ from cmpoly.facet_family import (FamilyCertificate, check_facet_hypothesis,
 from cmpoly.graph_core import Graph, GraphError, generate, line_distance
 from cmpoly.matchings import enumerate_cm_sets, enumerate_connected_matchings
 
-from conftest import assert_primitive_int_row, random_connected_graph
+from conftest import (assert_primitive_int_row, random_connected_graph, set_bfs_components,
+                      to_networkx)
+
+
+def reference_lambda_set(g, e1, e2):
+    """The set-based lambda set: edges avoiding both pairs' endpoints with an
+    endpoint next to each edge of the pair."""
+    ends1, ends2 = set(g.endpoints(e1)), set(g.endpoints(e2))
+    near1 = {w for u in ends1 for w in g.neighbors(u)} - ends1
+    near2 = {w for u in ends2 for w in g.neighbors(u)} - ends2
+    ends = ends1 | ends2
+    return tuple(f for f, uv in enumerate(g.edges, start=1)
+                 if ends.isdisjoint(uv)
+                 and not near1.isdisjoint(uv) and not near2.isdisjoint(uv))
+
+
+def reference_is_disconnected_pair(g, e1, e2):
+    a, b = set(g.endpoints(e1)), set(g.endpoints(e2))
+    return not a & b and len(set_bfs_components(g, a | b)) > 1
+
+
+def reference_facet_hypothesis(g, e1, e2, lam):
+    """The set-based facet conditions, with networkx judging 2-connectivity."""
+    import networkx as nx
+    G = to_networkx(g)
+    if not lam:
+        return False
+    if any(not set(g.endpoints(f)) & set(g.endpoints(f2))
+           for i, f in enumerate(lam) for f2 in lam[i + 1:]):
+        return False
+    pair_cover = set(g.endpoints(e1)) | set(g.endpoints(e2))
+    return all(nx.is_biconnected(G.subgraph(pair_cover | set(g.endpoints(f))))
+               for f in lam)
+
+
+def differential_corpus(random_suite):
+    return random_suite + [generate(n) for n in ("petersen", "j26", "cube:3", "cycle:8")]
 
 
 class TestLambdaSet:
@@ -44,6 +80,21 @@ class TestLambdaSet:
         with pytest.raises(GraphError):
             lambda_set(generate("path:6"), 2, 2)
 
+    def test_matches_set_based_reference(self, random_suite):
+        for g in differential_corpus(random_suite):
+            for e1 in range(1, g.m + 1):
+                for e2 in range(1, g.m + 1):
+                    if e1 != e2:
+                        assert lambda_set(g, e1, e2) == reference_lambda_set(g, e1, e2)
+
+    def test_out_of_range_edge_rejected(self):
+        g = generate("path:6")
+        for e1, e2 in ((0, 3), (3, 6), (-1, 3), (3, -1)):
+            with pytest.raises(GraphError, match="out of range"):
+                lambda_set(g, e1, e2)
+            with pytest.raises(GraphError, match="out of range"):
+                is_disconnected_pair(g, e1, e2)
+
 
 class TestDisconnectedPair:
     def test_adjacent_edges(self):
@@ -57,6 +108,14 @@ class TestDisconnectedPair:
         for e1 in range(1, g.m + 1):
             for e2 in range(e1 + 1, g.m + 1):
                 assert not is_disconnected_pair(g, e1, e2)
+
+    def test_matches_set_based_reference(self, random_suite):
+        for g in differential_corpus(random_suite):
+            for e1 in range(1, g.m + 1):
+                for e2 in range(1, g.m + 1):
+                    if e1 != e2:
+                        assert (is_disconnected_pair(g, e1, e2)
+                                == reference_is_disconnected_pair(g, e1, e2))
 
 
 class TestFamilyInequality:
@@ -150,6 +209,19 @@ class TestFacetHypothesis:
         with pytest.raises(GraphError):
             check_facet_hypothesis(g, 1, 5, (2,))
 
+    def test_matches_set_based_reference(self, random_suite):
+        seen = set()
+        for g in differential_corpus(random_suite):
+            for e1 in range(1, g.m + 1):
+                for e2 in range(e1 + 1, g.m + 1):
+                    if not reference_is_disconnected_pair(g, e1, e2):
+                        continue
+                    lam = reference_lambda_set(g, e1, e2)
+                    expect = reference_facet_hypothesis(g, e1, e2, lam)
+                    assert check_facet_hypothesis(g, e1, e2, lam) == expect, (e1, e2)
+                    seen.add(expect)
+        assert seen == {True, False}
+
     def test_positive_case(self):
         g = Graph(6, ((1, 2), (1, 3), (1, 4), (2, 5), (3, 4), (3, 6), (4, 5),
                       (4, 6)))
@@ -170,7 +242,6 @@ def reference_family(g):
             lam = lambda_set(g, e1, e2)
             cert = FamilyCertificate(
                 pair=(e1, e2), lam=lam,
-                path_precheck=path_precheck(g, e1, e2),
                 facet_certified=check_facet_hypothesis(g, e1, e2, lam))
             out.append((family_inequality(g, e1, e2), cert))
     return out
@@ -191,10 +262,9 @@ class TestGenerateFamily:
             assert [c for _, c in got] == [c for _, c in want]
             assert [row_key(q) for q, _ in got] == [row_key(q) for q, _ in want]
             certs += [c for _, c in got]
-        # the corpus reaches both outcomes of every certificate flag, and
+        # the corpus reaches both outcomes of the certificate flag, and
         # both empty and nonempty lambda sets
-        for flag in ("path_precheck", "facet_certified"):
-            assert {getattr(c, flag) for c in certs} == {True, False}, flag
+        assert {c.facet_certified for c in certs} == {True, False}
         assert {bool(c.lam) for c in certs} == {True, False}
 
     def test_k4_empty(self):

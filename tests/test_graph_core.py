@@ -115,13 +115,16 @@ class TestLineDistance:
         assert line_distance(g, 1, 2) == math.inf
 
     def test_matches_networkx_line_graph(self):
-        for seed in range(10):
-            g = random_connected_graph(seed)
+        graphs = [random_connected_graph(seed) for seed in range(10)] + kernel_corpus()
+        # disconnected inputs: every third edge of a connected graph dropped
+        graphs += [g.without_edges(range(1, g.m + 1, 3))[0] for g in graphs[:10]]
+        for g in graphs:
             L = nx.line_graph(to_networkx(g))
             dist = dict(nx.all_pairs_shortest_path_length(L))
             for e in range(1, g.m + 1):
                 for f in range(1, g.m + 1):
-                    assert line_distance(g, e, f) == dist[g.edges[e - 1]][g.edges[f - 1]]
+                    expect = dist[g.edges[e - 1]].get(g.edges[f - 1], math.inf)
+                    assert line_distance(g, e, f) == expect
 
     def test_metric_properties(self):
         for name in ["cycle:5", "cube:3", "j26"]:
@@ -154,6 +157,16 @@ class TestConnectedInduced:
                 for S in combinations(range(1, g.n + 1), size):
                     assert is_connected_induced(g, S) == nx.is_connected(G.subgraph(S))
 
+    def test_out_of_range_vertex_rejected(self):
+        g = generate("cycle:6")
+        for S in ({0}, {1, 7}, {-1, 2}, {2, 3, 4, 99}):
+            bad = next(v for v in S if not 1 <= v <= 6)
+            with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+                is_connected_induced(g, S)
+            if len(S) >= 3:
+                with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+                    is_biconnected_induced(g, S)
+
 
 def kernel_corpus():
     named = [generate(n) for n in ("petersen", "j26", "cube:3", "cube:4", "path:9")]
@@ -165,14 +178,15 @@ def kernel_corpus():
 class TestMaskKernel:
     def test_neighbor_masks_match_adjacency(self):
         for g in kernel_corpus():
-            nbr = g.neighbor_masks()
+            nbr = g.neighbor_masks
             assert nbr[0] == 0
             for v in range(1, g.n + 1):
                 assert nbr[v] == vertex_mask(g.neighbors(v))
 
     def test_cache_is_not_state(self):
+        # the mask tables take no part in equality or repr
         g, h = generate("j26"), generate("j26")
-        g.neighbor_masks()
+        g.neighbor_masks[1] = 0
         assert g == h and repr(g) == repr(h)
 
     def test_mask_round_trip(self):
@@ -183,7 +197,7 @@ class TestMaskKernel:
     def test_matches_set_bfs_on_random_subsets(self):
         rng = random.Random(7)
         for g in kernel_corpus():
-            nbr = g.neighbor_masks()
+            nbr = g.neighbor_masks
             for _ in range(25):
                 p = rng.random()
                 S = {v for v in range(1, g.n + 1) if rng.random() < p}
@@ -192,6 +206,44 @@ class TestMaskKernel:
                 for comp in expect:
                     for v in comp:
                         assert reach_within(nbr, vertex_mask(S), 1 << v) == vertex_mask(comp)
+
+
+def scan_edge_id(g, u, v):
+    """Reference edge id: a scan of g.edges for the normalised key."""
+    key = (min(u, v), max(u, v))
+    return next((i for i, e in enumerate(g.edges, start=1) if e == key), None)
+
+
+class TestMaskTables:
+    def test_match_edge_scan(self):
+        graphs = kernel_corpus() + [Graph(5, ((1, 2), (3, 4))), Graph(1, ()), Graph(0, ())]
+        for g in graphs:
+            assert g.endpoint_masks == [0] + [vertex_mask(e) for e in g.edges]
+            for v in range(1, g.n + 1):
+                at_v = [i for i, e in enumerate(g.edges, start=1) if v in e]
+                assert g.incident_edges(v) == at_v
+                assert g.neighbors(v) == sorted(u for i in at_v for u in g.edges[i - 1]
+                                                if u != v)
+            for u in range(-1, g.n + 2):
+                for v in range(-1, g.n + 2):
+                    assert g.edge_id(u, v) == scan_edge_id(g, u, v), (u, v)
+
+    def test_out_of_range_vertex(self):
+        g = generate("cycle:6")
+        for v in (0, 7, -1):
+            with pytest.raises(GraphError, match=f"vertex {v} out of range"):
+                g.neighbors(v)
+            with pytest.raises(GraphError, match=f"vertex {v} out of range"):
+                g.incident_edges(v)
+            assert g.edge_id(v, 1) is None and g.edge_id(6, v) is None
+        assert all(g.edge_id(v, v) is None for v in range(1, 7))
+
+    def test_cover_mask_checks_edge_ids(self):
+        g = generate("cycle:6")
+        assert g.cover_mask([1, 4]) == vertex_mask({1, 2, 4, 5})
+        for e in (0, 7, -1):
+            with pytest.raises(GraphError, match=f"edge id {e} out of range"):
+                g.cover_mask([1, e])
 
 
 class TestBiconnectedInduced:

@@ -10,9 +10,9 @@ from cmpoly.graph_core import Graph, GraphError, generate
 from cmpoly.matchings import (SizeLimitExceeded, brute_force_max_weight_cm,
                               enumerate_cm_sets, enumerate_connected_matchings,
                               exists_cm_superset, format_vrep, incidence_vector,
-                              is_connected_matching)
+                              is_connected_matching, is_matching)
 
-from conftest import random_connected_graph, to_networkx
+from conftest import random_connected_graph, set_bfs_components, to_networkx
 
 
 def oracle_cm_sets(g):
@@ -46,6 +46,29 @@ class TestPredicate:
 
     def test_non_matching_is_false(self):
         assert not is_connected_matching(generate("path:4"), [1, 2])
+
+    def test_matches_set_based_reference(self, random_suite):
+        # random edge tuples, drawn with replacement so that some repeat an edge
+        rng = random.Random(5)
+        repeats = 0
+        for g in random_suite:
+            for _ in range(30):
+                M = tuple(rng.randint(1, g.m) for _ in range(rng.randint(0, 4)))
+                repeats += len(set(M)) < len(M)
+                verts = [v for e in M for v in g.edges[e - 1]]
+                matching = len(verts) == len(set(verts))
+                assert is_matching(g, M) == matching, M
+                connected = matching and len(set_bfs_components(g, verts)) <= 1
+                assert is_connected_matching(g, M) == connected, M
+        assert repeats
+
+    def test_out_of_range_edge_rejected(self):
+        g = generate("cycle:6")
+        for M in ([0], [1, 7], [-1], [3, 3, -1]):
+            with pytest.raises(GraphError, match="out of range"):
+                is_matching(g, M)
+            with pytest.raises(GraphError, match="out of range"):
+                is_connected_matching(g, M)
 
 
 class TestEnumerate:

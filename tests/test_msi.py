@@ -9,7 +9,7 @@ from cmpoly.graph_core import Graph, GraphError, generate
 from cmpoly.inequality import Inequality
 from cmpoly.matchings import enumerate_cm_sets, enumerate_connected_matchings, incidence_vector
 from cmpoly.graph_core import is_separator
-from cmpoly.matchings import covered_vertices, is_connected_matching, is_matching
+from cmpoly.matchings import is_connected_matching, is_matching
 from cmpoly.msi import (Separator, _min_vertex_cut, _split_network, dominates,
                         is_minimal_separator, lazy_cut_for_disconnected,
                         minimal_separators_brute, minimalize, project_msi,
@@ -102,7 +102,7 @@ def reference_minimalize(g, s):
 def reference_lazy_cut(g, M):
     """Set-based lazy cut: a is the least vertex of the first component of
     the covered vertices, b the least vertex of the other components."""
-    covered = covered_vertices(g, M)
+    covered = {v for e in M for v in g.endpoints(e)}
     comps = set_bfs_components(g, covered)
     a = min(comps[0])
     b = min(min(c) for c in comps[1:])
@@ -174,6 +174,38 @@ class TestMinimalSeparator:
                 checked += 1
                 shrunk += got != s
         assert checked >= 300 and shrunk >= 100
+
+
+def parent_minimal_separators_brute(g, a, b, max_size=None):
+    """The earlier body: a separator test, then is_minimal_separator, which
+    validates the separator once more."""
+    if g.edge_id(a, b) is not None:
+        raise GraphError("adjacent pair has no separator")
+    rest = sorted(set(range(1, g.n + 1)) - {a, b})
+    limit = max_size if max_size is not None else len(rest)
+    found = []
+    for size in range(limit + 1):
+        for C in combinations(rest, size):
+            s = Separator(a, b, C)
+            if is_separator(g, a, b, C) and is_minimal_separator(g, s):
+                found.append(s)
+    return found
+
+
+class TestMinimalSeparatorsBrute:
+    def test_matches_parent_body(self, random_suite):
+        found = 0
+        for g in random_suite:
+            for a, b in nonadjacent_pairs(g):
+                for max_size in (None, 2):
+                    got = minimal_separators_brute(g, a, b, max_size)
+                    assert got == parent_minimal_separators_brute(g, a, b, max_size)
+                    found += len(got)
+        assert found
+
+    def test_adjacent_pair_rejected(self):
+        with pytest.raises(GraphError, match="adjacent"):
+            minimal_separators_brute(generate("cycle:6"), 1, 2)
 
 
 class TestProjectMsi:

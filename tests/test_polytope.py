@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations, product
 
+import networkx as nx
 import pytest
 import sympy
 
@@ -13,7 +14,8 @@ from cmpoly.polytope import (FacetClass, HRep, VRep, class_histogram, classify,
                              polytope_dimension, verify_valid, vrep)
 from cmpoly.rational_la import affine_dimension, rank
 
-from conftest import assert_primitive_int_row, random_connected_graph
+from conftest import (assert_primitive_int_row, random_connected_graph, set_bfs_components,
+                      to_networkx)
 
 
 def oracle_hull_facets(points):
@@ -219,6 +221,55 @@ class TestClassify:
             H = hrep(vrep(g))
             hist = class_histogram(H, g)
             assert sum(hist.values()) == len(H.facets)
+
+    def test_matches_set_based_reference(self, random_suite):
+        graphs = [generate(name) for name in CLASSIFY_NAMED] + random_suite[:40]
+        kinds = set()
+        for g in graphs:
+            for q in hrep(vrep(g)).facets:
+                got = classify(q, g)
+                assert got == reference_classify(q, g), q.format_line()
+                kinds.add(got.kind)
+        assert kinds == {"nonnegativity", "degree", "blossom", "family", "other"}
+
+
+def reference_classify(q, g):
+    """The set-based classification: degree rows against incident-edge sets,
+    blossoms against the edges induced by the covered vertex set, family
+    rows against set-based pair and lambda tests."""
+    ints, rhs = q.canonical()
+    support = [i + 1 for i, c in enumerate(ints) if c != 0]
+    if rhs == 0 and len(support) == 1 and ints[support[0] - 1] == -1:
+        return FacetClass("nonnegativity", (support[0],))
+    if rhs == 1 and all(c in (0, 1) for c in ints):
+        for v in range(1, g.n + 1):
+            inc = {i for i, e in enumerate(g.edges, start=1) if v in e}
+            if inc and set(support) == inc:
+                return FacetClass("degree", (v,))
+    if all(c in (0, 1) for c in ints):
+        H = tuple(sorted({v for e in support for v in g.edges[e - 1]}))
+        if len(H) >= 3 and len(H) % 2 == 1 and rhs == (len(H) - 1) // 2:
+            induced = {i for i, (u, v) in enumerate(g.edges, start=1) if u in H and v in H}
+            if set(support) == induced:
+                return FacetClass("blossom", (H,))
+    if rhs == 1 and all(c in (-1, 0, 1) for c in ints):
+        plus = [i + 1 for i, c in enumerate(ints) if c == 1]
+        minus = tuple(sorted(i + 1 for i, c in enumerate(ints) if c == -1))
+        if len(plus) == 2:
+            a, b = set(g.edges[plus[0] - 1]), set(g.edges[plus[1] - 1])
+            if not a & b and len(set_bfs_components(g, a | b)) > 1:
+                L = nx.line_graph(to_networkx(g))
+                dist = nx.single_source_shortest_path_length
+                d1, d2 = (dist(L, g.edges[e - 1]) for e in plus)
+                lam = tuple(f for f, uv in enumerate(g.edges, start=1)
+                            if d1.get(uv) == 2 and d2.get(uv) == 2)
+                if minus == lam:
+                    return FacetClass("family", (tuple(plus), minus))
+    return FacetClass("other")
+
+
+CLASSIFY_NAMED = (["path:%d" % k for k in range(2, 8)] + ["cycle:%d" % k for k in range(3, 8)]
+                  + ["cube:3", "petersen", "j26"])
 
 
 class TestExport:
