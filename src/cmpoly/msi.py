@@ -61,7 +61,9 @@ def is_minimal_separator(g, s):
 
 def minimalize(g, s):
     """Shrink C to a minimal separator by dropping, one at a time, the least
-    member without a neighbor on both sides of G - C."""
+    member without a neighbor on both sides of G - C.  C must separate a
+    from b in g (GraphError otherwise)."""
+    s.validate(g)
     C = vertex_mask(s.C)
     while (u := _redundant_vertex(g, s.a, s.b, C)) is not None:
         C ^= 1 << u

@@ -69,7 +69,29 @@ def hrep(V):
     lexicographic matching enumeration, which keeps intermediate ray counts
     small; aggressive reorderings (for example most-violated-first) were
     observed to inflate intermediates by two orders of magnitude on dense
-    inputs.  Adjacency of rays is decided by the tight-set containment test.
+    inputs.  Each step computes the products y.(1,p) from the nonzero entries
+    of (1,p) only.
+
+    Adjacency is read from a per-constraint ray index (Fukuda & Prodon,
+    *Double description method revisited*, 1996, as cddlib keeps it).  Each
+    ray keeps a fixed slot for its whole life; the int mask `alive` marks
+    the slots in use, and a removed ray only clears its bit there.  Bit b of
+    a ray's tight mask is the b-th processed constraint, and `tight_on[b]`
+    masks the slots of the rays tight on it.  A positive and a negative ray
+    whose tight masks meet in `common` (at least m - 1 constraints) are
+    adjacent when no third ray, a witness, is tight on all of `common`: when
+    `alive` and `tight_on[b]` over the bits b of `common` intersect in the
+    two rays alone.  The intersection runs from the newest constraint down
+    (high bit first) and stops as soon as only the two are left.  A pair
+    first tries the last witness found against either of its rays in the
+    step, since neighbouring pairs tend to share one; a hit proves the pair
+    non-adjacent with one mask test.
+
+    A step's new rays enter the index only after its pair loop, so the
+    witnesses are exactly the rays present when the step began.  Adjacency
+    is a property of the cone before the step, and those rays are its
+    extreme rays; a new ray lies inside a two-dimensional face of that cone,
+    so it is not one of them.
     """
     m = V.m
     dim = m + 1
@@ -81,47 +103,85 @@ def hrep(V):
         # A single point has no facets; the lone ray is the trivial row 0 <= 1.
         return HRep(())
 
-    rays = inverse_columns([cons[i] for i in basis_idx])
-    done = dim   # constraints processed; bit k of a tight mask is the k-th one
+    rays = inverse_columns([cons[i] for i in basis_idx])   # by slot; None once removed
     tight = [(1 << dim) - 1 - (1 << i) for i in range(dim)]
+    live = list(range(dim))
+    alive = (1 << dim) - 1
+    tight_on = [alive ^ (1 << b) for b in range(dim)]
 
+    need = m - 1   # adjacent rays share at least m - 1 tight constraints
     chosen = set(basis_idx)
     rest = [i for i in range(len(cons)) if i not in chosen]
 
     for ci in rest:
-        a = cons[ci]
-        bit = 1 << done
-        done += 1
-        s = [sum(x * y for x, y in zip(a, r)) for r in rays]
-        if all(v >= 0 for v in s):
-            tight = [t | (bit if v == 0 else 0) for t, v in zip(tight, s)]
-            continue
-        keep_r, keep_t = [], []
-        pos, neg = [], []
-        for k, v in enumerate(s):
+        nz = [(j, x) for j, x in enumerate(cons[ci]) if x]
+        bit = 1 << len(tight_on)
+        keep, pos, neg = [], [], []
+        zero = dead = 0
+        for k in live:
+            r = rays[k]
+            v = sum(r[j] * x for j, x in nz)
             if v >= 0:
-                keep_r.append(rays[k])
-                keep_t.append(tight[k] | (bit if v == 0 else 0))
-            if v > 0:
-                pos.append(k)
-            elif v < 0:
-                neg.append(k)
-        for kp in pos:
-            for kn in neg:
-                common = tight[kp] & tight[kn]
-                if common.bit_count() < m - 1:
+                keep.append(k)
+                if v:
+                    pos.append((k, v))
+                else:
+                    zero |= 1 << k
+                    tight[k] |= bit
+            else:
+                neg.append((k, v, tight[k]))
+                dead |= 1 << k
+        tight_on.append(zero)
+        if not neg:
+            continue
+        new = []
+        witness = {}   # slot -> the last witness found against it in this step
+        for kp, vp in pos:
+            tp = tight[kp]
+            close = [q for q in neg if (tp & q[2]).bit_count() >= need]
+            if not close:
+                continue
+            rp, bp = rays[kp], 1 << kp
+            for kn, vn, tn in close:
+                common = tp & tn
+                w = witness.get(kp)
+                if w is not None and w != kn and tight[w] & common == common:
                     continue
-                if any(k != kp and k != kn and common & tight[k] == common
-                       for k in range(len(rays))):
+                w = witness.get(kn)
+                if w is not None and w != kp and tight[w] & common == common:
+                    witness[kp] = w
+                    continue
+                pair = bp | 1 << kn
+                left, cand = common, alive
+                while left and cand != pair:
+                    b = left.bit_length() - 1
+                    cand &= tight_on[b]
+                    left ^= 1 << b
+                if cand != pair:
+                    others = cand ^ pair
+                    witness[kp] = witness[kn] = (others & -others).bit_length() - 1
                     continue
                 # a positive combination of the two parents: tight exactly
                 # where both are, and on the new constraint
-                keep_r.append(integer_row([s[kp] * rays[kn][j] - s[kn] * rays[kp][j]
-                                           for j in range(dim)]))
-                keep_t.append(common | bit)
-        rays, tight = keep_r, keep_t
+                rn = rays[kn]
+                new.append((integer_row([vp * y - vn * x for x, y in zip(rp, rn)]),
+                            common | bit))
+        for k, _, _ in neg:
+            rays[k] = tight[k] = None
+        base = len(rays)
+        added = [0] * len(tight_on)
+        for i, (ray, t) in enumerate(new):
+            rays.append(ray)
+            tight.append(t)
+            for b in mask_bits(t):
+                added[b] |= 1 << i
+        for b, slots in enumerate(added):
+            if slots:
+                tight_on[b] |= slots << base
+        alive = (alive ^ dead) | ((1 << len(new)) - 1) << base
+        live = keep + list(range(base, base + len(new)))
 
-    facets = [Inequality([-v for v in y[1:]], y[0]) for y in rays]
+    facets = [Inequality([-v for v in rays[k][1:]], rays[k][0]) for k in live]
     facets.sort(key=lambda q: (q.coeffs, q.rhs))
     return HRep(tuple(facets))
 

@@ -3,7 +3,7 @@
 The files in tests/golden/ were generated from the repository root with:
 
     cd tests/golden
-    for n in j26 cycle:7 path:7 cube:3; do
+    for n in j26 cycle:7 path:7 cube:3 cycle:10; do
         f=$(echo $n | tr -d :)
         cmpoly gen --name $n -o $f.g
         cmpoly hrep -g $f.g --no-meta -o hrep_$f.txt
@@ -19,10 +19,12 @@ The files in tests/golden/ were generated from the repository root with:
     cmpoly msi -g j26.g --dominance --no-meta -o msi_j26.txt
     cmpoly msi -g cycle7.g --max-separator 2 --no-meta -o msi_cycle7.txt
 
-cycle8w.g is a hand-written weighted 8-cycle whose best matching {1,5} is
-disconnected, so the solver has to connect it.  mixed8.g is a hand-written
-8-vertex graph whose family has a facet-certified row, rows that are not,
-and a row with an empty lambda set.  A change to any of these
+hrep_cycle10.txt (235 facets) is the largest hull here, so its double
+description keeps the most rays per step.  cycle8w.g is a hand-written
+weighted 8-cycle whose best matching {1,5} is disconnected, so the solver
+has to connect it.  mixed8.g is a hand-written 8-vertex graph whose family
+has a facet-certified row, rows that are not, and a row with an empty
+lambda set.  A change to any of these
 outputs is a change to what cmpoly proves; regenerate them only on purpose.
 """
 
@@ -39,6 +41,7 @@ CASES = [
     (["hrep", "-g", "cycle7.g"], "hrep_cycle7.txt"),
     (["hrep", "-g", "path7.g"], "hrep_path7.txt"),
     (["hrep", "-g", "cube3.g"], "hrep_cube3.txt"),
+    (["hrep", "-g", "cycle10.g"], "hrep_cycle10.txt"),
     (["classify", "-g", "j26.g", "--ineq", "hrep_j26.txt"], "classify_j26.txt"),
     (["verify", "-g", "j26.g", "--ineq", "hrep_j26.txt"], "verify_j26.txt"),
     (["solve", "-g", "cycle8w.g"], "solve_cycle8w.txt"),

@@ -154,6 +154,13 @@ class TestMinimalSeparator:
         assert set(s.C) in ({2, 6}, {3, 6})
         assert is_minimal_separator(g, s)
 
+    @pytest.mark.parametrize("C", [(0, 2, 6), (2, 6, 7), (2, 6, -1), (2,)],
+                             ids=["vertex-0", "vertex-past-n", "negative-vertex",
+                                  "not-separating"])
+    def test_minimalize_rejects_invalid_separator(self, C):
+        with pytest.raises(GraphError):
+            minimalize(generate("cycle:6"), Separator(1, 4, C))
+
     def test_out_of_range_endpoint_rejected(self):
         g = generate("cycle:6")
         for s in (Separator(1, 99, (2, 6)), Separator(1, 4, (2, 6, 99))):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -12,7 +13,8 @@ from cmpoly.matchings import enumerate_connected_matchings
 from cmpoly.polytope import (FacetClass, HRep, VRep, class_histogram, classify,
                              export_vrep_interop, face_dimension, hrep, is_facet,
                              polytope_dimension, verify_valid, vrep)
-from cmpoly.rational_la import affine_dimension, rank
+from cmpoly.rational_la import (affine_dimension, eliminate, integer_row, inverse_columns,
+                                rank)
 
 from conftest import (assert_primitive_int_row, random_connected_graph, set_bfs_components,
                       to_networkx)
@@ -54,6 +56,98 @@ def _nullspace_vector(rows, m):
     return [Fraction(str(x)) for x in basis[0]]
 
 
+def reference_hrep(V):
+    """The double description body before the per-constraint ray index,
+    kept verbatim as the differential reference: the same insertion order
+    and canonicalization, with adjacency decided by scanning every ray of
+    the step for one tight on all of `common`."""
+    m = V.m
+    dim = m + 1
+    cons = [integer_row((1, *p)) for p in V.points]
+    basis_idx, _ = eliminate(cons)
+    if len(basis_idx) != dim:
+        raise GraphError("hrep requires a full-dimensional V-description")
+    if m == 0:
+        # A single point has no facets; the lone ray is the trivial row 0 <= 1.
+        return HRep(())
+
+    rays = inverse_columns([cons[i] for i in basis_idx])
+    done = dim   # constraints processed; bit k of a tight mask is the k-th one
+    tight = [(1 << dim) - 1 - (1 << i) for i in range(dim)]
+
+    chosen = set(basis_idx)
+    rest = [i for i in range(len(cons)) if i not in chosen]
+
+    for ci in rest:
+        a = cons[ci]
+        bit = 1 << done
+        done += 1
+        s = [sum(x * y for x, y in zip(a, r)) for r in rays]
+        if all(v >= 0 for v in s):
+            tight = [t | (bit if v == 0 else 0) for t, v in zip(tight, s)]
+            continue
+        keep_r, keep_t = [], []
+        pos, neg = [], []
+        for k, v in enumerate(s):
+            if v >= 0:
+                keep_r.append(rays[k])
+                keep_t.append(tight[k] | (bit if v == 0 else 0))
+            if v > 0:
+                pos.append(k)
+            elif v < 0:
+                neg.append(k)
+        for kp in pos:
+            for kn in neg:
+                common = tight[kp] & tight[kn]
+                if common.bit_count() < m - 1:
+                    continue
+                if any(k != kp and k != kn and common & tight[k] == common
+                       for k in range(len(rays))):
+                    continue
+                # a positive combination of the two parents: tight exactly
+                # where both are, and on the new constraint
+                keep_r.append(integer_row([s[kp] * rays[kn][j] - s[kn] * rays[kp][j]
+                                           for j in range(dim)]))
+                keep_t.append(common | bit)
+        rays, tight = keep_r, keep_t
+
+    facets = [Inequality([-v for v in y[1:]], y[0]) for y in rays]
+    facets.sort(key=lambda q: (q.coeffs, q.rhs))
+    return HRep(tuple(facets))
+
+
+def facet_rows(H):
+    return [(q.coeffs, q.rhs) for q in H.facets]
+
+
+def random_int_vrep(rng):
+    """Up to d + 12 distinct points of [-3, 3]^d with d <= 5, so that rows
+    carry zeros and coefficients other than 0 and 1."""
+    d = rng.randint(1, 5)
+    pts = {tuple(rng.randint(-3, 3) for _ in range(d))
+           for _ in range(rng.randint(d + 1, d + 12))}
+    return VRep(d, tuple(sorted(pts)))
+
+
+def distinct_small_graphs(count, m_cap=6):
+    """The first `count` distinct random connected graphs with 4-5 vertices
+    and at most m_cap edges, in seed order."""
+    graphs = {}
+    seed = 0
+    while len(graphs) < count:
+        g = random_connected_graph(seed, n_lo=4, n_hi=5, m_cap=m_cap)
+        graphs.setdefault((g.n, g.edges), g)
+        seed += 1
+    return list(graphs.values())
+
+
+# Four points on the plane z = x + y in R^3: a square of dimension 2.
+PLANE_SQUARE = VRep(3, ((0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2)))
+
+DIFF_NAMED = (["j26", "cube:3", "petersen"] + ["cycle:%d" % k for k in range(7, 12)]
+              + ["path:%d" % k for k in range(7, 14)])
+
+
 class TestDimension:
     def test_path3(self):
         assert polytope_dimension(vrep(generate("path:3"))) == 2
@@ -85,6 +179,11 @@ class TestHrep:
             got = {q.canonical() for q in hrep(V).facets}
             assert got == oracle_hull_facets(V.points)
 
+    @pytest.mark.parametrize("g", distinct_small_graphs(10), ids=lambda g: str(g.edges))
+    def test_matches_brute_force_on_random_graphs(self, g):
+        V = vrep(g)
+        assert {q.canonical() for q in hrep(V).facets} == oracle_hull_facets(V.points)
+
     def test_facets_are_primitive_int(self):
         for name in ["j26", "cycle:7", "cube:3"]:
             V = vrep(generate(name))
@@ -97,9 +196,9 @@ class TestHrep:
         assert hrep(vrep(Graph(3, ()))) == HRep(())
 
     def test_rejects_flat_input(self):
-        V = VRep(2, ((0, 0), (1, 1)))
-        with pytest.raises(GraphError):
-            hrep(V)
+        for V in (VRep(2, ((0, 0), (1, 1))), PLANE_SQUARE):
+            with pytest.raises(GraphError):
+                hrep(V)
 
     def test_deterministic_order(self):
         g = generate("cycle:5")
@@ -128,6 +227,36 @@ class TestHrep:
                 violated = [r for r in H.facets
                             if r.evaluate(beyond) > r.rhs]
                 assert violated == [q]
+
+
+class TestHrepAgainstScan:
+    """hrep against `reference_hrep`, the scan-based adjacency test: equal
+    facet lists, in order."""
+
+    @pytest.mark.parametrize("name", DIFF_NAMED)
+    def test_named(self, name):
+        V = vrep(generate(name))
+        assert facet_rows(hrep(V)) == facet_rows(reference_hrep(V))
+
+    def test_random_suite(self, random_suite):
+        for g in random_suite:
+            V = vrep(g)
+            assert facet_rows(hrep(V)) == facet_rows(reference_hrep(V)), g.edges
+
+    def test_integer_vreps(self):
+        rng = random.Random(11)
+        full = flat = 0
+        for _ in range(300):
+            V = random_int_vrep(rng)
+            if affine_dimension(V.points) < V.m:
+                for f in (hrep, reference_hrep):
+                    with pytest.raises(GraphError):
+                        f(V)
+                flat += 1
+                continue
+            assert facet_rows(hrep(V)) == facet_rows(reference_hrep(V)), V
+            full += 1
+        assert full >= 250 and flat >= 1
 
 
 class TestVerifyValid:
@@ -174,6 +303,19 @@ class TestFaceDimension:
         V = vrep(generate("path:3"))
         with pytest.raises(GraphError):
             face_dimension(Inequality([1, 1], 0), V)
+
+    @pytest.mark.parametrize("coeffs,rhs,dim", [
+        ((1, 0, 0), 1, 1),     # x <= 1: an edge of the square
+        ((0, -1, 1), 1, 1),    # z - y <= 1 is x <= 1 on the plane
+        ((-1, -1, 1), 0, 2),   # z - x - y <= 0 holds with equality everywhere
+        ((1, 1, 0), 2, 0),     # x + y <= 2: the vertex (1, 1, 2)
+        ((0, 0, 1), 3, -1),    # z <= 3: no point is tight
+    ])
+    def test_flat_vrep(self, coeffs, rhs, dim):
+        q = Inequality(coeffs, rhs)
+        assert polytope_dimension(PLANE_SQUARE) == 2
+        assert face_dimension(q, PLANE_SQUARE) == dim
+        assert is_facet(q, PLANE_SQUARE) == (dim == 1)
 
     def test_c6_family_row_is_facet(self):
         g = generate("cycle:6")
