@@ -175,68 +175,59 @@ def build_parser():
         description="Inspect and optimize over the connected matching polytope.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=True):
-        if graph:
-            p.add_argument("-g", "--graph", required=True, help="graph file")
+    def command(name, func, summary, count_limit=False, tsv=False):
+        """A graph subcommand: the flags every one reads, plus the ones it asks for."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("-g", "--graph", required=True, help="graph file")
         p.add_argument("-o", "--output", default=None, help="output file")
         p.add_argument("--limit", type=int, default=20,
                        help="max edge count accepted (default 20)")
-        p.add_argument("--count-limit", type=int, default=200_000,
-                       help="max enumerated matchings (default 200000)")
-        p.add_argument("--tsv", action="store_true",
-                       help="machine-readable output")
+        if count_limit:
+            p.add_argument("--count-limit", type=int, default=200_000,
+                           help="max enumerated matchings (default 200000)")
+        if tsv:
+            p.add_argument("--tsv", action="store_true",
+                           help="machine-readable output")
         p.add_argument("--no-meta", action="store_true",
                        help="suppress non-reproducible report lines")
+        p.set_defaults(func=func)
+        return p
 
     p = sub.add_parser("gen", help="write a generated graph")
     p.add_argument("--name", required=True)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("enumerate", help="V-description of the polytope")
-    common(p)
-    p.set_defaults(func=cmd_enumerate)
+    command("enumerate", cmd_enumerate, "V-description of the polytope", count_limit=True)
+    command("hrep", cmd_hrep, "minimal facet description + class histogram",
+            count_limit=True, tsv=True)
 
-    p = sub.add_parser("hrep", help="minimal facet description + class histogram")
-    common(p)
-    p.set_defaults(func=cmd_hrep)
-
-    p = sub.add_parser("family", help="generate the pairwise inequality family")
-    common(p)
+    p = command("family", cmd_family, "generate the pairwise inequality family", tsv=True)
     p.add_argument("--certify", action="store_true",
                    help="report the facet certificate per row")
-    p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("classify", help="classify rows of an inequality file")
-    common(p)
+    p = command("classify", cmd_classify, "classify rows of an inequality file", tsv=True)
     p.add_argument("--ineq", required=True, help="inequality file")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("msi", help="projected minimal separator inequalities")
-    common(p)
+    p = command("msi", cmd_msi, "projected minimal separator inequalities")
     p.add_argument("--max-separator", type=int, default=None,
                    help="cap on brute-force separator size")
     p.add_argument("--dominance", action="store_true",
                    help="mark rows dominated by a family inequality")
-    p.set_defaults(func=cmd_msi)
 
-    p = sub.add_parser("solve", help="branch-and-cut on the graph's weights")
-    common(p)
+    p = command("solve", cmd_solve, "branch-and-cut on the graph's weights", count_limit=True)
     p.add_argument("--oracle-check", action="store_true",
                    help="compare against the brute-force oracle")
     p.add_argument("--no-family-cuts", action="store_true")
     p.add_argument("--no-msi", action="store_true")
     p.add_argument("--node-limit", type=int, default=100_000)
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("verify", help="check an inequality file against vrep")
-    common(p)
+    p = command("verify", cmd_verify, "check an inequality file against vrep",
+                count_limit=True)
     p.add_argument("--ineq", required=True, help="inequality file")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("export", help="interop POINTS export of the V-description")
-    common(p)
-    p.set_defaults(func=cmd_export)
+    command("export", cmd_export, "interop POINTS export of the V-description",
+            count_limit=True)
 
     return parser
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph_core import (GraphError, is_biconnected_mask, is_connected_mask, mask_bits,
-                         reach_within, union_over)
+                         union_over)
 from .inequality import Inequality
 from .matchings import exists_cm_superset
 
@@ -87,30 +87,6 @@ def check_validity_hypothesis(g, e1, e2):
 
 def _is_valid(g, e1, e2, lam):
     return not exists_cm_superset(g, [e1, e2], forbidden=lam)
-
-
-def path_precheck(g, e1, e2):
-    """Fast filter: e1 and e2 lie in different components of G minus the
-    lambda edges.  Usually implies the validity hypothesis, but not always:
-    a matching avoiding the lambda edges can still be connected through one
-    of them, so a positive precheck is no substitute for the exact test."""
-    # Two edges share a component of a graph exactly when their endpoints do.
-    nbr = list(g.neighbor_masks)
-    for f in lambda_set(g, e1, e2):
-        u, v = g.endpoints(f)
-        nbr[u] &= ~(1 << v)
-        nbr[v] &= ~(1 << u)
-    reach = reach_within(nbr, g.all_vertices, g.endpoint_masks[e1])
-    return not reach & g.endpoint_masks[e2]
-
-
-def check_facet_hypothesis(g, e1, e2, L):
-    """Facet conditions: L nonempty, L a clique in the line graph, and each
-    triple {e1,e2,f} inducing a 2-connected subgraph."""
-    L = tuple(sorted(L))
-    if L != lambda_set(g, e1, e2):
-        raise GraphError("L must equal the lambda set of the pair")
-    return _facet_hypothesis(g, e1, e2, L)
 
 
 def _facet_hypothesis(g, e1, e2, lam):

@@ -15,10 +15,6 @@ class ParseError(GraphError):
     """Malformed graph file; message names the offending line."""
 
 
-class DegenerateInput(GraphError):
-    """Predicate applied outside its meaningful domain (e.g. |S| < 3)."""
-
-
 @dataclass
 class Graph:
     """Simple undirected graph with 1-based vertices and stable 1-based edge ids.
@@ -98,20 +94,6 @@ class Graph:
             return None
         common = self.incident_masks[u] & self.incident_masks[v]
         return common.bit_length() - 1 if common else None
-
-    def without_edges(self, edge_ids):
-        """Copy of the graph with the given edge ids deleted (vertices kept).
-
-        Returns (graph, idmap) where idmap maps surviving old ids to new ids.
-        """
-        drop = set(edge_ids)
-        kept = [i for i in range(1, self.m + 1) if i not in drop]
-        idmap = {old: new for new, old in enumerate(kept, start=1)}
-        edges = tuple(self.edges[i - 1] for i in kept)
-        weights = None
-        if self.weights is not None:
-            weights = tuple(self.weights[i - 1] for i in kept)
-        return Graph(self.n, edges, weights), idmap
 
 
 def _check_edge(n, u, v, seen):
@@ -341,18 +323,6 @@ def is_biconnected_mask(g, mask):
 def is_connected_induced(g, S):
     """True iff G[S] is connected; empty and singleton sets count as connected."""
     return is_connected_mask(g, vertex_mask(_vertex(g, v) for v in S))
-
-
-def is_biconnected_induced(g, S):
-    """True iff G[S] is connected with no articulation vertex.
-
-    Raises DegenerateInput for |S| < 3; the predicate is only meaningful
-    on larger vertex sets.
-    """
-    S = set(S)
-    if len(S) < 3:
-        raise DegenerateInput(f"biconnectivity needs |S| >= 3, got {len(S)}")
-    return is_biconnected_mask(g, vertex_mask(_vertex(g, v) for v in S))
 
 
 def is_separator(g, a, b, C):

@@ -37,9 +37,6 @@ class Inequality:
     def evaluate(self, x):
         return sum(c * v for c, v in zip(self.coeffs, x))
 
-    def is_satisfied(self, x):
-        return self.evaluate(x) <= self.rhs
-
     def canonical(self):
         """Integer form (coeff tuple, rhs) with overall gcd 1: the stored row."""
         return self.coeffs, self.rhs
@@ -65,8 +62,13 @@ def parse_inequality_line(line):
     mt = re.match(r"^(.*)<=\s*(-?\d+(?:/\d+)?)\s*$", body)
     if not mt:
         raise ValueError(f"bad inequality line: {line!r}")
-    coeffs = [Fraction(t) for t in mt.group(1).split()]
-    rhs = Fraction(mt.group(2))
+    values = []
+    for t in [*mt.group(1).split(), mt.group(2)]:
+        try:
+            values.append(Fraction(t))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad inequality entry {t!r} in line {line!r}") from None
+    *coeffs, rhs = values
     tag = ""
     tm = re.search(r"tag=(\S+)", comment)
     if tm:

@@ -52,13 +52,6 @@ def _redundant_vertex(g, a, b, C):
     return None
 
 
-def is_minimal_separator(g, s):
-    """True iff every vertex of C neighbors both the a-side and b-side
-    components of G - C (no proper subset of C separates)."""
-    s.validate(g)
-    return _redundant_vertex(g, s.a, s.b, vertex_mask(s.C)) is None
-
-
 def minimalize(g, s):
     """Shrink C to a minimal separator by dropping, one at a time, the least
     member without a neighbor on both sides of G - C.  C must separate a
@@ -221,6 +214,8 @@ def lazy_cut_for_disconnected(g, M):
 def minimal_separators_brute(g, a, b, max_size=None):
     """All minimal (a,b)-separators by subset enumeration (test scale only)."""
     from itertools import combinations
+    if max_size is not None and max_size < 0:
+        raise GraphError(f"separator size cap must be >= 0, got {max_size}")
     if g.edge_id(a, b) is not None:
         raise GraphError("adjacent pair has no separator")
     rest = [v for v in range(1, g.n + 1) if v not in (a, b)]

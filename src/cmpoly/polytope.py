@@ -186,8 +186,16 @@ def hrep(V):
     return HRep(tuple(facets))
 
 
+def _check_width(q, m):
+    """Reject a row whose coefficient count is not the edge count m: a
+    product over zip would silently drop the entries past the shorter side."""
+    if q.m != m:
+        raise GraphError(f"row has {q.m} coefficients, the graph has {m} edges")
+
+
 def verify_valid(q, V):
     """Points of V violating q (empty list means q is valid)."""
+    _check_width(q, V.m)
     return [p for p in V.points if q.evaluate(p) > q.rhs]
 
 
@@ -201,15 +209,12 @@ def face_dimension(q, V):
     return affine_dimension(tight)
 
 
-def is_facet(q, V):
-    return face_dimension(q, V) == polytope_dimension(V) - 1
-
-
 def classify(q, g):
     """Exclusive classification of a canonical facet row against its graph.
 
     Precedence: nonnegativity, degree, blossom, family, other.
     """
+    _check_width(q, g.m)
     ints, rhs = q.canonical()
     support = [i + 1 for i, c in enumerate(ints) if c != 0]
     sup = sum(1 << e for e in support)   # edge-id mask

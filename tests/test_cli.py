@@ -1,13 +1,32 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
 import cmpoly
 from cmpoly.cli import run
 from cmpoly.graph_core import format_graph, generate, parse_graph
-from cmpoly.matchings import enumerate_cm_sets
+from cmpoly.inequality import parse_inequality_line
+from cmpoly.matchings import enumerate_cm_sets, is_connected_matching
+
+# Inputs at the edge of the domain: each graph subcommand must answer them
+# correctly or refuse them with exit 1.
+DEGENERATE = {
+    "no-vertices": "p 0 0\n",
+    "no-edges": "p 3 0\n",
+    "edge-and-isolated": "p 3 1\ne 1 2\n",
+    "two-k2": "p 4 2\ne 1 2\ne 3 4\n",
+    # two components and the isolated vertex 6
+    "disconnected-isolated": "p 6 3\ne 1 2\ne 2 3\ne 4 5\n",
+    "huge-weights":
+        "p 5 4\n"
+        "e 1 2 w 123456789012345678901234567891/987654321098765432109876543211\n"
+        "e 2 3 w 314159265358979323846264338327/271828182845904523536028747135\n"
+        "e 3 4 w 161803398874989484820458683436/141421356237309504880168872420\n"
+        "e 4 5 w -577215664901532860606512090082/299792458000000000000000000001\n",
+}
 
 
 @pytest.fixture
@@ -24,10 +43,28 @@ def c6_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture(params=list(DEGENERATE))
+def degenerate_file(request, tmp_path):
+    path = tmp_path / "g.g"
+    path.write_text(DEGENERATE[request.param])
+    return str(path)
+
+
 def invoke(argv, capsys):
     code = run(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def answer_or_refusal(argv, capsys):
+    """The output of a run that exits 0, or None for a clean refusal: exit 1
+    with an `error:` line and nothing on stdout."""
+    code, out, err = invoke(argv, capsys)
+    if code == 1:
+        assert out == "" and err.startswith("error:")
+        return None
+    assert code == 0 and err == ""
+    return out
 
 
 class TestGen:
@@ -107,6 +144,11 @@ class TestClassifyCmd:
 
 
 class TestMsiCmd:
+    def test_negative_max_separator_exits_one(self, c6_file, capsys):
+        code, out, err = invoke(["msi", "-g", c6_file, "--max-separator", "-1"], capsys)
+        assert code == 1
+        assert out == "" and "cap must be >= 0" in err
+
     def test_c6_rows(self, c6_file, capsys):
         code, out, _ = invoke(["msi", "-g", c6_file, "--max-separator", "2"],
                               capsys)
@@ -127,20 +169,8 @@ class TestSolve:
         assert code == 0
         assert out.strip().endswith("MATCH")
 
-    @pytest.mark.parametrize("text", [
-        "p 3 0\n",
-        # two components and the isolated vertex 6
-        "p 6 3\ne 1 2\ne 2 3\ne 4 5\n",
-        "p 5 4\n"
-        "e 1 2 w 123456789012345678901234567891/987654321098765432109876543211\n"
-        "e 2 3 w 314159265358979323846264338327/271828182845904523536028747135\n"
-        "e 3 4 w 161803398874989484820458683436/141421356237309504880168872420\n"
-        "e 4 5 w -577215664901532860606512090082/299792458000000000000000000001\n",
-    ], ids=["no-edges", "disconnected-isolated", "huge-weights"])
-    def test_degenerate_input_matches_oracle(self, text, tmp_path, capsys):
-        path = tmp_path / "g.g"
-        path.write_text(text)
-        code, out, _ = invoke(["solve", "-g", str(path), "--oracle-check",
+    def test_degenerate_input_matches_oracle(self, degenerate_file, capsys):
+        code, out, _ = invoke(["solve", "-g", degenerate_file, "--oracle-check",
                                "--no-meta"], capsys)
         assert code == 0
         assert out.splitlines()[-1] == "MATCH"
@@ -201,6 +231,112 @@ class TestExport:
         lines = out.splitlines()
         assert lines[0] == "POINTS"
         assert lines[1] == "1 0 0 0 0 0 0"
+
+
+class TestIneqInput:
+    """verify and classify refuse a row they cannot read against the graph."""
+
+    @pytest.mark.parametrize("command", ["verify", "classify"])
+    @pytest.mark.parametrize("rows,message", [
+        ("h 9 1\n0 0 0 0 0 0 0 0 -1 <= 0\n", "row has 9 coefficients"),
+        ("h 2 1\n1 1 <= 1\n", "row has 2 coefficients"),
+        ("h 10 1\n1 1 1 1 1 1 1 1 5 5 <= 4\n", "row has 10 coefficients"),
+        ("h 8 1\n1/0 0 0 0 0 0 0 0 <= 1\n", "bad inequality entry '1/0'"),
+        ("h 8 1\n1 0 0 0 0 0 0 0 <= 1/0\n", "bad inequality entry '1/0'"),
+    ], ids=["width-9", "width-2", "width-10", "zero-denominator", "zero-denominator-rhs"])
+    def test_exits_one_with_error(self, command, rows, message, tmp_path, capsys):
+        graph, ineq = tmp_path / "c8.g", tmp_path / "rows.ineq"
+        graph.write_text(format_graph(generate("cycle:8")))
+        ineq.write_text(rows)
+        code, out, err = invoke([command, "-g", str(graph), "--ineq", str(ineq)], capsys)
+        assert code == 1
+        assert out == "" and err.startswith("error:") and message in err
+
+
+def connected_matching_vectors(g):
+    """Incidence vectors of the connected matchings, by trying every edge subset."""
+    edges = range(1, g.m + 1)
+    return {tuple(int(e in M) for e in edges)
+            for k in range(g.m + 1) for M in combinations(edges, k)
+            if is_connected_matching(g, M)}
+
+
+class TestDegenerateInput:
+    """Each graph subcommand on DEGENERATE: a checked answer or exit 1.
+    TestSolve::test_degenerate_input_matches_oracle covers solve."""
+
+    @pytest.mark.parametrize("command", ["enumerate", "export"])
+    def test_points_are_the_connected_matchings(self, command, degenerate_file, capsys):
+        out = answer_or_refusal([command, "-g", degenerate_file], capsys)
+        if out is None:
+            return
+        with open(degenerate_file) as fh:
+            vecs = connected_matching_vectors(parse_graph(fh.read()))
+        head, *lines = out.splitlines()
+        points = [tuple(map(int, ln.split())) for ln in lines]
+        if command == "export":
+            assert head == "POINTS" and {p[0] for p in points} == {1}
+            points = [p[1:] for p in points]
+        else:
+            assert head.endswith(f" k {len(vecs)}")
+        assert len(points) == len(vecs) and set(points) == vecs
+
+    @pytest.mark.parametrize("command", ["family", "msi"])
+    def test_rows_are_valid(self, command, degenerate_file, capsys):
+        out = answer_or_refusal([command, "-g", degenerate_file], capsys)
+        if out is None:
+            return
+        with open(degenerate_file) as fh:
+            vecs = connected_matching_vectors(parse_graph(fh.read()))
+        for line in filter(None, out.splitlines()):
+            q = parse_inequality_line(line)
+            assert all(q.evaluate(x) <= q.rhs for x in vecs), line
+
+    def test_hrep_rows_verify_and_classify(self, degenerate_file, tmp_path, capsys):
+        ineq = str(tmp_path / "g.ineq")
+        out = answer_or_refusal(["hrep", "-g", degenerate_file, "-o", ineq], capsys)
+        if out is None:
+            return
+        with open(ineq) as fh:
+            k = int(fh.readline().split()[2])
+        argv = ["-g", degenerate_file, "--ineq", ineq]
+        verdicts = answer_or_refusal(["verify", *argv], capsys)
+        classes = answer_or_refusal(["classify", *argv], capsys)
+        assert verdicts is not None and classes is not None
+        verdicts = list(filter(None, verdicts.splitlines()))
+        assert len(verdicts) == k and all(v.startswith("VALID ") for v in verdicts)
+        assert len(list(filter(None, classes.splitlines()))) == k
+
+
+class TestFlags:
+    """Each graph subcommand accepts only the flags it reads."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["verify", "--ineq", "rows.ineq", "--tsv"], 2), (["export", "--tsv"], 2),
+        (["msi", "--count-limit", "5"], 2), (["family", "--count-limit", "5"], 2),
+        (["hrep", "--tsv"], 0), (["solve", "--oracle-check", "--count-limit", "100"], 0),
+    ], ids=["verify-tsv", "export-tsv", "msi-count-limit", "family-count-limit",
+            "hrep-tsv", "solve-count-limit"])
+    def test_flag_accepted_only_where_read(self, argv, code, c6_file, capsys):
+        try:
+            got = run(argv + ["-g", c6_file, "--no-meta"])
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
+
+    @pytest.mark.parametrize("command", ["enumerate", "hrep", "family", "classify", "msi",
+                                         "solve", "verify", "export"])
+    def test_no_meta_drops_only_meta_lines(self, command, c6_file, tmp_path, capsys):
+        ineq = str(tmp_path / "c6.ineq")
+        assert run(["hrep", "-g", c6_file, "-o", ineq]) == 0
+        argv = [command, "-g", c6_file] + (["--ineq", ineq] if command in
+                                           ("classify", "verify") else [])
+        code, plain, _ = invoke(argv + ["--no-meta"], capsys)
+        assert code == 0
+        code, meta, _ = invoke(argv, capsys)
+        assert code == 0
+        assert [ln for ln in meta.splitlines() if not ln.startswith("wall_time ")] \
+            == plain.splitlines()
 
 
 def run_cli_process(*argv):

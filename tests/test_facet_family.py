@@ -1,12 +1,10 @@
-import math
 from fractions import Fraction
 
 import pytest
 
-from cmpoly.facet_family import (FamilyCertificate, check_facet_hypothesis,
+from cmpoly.facet_family import (FamilyCertificate, _facet_hypothesis,
                                  check_validity_hypothesis, family_inequality,
-                                 generate_family, is_disconnected_pair, lambda_set,
-                                 path_precheck)
+                                 generate_family, is_disconnected_pair, lambda_set)
 from cmpoly.graph_core import Graph, GraphError, generate, line_distance
 from cmpoly.matchings import enumerate_cm_sets, enumerate_connected_matchings
 
@@ -64,7 +62,6 @@ class TestLambdaSet:
         assert lam == (g.edge_id(3, 4), g.edge_id(5, 6))  # 010-011 and 100-101
 
     def test_brute_force_definition(self):
-        from cmpoly.graph_core import line_distance
         graphs = [random_connected_graph(seed) for seed in range(8)]
         graphs += [generate(name) for name in ("petersen", "cube:3", "j26")]
         for g in graphs:
@@ -157,57 +154,25 @@ class TestValidityHypothesis:
             check_validity_hypothesis(generate("path:4"), 1, 2)
 
 
-class TestPathPrecheck:
-    def test_p6(self):
-        assert path_precheck(generate("path:6"), 1, 5)
-
-    def test_c6_sufficiency_not_necessity(self):
-        g = generate("cycle:6")
-        assert not path_precheck(g, 1, 4)
-        assert check_validity_hypothesis(g, 1, 4)
-
-    def test_separate_components(self):
-        g = Graph(4, ((1, 2), (3, 4)))
-        assert path_precheck(g, 1, 2)
-
-    def test_implies_validity(self):
-        for seed in range(10):
-            g = random_connected_graph(seed)
-            for e1 in range(1, g.m + 1):
-                for e2 in range(e1 + 1, g.m + 1):
-                    if not is_disconnected_pair(g, e1, e2):
-                        continue
-                    if path_precheck(g, e1, e2):
-                        assert check_validity_hypothesis(g, e1, e2)
-
-    def test_matches_line_graph_definition(self, random_suite):
-        # e1 and e2 in different components of the line graph of G - lambda
-        for g in random_suite[:40] + [generate("petersen"), generate("cube:3")]:
-            for e1 in range(1, g.m + 1):
-                for e2 in range(e1 + 1, g.m + 1):
-                    h, idmap = g.without_edges(lambda_set(g, e1, e2))
-                    expect = line_distance(h, idmap[e1], idmap[e2]) == math.inf
-                    assert path_precheck(g, e1, e2) == expect, (e1, e2)
+def facet_hypothesis(g, e1, e2):
+    """The facet flag generate_family computes for the pair."""
+    return _facet_hypothesis(g, e1, e2, lambda_set(g, e1, e2))
 
 
 class TestFacetHypothesis:
     def test_p6_not_biconnected(self):
         g = generate("path:6")
-        assert not check_facet_hypothesis(g, 1, 5, lambda_set(g, 1, 5))
+        assert not facet_hypothesis(g, 1, 5)
 
     def test_cube3_clique_fails(self):
         g = generate("cube:3")
         e1, e2 = g.edge_id(1, 2), g.edge_id(7, 8)
-        assert not check_facet_hypothesis(g, e1, e2, lambda_set(g, e1, e2))
+        assert not facet_hypothesis(g, e1, e2)
 
     def test_empty_lambda_never_certified(self):
         g = generate("cycle:6")
-        assert not check_facet_hypothesis(g, 1, 4, ())
-
-    def test_wrong_lambda_rejected(self):
-        g = generate("path:6")
-        with pytest.raises(GraphError):
-            check_facet_hypothesis(g, 1, 5, (2,))
+        assert lambda_set(g, 1, 4) == ()
+        assert not facet_hypothesis(g, 1, 4)
 
     def test_matches_set_based_reference(self, random_suite):
         seen = set()
@@ -218,7 +183,7 @@ class TestFacetHypothesis:
                         continue
                     lam = reference_lambda_set(g, e1, e2)
                     expect = reference_facet_hypothesis(g, e1, e2, lam)
-                    assert check_facet_hypothesis(g, e1, e2, lam) == expect, (e1, e2)
+                    assert facet_hypothesis(g, e1, e2) == expect, (e1, e2)
                     seen.add(expect)
         assert seen == {True, False}
 
@@ -231,7 +196,7 @@ class TestFacetHypothesis:
 
 
 def reference_family(g):
-    """generate_family rebuilt pair by pair from the public predicates."""
+    """generate_family rebuilt pair by pair from the per-pair predicates."""
     out = []
     for e1 in range(1, g.m + 1):
         for e2 in range(e1 + 1, g.m + 1):
@@ -242,7 +207,7 @@ def reference_family(g):
             lam = lambda_set(g, e1, e2)
             cert = FamilyCertificate(
                 pair=(e1, e2), lam=lam,
-                facet_certified=check_facet_hypothesis(g, e1, e2, lam))
+                facet_certified=_facet_hypothesis(g, e1, e2, lam))
             out.append((family_inequality(g, e1, e2), cert))
     return out
 

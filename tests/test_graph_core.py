@@ -6,10 +6,9 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from cmpoly.graph_core import (DegenerateInput, Graph, GraphError, ParseError,
-                               format_graph, generate, is_biconnected_induced,
-                               is_connected_induced, is_separator, line_distance,
-                               parse_graph, reach_within, vertex_mask)
+from cmpoly.graph_core import (Graph, GraphError, ParseError, format_graph, generate,
+                               is_biconnected_mask, is_connected_induced, is_separator,
+                               line_distance, parse_graph, reach_within, vertex_mask)
 
 from conftest import random_connected_graph, set_bfs_components, to_networkx
 
@@ -117,7 +116,8 @@ class TestLineDistance:
     def test_matches_networkx_line_graph(self):
         graphs = [random_connected_graph(seed) for seed in range(10)] + kernel_corpus()
         # disconnected inputs: every third edge of a connected graph dropped
-        graphs += [g.without_edges(range(1, g.m + 1, 3))[0] for g in graphs[:10]]
+        graphs += [Graph(g.n, tuple(uv for i, uv in enumerate(g.edges) if i % 3))
+                   for g in graphs[:10]]
         for g in graphs:
             L = nx.line_graph(to_networkx(g))
             dist = dict(nx.all_pairs_shortest_path_length(L))
@@ -163,9 +163,6 @@ class TestConnectedInduced:
             bad = next(v for v in S if not 1 <= v <= 6)
             with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
                 is_connected_induced(g, S)
-            if len(S) >= 3:
-                with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
-                    is_biconnected_induced(g, S)
 
 
 def kernel_corpus():
@@ -246,23 +243,22 @@ class TestMaskTables:
                 g.cover_mask([1, e])
 
 
+def biconnected(g, S):
+    return is_biconnected_mask(g, vertex_mask(S))
+
+
 class TestBiconnectedInduced:
     def test_triangle(self):
         g = generate("complete:3")
-        assert is_biconnected_induced(g, {1, 2, 3})
+        assert biconnected(g, {1, 2, 3})
 
     def test_path3_middle_cut(self):
         g = generate("path:3")
-        assert not is_biconnected_induced(g, {1, 2, 3})
+        assert not biconnected(g, {1, 2, 3})
 
     def test_cycle4(self):
         g = generate("cycle:4")
-        assert is_biconnected_induced(g, {1, 2, 3, 4})
-
-    def test_degenerate(self):
-        g = generate("path:3")
-        with pytest.raises(DegenerateInput):
-            is_biconnected_induced(g, {1, 2})
+        assert biconnected(g, {1, 2, 3, 4})
 
     def test_matches_networkx(self):
         for seed in range(10):
@@ -270,14 +266,14 @@ class TestBiconnectedInduced:
             G = to_networkx(g)
             for size in range(3, min(g.n, 6) + 1):
                 for S in combinations(range(1, g.n + 1), size):
-                    assert is_biconnected_induced(g, S) == nx.is_biconnected(G.subgraph(S))
+                    assert biconnected(g, S) == nx.is_biconnected(G.subgraph(S))
 
     def test_implies_connected(self):
         for seed in range(10):
             g = random_connected_graph(seed)
             for size in range(3, min(g.n, 5) + 1):
                 for S in combinations(range(1, g.n + 1), size):
-                    if is_biconnected_induced(g, S):
+                    if biconnected(g, S):
                         assert is_connected_induced(g, S)
 
 
@@ -348,9 +344,3 @@ class TestGraphInvariants:
     def test_weight_length_checked(self):
         with pytest.raises(GraphError):
             Graph(3, ((1, 2), (2, 3)), (Fraction(1),))
-
-    def test_without_edges(self):
-        g = generate("path:4")
-        h, idmap = g.without_edges([2])
-        assert h.m == 2 and h.edges == ((1, 2), (3, 4))
-        assert idmap == {1: 1, 3: 2}

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -32,7 +33,6 @@ class TestInequality:
         q = Inequality(coeffs, rhs)
         assert (q.evaluate(x) <= q.rhs) == (lhs <= rhs)
         assert (q.evaluate(x) == q.rhs) == (lhs == rhs)
-        assert q.is_satisfied(x) == (lhs <= rhs)
 
 
 class TestParse:
@@ -40,3 +40,10 @@ class TestParse:
         q = parse_inequality_line("1/2 -1 0 <= 3/4  # tag=family")
         assert (q.coeffs, q.rhs, q.tag) == ((2, -4, 0), 3, "family")
         assert_primitive_int_row(q)
+
+    @pytest.mark.parametrize("line,token", [("1/0 1 <= 1", "1/0"), ("1 1 <= 2/0", "2/0"),
+                                            ("1 x <= 1", "x")],
+                             ids=["zero-denominator", "zero-denominator-rhs", "not-a-number"])
+    def test_bad_entry_names_its_token(self, line, token):
+        with pytest.raises(ValueError, match=f"bad inequality entry '{token}'"):
+            parse_inequality_line(line)

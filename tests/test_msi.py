@@ -11,9 +11,8 @@ from cmpoly.matchings import enumerate_cm_sets, enumerate_connected_matchings, i
 from cmpoly.graph_core import is_separator
 from cmpoly.matchings import is_connected_matching, is_matching
 from cmpoly.msi import (Separator, _min_vertex_cut, _split_network, dominates,
-                        is_minimal_separator, lazy_cut_for_disconnected,
-                        minimal_separators_brute, minimalize, project_msi,
-                        separate_fractional)
+                        lazy_cut_for_disconnected, minimal_separators_brute, minimalize,
+                        project_msi, separate_fractional)
 
 from conftest import assert_primitive_int_row, random_connected_graph, set_bfs_components
 
@@ -131,28 +130,31 @@ def random_separators(g, rng, draws):
 class TestMinimalSeparator:
     def test_c6(self):
         g = generate("cycle:6")
-        assert is_minimal_separator(g, Separator(1, 4, (2, 6)))
+        s = Separator(1, 4, (2, 6))
+        assert minimalize(g, s) == s
 
     def test_extra_vertex_not_minimal(self):
         g = generate("path:5")
-        assert is_minimal_separator(g, Separator(1, 5, (3,)))
-        assert not is_minimal_separator(g, Separator(1, 5, (2, 4)))
+        s = Separator(1, 5, (3,))
+        assert minimalize(g, s) == s
+        assert minimalize(g, Separator(1, 5, (2, 4))) != Separator(1, 5, (2, 4))
 
     def test_tree_neighborhood(self):
         # star with a pendant path: N(a) is minimal for any far vertex
         g = Graph(5, ((1, 2), (1, 3), (3, 4), (4, 5)))
-        assert is_minimal_separator(g, Separator(1, 5, (3,)))
+        s = Separator(1, 5, (3,))
+        assert minimalize(g, s) == s
 
     def test_invalid_separator_rejected(self):
         g = generate("cycle:6")
         with pytest.raises(GraphError):
-            is_minimal_separator(g, Separator(1, 4, (2,)))
+            minimalize(g, Separator(1, 4, (2,)))
 
     def test_minimalize(self):
         g = generate("cycle:6")
         s = minimalize(g, Separator(1, 4, (2, 3, 6)))
         assert set(s.C) in ({2, 6}, {3, 6})
-        assert is_minimal_separator(g, s)
+        assert minimalize(g, s) == s
 
     @pytest.mark.parametrize("C", [(0, 2, 6), (2, 6, 7), (2, 6, -1), (2,)],
                              ids=["vertex-0", "vertex-past-n", "negative-vertex",
@@ -174,17 +176,17 @@ class TestMinimalSeparator:
         checked = shrunk = 0
         for g in random_suite:
             for s in random_separators(g, rng, 12):
-                assert is_minimal_separator(g, s) == reference_is_minimal(g, s)
                 got = minimalize(g, s)
+                assert (got == s) == reference_is_minimal(g, s)
                 assert got == reference_minimalize(g, s)
-                assert is_minimal_separator(g, got)
+                assert minimalize(g, got) == got
                 checked += 1
                 shrunk += got != s
         assert checked >= 300 and shrunk >= 100
 
 
 def parent_minimal_separators_brute(g, a, b, max_size=None):
-    """The earlier body: a separator test, then is_minimal_separator, which
+    """The earlier body: a separator test, then a minimality test that
     validates the separator once more."""
     if g.edge_id(a, b) is not None:
         raise GraphError("adjacent pair has no separator")
@@ -194,12 +196,16 @@ def parent_minimal_separators_brute(g, a, b, max_size=None):
     for size in range(limit + 1):
         for C in combinations(rest, size):
             s = Separator(a, b, C)
-            if is_separator(g, a, b, C) and is_minimal_separator(g, s):
+            if is_separator(g, a, b, C) and minimalize(g, s) == s:
                 found.append(s)
     return found
 
 
 class TestMinimalSeparatorsBrute:
+    def test_negative_cap_rejected(self):
+        with pytest.raises(GraphError, match="cap must be >= 0"):
+            minimal_separators_brute(generate("cycle:8"), 1, 5, max_size=-1)
+
     def test_matches_parent_body(self, random_suite):
         found = 0
         for g in random_suite:

@@ -11,7 +11,7 @@ from cmpoly.graph_core import Graph, GraphError, generate
 from cmpoly.inequality import Inequality
 from cmpoly.matchings import enumerate_connected_matchings
 from cmpoly.polytope import (FacetClass, HRep, VRep, class_histogram, classify,
-                             export_vrep_interop, face_dimension, hrep, is_facet,
+                             export_vrep_interop, face_dimension, hrep,
                              polytope_dimension, verify_valid, vrep)
 from cmpoly.rational_la import (affine_dimension, eliminate, integer_row, inverse_columns,
                                 rank)
@@ -275,19 +275,26 @@ class TestVerifyValid:
         q = Inequality([-1, 0, 0, -1, 0, 0], -2)
         assert len(verify_valid(q, vrep(g))) == len(vrep(g).points)
 
+    @pytest.mark.parametrize("coeffs,rhs", [((1, 1), 1), ((1,) * 8 + (5, 5), 4)],
+                             ids=["width-2", "width-10"])
+    def test_wrong_width_rejected(self, coeffs, rhs):
+        V = vrep(generate("cycle:8"))
+        q = Inequality(coeffs, rhs)
+        for check in (verify_valid, face_dimension):
+            with pytest.raises(GraphError, match=f"row has {len(coeffs)} coefficients"):
+                check(q, V)
+
 
 class TestFaceDimension:
     def test_k3_facet(self):
         V = vrep(generate("complete:3"))
         q = Inequality([1, 1, 1], 1)
-        assert face_dimension(q, V) == 2
-        assert is_facet(q, V)
+        assert face_dimension(q, V) == 2 == polytope_dimension(V) - 1
 
     def test_not_a_facet(self):
         V = vrep(generate("path:4"))
         q = Inequality([1, 0, 0], 1)
-        assert face_dimension(q, V) == 1
-        assert not is_facet(q, V)
+        assert face_dimension(q, V) == 1 < polytope_dimension(V) - 1
 
     def test_whole_polytope_face(self):
         V = vrep(generate("path:4"))
@@ -315,15 +322,16 @@ class TestFaceDimension:
         q = Inequality(coeffs, rhs)
         assert polytope_dimension(PLANE_SQUARE) == 2
         assert face_dimension(q, PLANE_SQUARE) == dim
-        assert is_facet(q, PLANE_SQUARE) == (dim == 1)
 
     def test_c6_family_row_is_facet(self):
         g = generate("cycle:6")
-        assert is_facet(family_inequality(g, 1, 4), vrep(g))
+        V = vrep(g)
+        assert face_dimension(family_inequality(g, 1, 4), V) == polytope_dimension(V) - 1
 
     def test_p6_family_row_is_not(self):
         g = generate("path:6")
-        assert not is_facet(family_inequality(g, 1, 5), vrep(g))
+        V = vrep(g)
+        assert face_dimension(family_inequality(g, 1, 5), V) < polytope_dimension(V) - 1
 
 
 class TestClassify:
@@ -356,6 +364,12 @@ class TestClassify:
         g = generate("path:4")
         q = Inequality([2, 0, 1], 3)
         assert classify(q, g).kind == "other"
+
+    @pytest.mark.parametrize("coeffs,rhs", [((0,) * 8 + (-1,), 0), ((1, 1), 1)],
+                             ids=["width-9", "width-2"])
+    def test_wrong_width_rejected(self, coeffs, rhs):
+        with pytest.raises(GraphError, match=f"row has {len(coeffs)} coefficients"):
+            classify(Inequality(coeffs, rhs), generate("cycle:8"))
 
     def test_partition_is_exclusive_and_total(self):
         for seed in range(10):
