@@ -104,6 +104,8 @@ def cmd_classify(args):
 
 def cmd_msi(args):
     g = _load_graph(args.graph, args.limit)
+    if args.max_separator is not None and args.max_separator < 0:
+        raise GraphError(f"separator size cap must be >= 0, got {args.max_separator}")
     fam_rows = [q for q, _ in generate_family(g)] if args.dominance else []
     lines = []
     for a in range(1, g.n + 1):
@@ -112,6 +114,8 @@ def cmd_msi(args):
                 continue
             for s in minimal_separators_brute(g, a, b, max_size=args.max_separator):
                 row = project_msi(g, s)
+                if not any(row.coeffs):
+                    continue   # 0 <= 1 holds everywhere and says nothing
                 line = row.format_line()
                 if args.dominance:
                     dom = [q.provenance for q in fam_rows if dominates(q, row)]

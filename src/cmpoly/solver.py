@@ -2,9 +2,10 @@
 
 The LP relaxation at a node is the model's own rows (degree rows, optional a
 priori family rows, the cut pool) over the edges the node has not fixed; it is
-solved by a two-phase simplex with Bland's rule that pivots an integer
-tableau through `rational_la.bareiss_step`, the fraction-free row update of
-the exact elimination kernel, so every bound and optimality claim is exact.
+solved by a simplex with Bland's rule (a dual phase 1 when a fix overdraws a
+row, then the primal simplex on the weights) that pivots an integer tableau
+through `rational_la.bareiss_step`, the fraction-free row update of the exact
+elimination kernel, so every bound and optimality claim is exact.
 Fractional points are attacked with projected minimal separator cuts;
 integral but disconnected matchings trigger lazy connectivity cuts;
 remaining fractionality is resolved by branching.
@@ -75,7 +76,8 @@ def build_base_lp(g, w, config=None):
 
 def solve_lp_exact(model, fixed0=frozenset(), fixed1=frozenset()):
     """Exact optimum of  max c.x  s.t. rows, x >= 0, x_e = 0 on fixed0 and
-    x_e = 1 on fixed1, by two-phase simplex (Bland's rule in both phases).
+    x_e = 1 on fixed1, by `_simplex`: a dual phase 1 from the slack basis when
+    a fix overdraws a row, then the primal simplex (Bland's rule in both).
 
     A fixed edge leaves the LP: its column is dropped, after it is subtracted
     from every rhs when fixed to 1.  Returns (value, xstar, pivots) with xstar
@@ -98,34 +100,31 @@ def solve_lp_exact(model, fixed0=frozenset(), fixed1=frozenset()):
 
 
 def _simplex(c, A, b):
-    """Two-phase full-tableau simplex, Bland's rule, integer pivoting.
+    """Full-tableau simplex, Bland's rule, integer pivoting.
 
-    Maximizes c.x subject to A x <= b, x >= 0.  Columns: n structural vars,
-    k slacks, then artificials for rows with negative rhs.  Each row enters
-    as its primitive integer multiple with slack coefficient 1; a positive
-    row scale changes neither Bland's choices nor x.  T is d times the
+    Maximizes c.x subject to A x <= b, x >= 0; returns (value, x, basis,
+    pivots), with value, x and basis None when the LP is infeasible.  Columns:
+    n structural vars, then k slacks, and the slack basis is the start.  Each
+    row enters as its primitive integer multiple with slack coefficient 1; a
+    positive row scale changes neither Bland's choices nor x.  T is d times the
     rational tableau, where d = |last pivot| (the determinant of the basis up
-    to sign), and its last row is d times the reduced objective, so a pivot
-    is one `bareiss_step` per row (Edmonds 1967).
+    to sign), so a pivot is one `bareiss_step` per row (Edmonds 1967).
+
+    Phase 1 is the dual simplex on the zero objective, for which every basis
+    is dual feasible (Lemke 1954).  Under Bland's rule, finite here too (Bland
+    1977), the row with a negative rhs whose basic variable has the least label
+    leaves, and the least column with a negative entry in it enters; if it has
+    none, its row says a nonnegative sum is negative: infeasible.  Phase 2 is
+    the primal simplex on c, with d times the reduced objective as last row.
     """
-    n = len(c)
-    rows = [integer_row([*a, bi]) for a, bi in zip(A, b)]
-    real = n + len(rows)
-    ncols = real + sum(r[-1] < 0 for r in rows)
+    n, k = len(c), len(A)
     T = []
-    basis = []
-    art = real
-    for i, r in enumerate(rows):
-        row = r[:-1] + [0] * (ncols - n) + r[-1:]
+    for i, (a, bi) in enumerate(zip(A, b)):
+        r = integer_row([*a, bi])
+        row = r[:-1] + [0] * k + r[-1:]
         row[n + i] = 1
-        basis.append(n + i)
-        if r[-1] < 0:
-            row = [-x for x in row]
-            row[art] = 1
-            basis[i] = art
-            art += 1
         T.append(row)
-    T.append(None)   # the objective row, set by run_phase
+    basis = list(range(n, n + k))
     d = 1
     pivots = 0
 
@@ -140,49 +139,40 @@ def _simplex(c, A, b):
             d = -d
         basis[leave] = enter
 
-    def run_phase(obj, allowed):
-        # objective row: d * (obj minus obj[basis[i]] times basic row i)
-        z = [d * o for o in obj] + [0]
-        for r, bi in zip(T, basis):
-            if obj[bi]:
-                z = [x - obj[bi] * y for x, y in zip(z, r)]
-        T[-1] = z
-        while True:
-            enter = next((j for j in range(allowed) if T[-1][j] > 0), None)
-            if enter is None:
-                return
-            leave = None
-            for i in range(len(basis)):
-                a = T[i][enter]
-                if a > 0:
-                    if leave is not None:
-                        # ratio T[i][-1]/a against T[leave][-1]/T[leave][enter]
-                        diff = T[i][-1] * T[leave][enter] - T[leave][-1] * a
-                        if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
-                            continue
-                    leave = i
-            if leave is None:
-                raise GraphError("LP unbounded; missing variable bounds")
-            pivot(leave, enter)
-
-    if ncols > real:
-        run_phase([0] * real + [-1] * (ncols - real), ncols)
-        # the last entry is -d times the phase-1 optimum, -(sum of artificials)
-        if T[-1][-1] > 0:
+    while overdrawn := [i for i in range(k) if T[i][-1] < 0]:
+        leave = min(overdrawn, key=basis.__getitem__)
+        enter = next((j for j in range(n + k) if T[leave][j] < 0), None)
+        if enter is None:
             return None, None, None, pivots
-        # drive basic artificials (all at zero) out; every row has its own
-        # slack, so no tableau row is zero on all the real columns
-        for i in reversed(range(len(basis))):
-            if basis[i] >= real:
-                pivot(i, next(j for j in range(real) if T[i][j]))
+        pivot(leave, enter)
 
-    run_phase(integer_row(c) + [0] * (ncols - n), real)
+    # objective row: d * (c minus c[basis[i]] times basic row i)
+    obj = integer_row(c) + [0] * k
+    z = [d * o for o in obj] + [0]
+    for r, bi in zip(T, basis):
+        if obj[bi]:
+            z = [x - obj[bi] * y for x, y in zip(z, r)]
+    T.append(z)
+    while (enter := next((j for j in range(n + k) if T[-1][j] > 0), None)) is not None:
+        leave = None
+        for i in range(k):
+            a = T[i][enter]
+            if a > 0:
+                if leave is not None:
+                    # ratio T[i][-1]/a against T[leave][-1]/T[leave][enter]
+                    diff = T[i][-1] * T[leave][enter] - T[leave][-1] * a
+                    if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
+                        continue
+                leave = i
+        if leave is None:
+            raise GraphError("LP unbounded; missing variable bounds")
+        pivot(leave, enter)
     x = [Fraction(0)] * n
     for r, bi in zip(T, basis):
         if bi < n:
             x[bi] = Fraction(r[-1], d)
     value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
-    return value, x, list(basis), pivots
+    return value, x, basis, pivots
 
 
 def branch_and_cut(g, w, config=None):

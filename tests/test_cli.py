@@ -144,10 +144,15 @@ class TestClassifyCmd:
 
 
 class TestMsiCmd:
-    def test_negative_max_separator_exits_one(self, c6_file, capsys):
-        code, out, err = invoke(["msi", "-g", c6_file, "--max-separator", "-1"], capsys)
-        assert code == 1
-        assert out == "" and "cap must be >= 0" in err
+    def test_negative_max_separator_exits_one(self, tmp_path, capsys):
+        # complete:4 has no non-adjacent pair, so no separator search sees the cap
+        for name in ["cycle:6", "complete:4"]:
+            graph = tmp_path / "g.g"
+            graph.write_text(format_graph(generate(name)))
+            code, out, err = invoke(["msi", "-g", str(graph), "--max-separator", "-1"],
+                                    capsys)
+            assert code == 1
+            assert out == "" and "cap must be >= 0" in err, name
 
     def test_c6_rows(self, c6_file, capsys):
         code, out, _ = invoke(["msi", "-g", c6_file, "--max-separator", "2"],
@@ -290,6 +295,7 @@ class TestDegenerateInput:
             vecs = connected_matching_vectors(parse_graph(fh.read()))
         for line in filter(None, out.splitlines()):
             q = parse_inequality_line(line)
+            assert any(q.coeffs), line
             assert all(q.evaluate(x) <= q.rhs for x in vecs), line
 
     def test_hrep_rows_verify_and_classify(self, degenerate_file, tmp_path, capsys):

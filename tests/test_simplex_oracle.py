@@ -1,12 +1,19 @@
 """The integer-pivoting simplex against the all-Fraction simplex it replaced,
 and the node LPs against the formulation they replaced.
 
-`fraction_simplex` is the earlier `solver._simplex`, kept verbatim as the
-reference: same two phases, Bland's rule and artificial drive-out, with every
-entry a Fraction.  Both must return the same (value, x, basis, pivots) on
-every LP that `solve_lp_exact` hands to `_simplex`: base rows, branching
-fixes, MSI and lazy cut pools, and weights from small rationals up to
-30-digit numerators and denominators.
+`fraction_simplex` is an earlier `solver._simplex`, kept verbatim as the
+reference: a phase 1 on artificial variables with their drive-out, then the
+primal simplex on c, Bland's rule throughout, every entry a Fraction.  It is
+run on every LP that `solve_lp_exact` hands to `_simplex` (base rows,
+branching fixes, MSI and lazy cut pools, weights from small rationals up to
+30-digit numerators and denominators) and on random LPs not drawn from graphs:
+- when b >= 0 neither runs a phase 1 and both take the same primal pivots,
+  so (value, x, basis, pivots) is pinned exactly;
+- when some rhs is negative, `_simplex` reaches a feasible basis by the dual
+  simplex instead, so only values are compared: the same infeasibility
+  verdict and optimal value, and an x that is feasible and attains it.
+  Bases and pivot counts may differ; over the recorded corpus the dual
+  phase 1 takes no more pivots in total.
 
 The node LPs once carried one x_e <= 1 row per edge and one row per branching
 fix.  `old_formulation` rebuilds that LP; `solve_lp_exact`, which drops the
@@ -17,6 +24,8 @@ every old row.
 
 import random
 from fractions import Fraction
+
+import pytest
 
 from cmpoly import solver
 from cmpoly.graph_core import GraphError, generate, line_distance
@@ -145,13 +154,9 @@ def old_formulation(model, fixed0=(), fixed1=()):
     return list(model.objective), [a for a, _ in rows], [b for _, b in rows]
 
 
-def assert_solves_old_formulation(model, fixed0, fixed1, got):
-    """`got` = solve_lp_exact(model, fixed0, fixed1) has the optimal value of
-    the old formulation, or is infeasible with it, and its x is an optimal
-    point of it."""
-    c, A, b = old_formulation(model, fixed0, fixed1)
-    value, x, _pivots = got
-    assert value == fraction_simplex(c, A, b)[0]
+def assert_optimal_point(c, A, b, value, x):
+    """x is a point of A x <= b, x >= 0 with c.x = value; x is None when
+    value is None (infeasible)."""
     if value is None:
         assert x is None
         return
@@ -160,16 +165,39 @@ def assert_solves_old_formulation(model, fixed0, fixed1, got):
     assert sum(cj * xj for cj, xj in zip(c, x)) == value
 
 
+def assert_solves_old_formulation(model, fixed0, fixed1, got):
+    """`got` = solve_lp_exact(model, fixed0, fixed1) has the optimal value of
+    the old formulation, or is infeasible with it, and its x is an optimal
+    point of it."""
+    c, A, b = old_formulation(model, fixed0, fixed1)
+    value, x, _pivots = got
+    assert value == fraction_simplex(c, A, b)[0]
+    assert_optimal_point(c, A, b, value, x)
+
+
+def assert_matches_fraction_simplex(c, A, b, got, want):
+    """`got` = _simplex(c, A, b) against `want` = fraction_simplex(c, A, b):
+    the same tuple when b >= 0, else the same verdict and value at an optimal
+    point."""
+    if all(bi >= 0 for bi in b):
+        assert got == want, (c, A, b)
+        return
+    assert got[0] == want[0], (c, A, b)
+    assert_optimal_point(c, A, b, got[0], got[1])
+
+
 def pin_simplex(monkeypatch):
     """Route solver._simplex through a check against fraction_simplex on the
-    same (c, A, b); returns the list of the (c, A, b) seen, in order."""
+    same (c, A, b); returns the list of the (c, A, b, pivots, reference
+    pivots) seen, in order."""
     seen = []
     simplex = solver._simplex
 
     def pinned(c, A, b):
         got = simplex(c, A, b)
-        assert got == fraction_simplex(c, A, b), (c, A, b)
-        seen.append((c, A, b))
+        want = fraction_simplex(c, A, b)
+        assert_matches_fraction_simplex(c, A, b, got, want)
+        seen.append((c, A, b, got[3], want[3]))
         return got
 
     monkeypatch.setattr(solver, "_simplex", pinned)
@@ -254,19 +282,24 @@ def corpus_lps(seed):
 def test_integer_simplex_matches_fraction_simplex(monkeypatch):
     seen = pin_simplex(monkeypatch)
     lps = phase1 = infeasible = minus2 = empty = 0
+    dual_pivots = reference_pivots = 0
     for seed in range(60):
         for model, fixed0, fixed1 in corpus_lps(seed):
             got = solve_lp_exact(model, fixed0, fixed1)
             assert_solves_old_formulation(model, fixed0, fixed1, got)
-            c, _, b = seen[-1]
+            c, _, b, pivots, reference = seen[-1]
             lps += 1
-            phase1 += any(bi < 0 for bi in b)
+            if any(bi < 0 for bi in b):
+                phase1 += 1
+                dual_pivots += pivots
+                reference_pivots += reference
             infeasible += got[0] is None
             minus2 += any(-2 in q.coeffs for q in model.cut_pool)
             empty += not c
     assert len(seen) == lps
     assert lps >= 250 and phase1 >= 150 and infeasible >= 50 and minus2 >= 50
     assert empty >= 50
+    assert dual_pivots <= reference_pivots
 
 
 def test_branch_and_cut_lps_match_fraction_simplex(monkeypatch):
@@ -314,22 +347,48 @@ def test_root_gap_report_with_huge_weights():
         assert any(v.denominator > 10 ** 20 for v in want)
 
 
-def test_negative_drive_out_pivot():
-    # max x s.t. -x <= -1, x <= 1.  Phase 1 ends with the artificial basic at
-    # zero on row 0, which then reads -s0 - s1 + a0 = 0: the drive-out pivots
-    # on the -1 of s0 and the integer tableau is negated.
+def test_random_lps_match_fraction_simplex():
+    # LPs not drawn from graphs: n = 1-4 columns, k = 1-6 rows, integer
+    # entries and rhs in [-3, 3], rational c; both sides give the same
+    # verdict, and unbounded LPs raise on both
+    rng = random.Random(11)
+    lps = negative = infeasible = unbounded = 0
+    for _ in range(400):
+        n, k = rng.randint(1, 4), rng.randint(1, 6)
+        c = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        b = [rng.randint(-3, 3) for _ in range(k)]
+        lps += 1
+        negative += any(bi < 0 for bi in b)
+        try:
+            want = fraction_simplex(c, A, b)
+        except GraphError:
+            with pytest.raises(GraphError, match="unbounded"):
+                _simplex(c, A, b)
+            unbounded += 1
+            continue
+        assert_matches_fraction_simplex(c, A, b, _simplex(c, A, b), want)
+        infeasible += want[0] is None
+    assert lps >= 300 and negative >= 100 and infeasible >= 30 and unbounded >= 10
+
+
+def test_dual_pivot_is_negative():
+    # max x s.t. -x <= -1, x <= 1.  Row 0 has rhs -1 and its one negative
+    # entry is x's -1, so the dual pivot is negative and the integer tableau
+    # is negated; phase 2 then brings s0 in on row 1 at zero.
     c, A, b = [Fraction(1)], [[Fraction(-1)], [Fraction(1)]], [Fraction(-1), Fraction(1)]
     got = _simplex(c, A, b)
-    assert got == fraction_simplex(c, A, b)
-    assert got == (1, [1], [1, 0], 2)
+    assert got[:2] == fraction_simplex(c, A, b)[:2] == (1, [1])
+    assert got[2:] == ([0, 1], 2)
 
 
-def test_duplicate_equality_rows():
-    # x = 1 written twice: phase 1 leaves two artificials basic at zero and
-    # both drive-out pivots are negative
+def test_duplicate_rows_stay_basic_at_zero():
+    # x = 1 written twice.  One dual pivot (x into row 1) leaves the slacks
+    # of rows 0, 2 and 3 basic at zero; phase 2 breaks the zero-ratio tie
+    # between rows 0 and 2 by the least basic label.
     c = [Fraction(2)]
     A = [[Fraction(1)], [Fraction(-1)], [Fraction(2)], [Fraction(-2)]]
     b = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]
     got = _simplex(c, A, b)
-    assert got == fraction_simplex(c, A, b)
-    assert got == (2, [1], [0, 2, 3, 4], 4)
+    assert got[:2] == fraction_simplex(c, A, b)[:2] == (2, [1])
+    assert got[2:] == ([2, 0, 3, 4], 2)
