@@ -84,7 +84,7 @@ def cmd_family(args):
             lines.append(q.format_line() + mark)
     if args.certify and not args.tsv:
         lines.append(f"# facet_certified rows: {certified}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit("".join(line + "\n" for line in lines), args.output)
     return 0
 
 
@@ -98,7 +98,7 @@ def cmd_classify(args):
         detail = f" {fc.data}" if fc.data else ""
         sep = "\t" if args.tsv else "  ->  "
         lines.append(q.format_line().split("#")[0].strip() + sep + fc.kind + detail)
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit("".join(line + "\n" for line in lines), args.output)
     return 0
 
 
@@ -122,7 +122,7 @@ def cmd_msi(args):
                     if dom:
                         line += " dominated_by[" + "; ".join(dom) + "]"
                 lines.append(line)
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit("".join(line + "\n" for line in lines), args.output)
     return 0
 
 
@@ -135,6 +135,8 @@ def cmd_solve(args):
     res = branch_and_cut(g, w, config)
     lines = list(res.log)
     lines.append(f"status {res.status}")
+    if res.status == "node-limit":
+        lines.append(f"upper_bound {res.stats['upper_bound']}")
     lines.append(f"nodes {res.stats['nodes']} pivots {res.stats['lp_pivots']} "
                  f"cuts_msi {res.stats['cuts']['msi']} "
                  f"cuts_lazy {res.stats['cuts']['lazy']}")
@@ -145,7 +147,7 @@ def cmd_solve(args):
         lines.append("MATCH" if val == res.value and res.status == "optimal"
                      else "MISMATCH")
     _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return int(res.status != "optimal" or lines[-1] == "MISMATCH")
 
 
 def cmd_verify(args):
@@ -161,7 +163,7 @@ def cmd_verify(args):
                       f"INVALID ({len(violators)} violations) ")
                      + q.format_line())
         bad += bool(violators)
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit("".join(line + "\n" for line in lines), args.output)
     return 1 if bad else 0
 
 

@@ -4,8 +4,8 @@ Rational rows enter through `integer_row`, their primitive integer multiple.
 `bareiss_step` is the one fraction-free (Bareiss) row update.  `eliminate`,
 the first-fit elimination over integer rows, applies it; rank, affine
 dimension, basis selection and the inverse of a basis are all read off its
-output.  The exact simplex in `solver` pivots its integer tableau with the
-same step.
+output.  The exact simplex in `solver` pivots its integer dictionary, the
+rows over the nonbasic columns, with the same step.
 """
 
 from __future__ import annotations

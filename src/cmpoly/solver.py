@@ -1,11 +1,12 @@
 """Exact branch-and-cut for maximum-weight connected matching.
 
 The LP relaxation at a node is the model's own rows (degree rows, optional a
-priori family rows, the cut pool) over the edges the node has not fixed; it is
-solved by a simplex with Bland's rule (a dual phase 1 when a fix overdraws a
-row, then the primal simplex on the weights) that pivots an integer tableau
-through `rational_la.bareiss_step`, the fraction-free row update of the exact
-elimination kernel, so every bound and optimality claim is exact.
+priori family rows, the cut pool) over the edges the node has not fixed.  A
+simplex with Bland's rule solves it (a dual phase 1 when a fix overdraws a
+row, then the primal simplex on the weights); it keeps an integer dictionary
+of the nonbasic columns and pivots it with `rational_la.bareiss_step`, the
+fraction-free row update of the exact elimination kernel, so every bound and
+optimality claim is exact.
 Fractional points are attacked with projected minimal separator cuts;
 integral but disconnected matchings trigger lazy connectivity cuts;
 remaining fractionality is resolved by branching.
@@ -100,60 +101,57 @@ def solve_lp_exact(model, fixed0=frozenset(), fixed1=frozenset()):
 
 
 def _simplex(c, A, b):
-    """Full-tableau simplex, Bland's rule, integer pivoting.
+    """Dictionary simplex, Bland's rule, integer pivoting.
 
     Maximizes c.x subject to A x <= b, x >= 0; returns (value, x, basis,
-    pivots), with value, x and basis None when the LP is infeasible.  Columns:
-    n structural vars, then k slacks, and the slack basis is the start.  Each
-    row enters as its primitive integer multiple with slack coefficient 1; a
-    positive row scale changes neither Bland's choices nor x.  T is d times the
-    rational tableau, where d = |last pivot| (the determinant of the basis up
-    to sign), so a pivot is one `bareiss_step` per row (Edmonds 1967).
+    pivots), with value, x and basis None when the LP is infeasible.  Labels:
+    structurals 0..n-1, then the k slacks, whose basis is the start.  T is a
+    dictionary (Chvatal 1983) over the nonbasic variables `cols` and the rhs:
+    A's rows as primitive integer multiples (a positive row scale changes
+    neither Bland's choices nor x), then the objective row.  Row i reads
+    d*x_basis[i] + sum_j T[i][j]*x_cols[j] = T[i][-1], d = |last pivot|.  A
+    pivot is one `bareiss_step` per row (Edmonds 1967), as in lrs: the leaving
+    variable's full-tableau column d*e_leave becomes (-f, ..., d, ...).
 
     Phase 1 is the dual simplex on the zero objective, for which every basis
     is dual feasible (Lemke 1954).  Under Bland's rule, finite here too (Bland
     1977), the row with a negative rhs whose basic variable has the least label
-    leaves, and the least column with a negative entry in it enters; if it has
-    none, its row says a nonnegative sum is negative: infeasible.  Phase 2 is
-    the primal simplex on c, with d times the reduced objective as last row.
+    leaves, and the nonbasic variable of least label with a negative entry in
+    it enters; if there is none, its row says a nonnegative sum is negative:
+    infeasible.  Phase 2 is the primal simplex on c, whose objective row (d
+    times the reduced costs) is pivoted with the others from the start.
     """
     n, k = len(c), len(A)
-    T = []
-    for i, (a, bi) in enumerate(zip(A, b)):
-        r = integer_row([*a, bi])
-        row = r[:-1] + [0] * k + r[-1:]
-        row[n + i] = 1
-        T.append(row)
-    basis = list(range(n, n + k))
-    d = 1
-    pivots = 0
+    T = [integer_row([*a, bi]) for a, bi in zip(A, b)] + [integer_row([*c, 0])]
+    basis, cols = list(range(n, n + k)), list(range(n))
+    d, pivots = 1, 0
 
     def pivot(leave, enter):
         nonlocal d, pivots
         pivots += 1
         e = T[leave]
-        T[:] = [r if r is e else bareiss_step(r, e, enter, d) for r in T]
-        d = e[enter]
+        for i, r in enumerate(T):
+            if r is not e:
+                T[i] = bareiss_step(r, e, enter, d)
+                T[i][enter] = -r[enter]
+        e[enter], d = d, e[enter]
         if d < 0:
             T[:] = [[-x for x in r] for r in T]
             d = -d
-        basis[leave] = enter
+        basis[leave], cols[enter] = cols[enter], basis[leave]
+
+    def least(row, sign):   # Bland: least label with sign * row[j] > 0
+        return min((j for j in range(n) if sign * row[j] > 0),
+                   key=cols.__getitem__, default=None)
 
     while overdrawn := [i for i in range(k) if T[i][-1] < 0]:
         leave = min(overdrawn, key=basis.__getitem__)
-        enter = next((j for j in range(n + k) if T[leave][j] < 0), None)
+        enter = least(T[leave], -1)
         if enter is None:
             return None, None, None, pivots
         pivot(leave, enter)
 
-    # objective row: d * (c minus c[basis[i]] times basic row i)
-    obj = integer_row(c) + [0] * k
-    z = [d * o for o in obj] + [0]
-    for r, bi in zip(T, basis):
-        if obj[bi]:
-            z = [x - obj[bi] * y for x, y in zip(z, r)]
-    T.append(z)
-    while (enter := next((j for j in range(n + k) if T[-1][j] > 0), None)) is not None:
+    while (enter := least(T[k], 1)) is not None:
         leave = None
         for i in range(k):
             a = T[i][enter]

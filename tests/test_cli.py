@@ -26,6 +26,9 @@ DEGENERATE = {
         "e 2 3 w 314159265358979323846264338327/271828182845904523536028747135\n"
         "e 3 4 w 161803398874989484820458683436/141421356237309504880168872420\n"
         "e 4 5 w -577215664901532860606512090082/299792458000000000000000000001\n",
+    # every pair of edges shares a vertex or is joined by one, so the family
+    # is empty; no two vertices are non-adjacent, so msi prints no row either
+    "complete-4": format_graph(generate("complete:4")),
 }
 
 
@@ -197,6 +200,19 @@ class TestSolve:
         assert code == 1
         assert out == "" and "node limit" in err
 
+    def test_node_limit_hit_exits_one(self, tmp_path, capsys):
+        # the root LP of cycle:7 is fractional (7/2) and the limit stops the
+        # search before any integral node: the bound is printed, and the
+        # result is neither optimal nor the oracle's
+        path = tmp_path / "c7.g"
+        path.write_text(format_graph(generate("cycle:7")))
+        code, out, _ = invoke(["solve", "-g", str(path), "--no-family-cuts", "--no-msi",
+                               "--node-limit", "1", "--oracle-check", "--no-meta"], capsys)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[1:4] == ["opt 0 matching {}", "status node-limit", "upper_bound 7/2"]
+        assert lines[-1] == "MISMATCH"
+
     def test_reproducible_with_no_meta(self, j26_file, capsys):
         runs = []
         for _ in range(2):
@@ -293,25 +309,32 @@ class TestDegenerateInput:
             return
         with open(degenerate_file) as fh:
             vecs = connected_matching_vectors(parse_graph(fh.read()))
-        for line in filter(None, out.splitlines()):
+        lines = out.splitlines()
+        assert "" not in lines
+        for line in lines:
             q = parse_inequality_line(line)
             assert any(q.coeffs), line
             assert all(q.evaluate(x) <= q.rhs for x in vecs), line
 
     def test_hrep_rows_verify_and_classify(self, degenerate_file, tmp_path, capsys):
+        # the rows of the graph's hrep, then an `h m 0` file with no row
         ineq = str(tmp_path / "g.ineq")
         out = answer_or_refusal(["hrep", "-g", degenerate_file, "-o", ineq], capsys)
         if out is None:
             return
         with open(ineq) as fh:
             k = int(fh.readline().split()[2])
-        argv = ["-g", degenerate_file, "--ineq", ineq]
-        verdicts = answer_or_refusal(["verify", *argv], capsys)
-        classes = answer_or_refusal(["classify", *argv], capsys)
-        assert verdicts is not None and classes is not None
-        verdicts = list(filter(None, verdicts.splitlines()))
-        assert len(verdicts) == k and all(v.startswith("VALID ") for v in verdicts)
-        assert len(list(filter(None, classes.splitlines()))) == k
+        empty = tmp_path / "empty.ineq"
+        with open(degenerate_file) as fh:
+            empty.write_text(f"h {parse_graph(fh.read()).m} 0\n")
+        for path, rows in ((ineq, k), (str(empty), 0)):
+            argv = ["-g", degenerate_file, "--ineq", path]
+            verdicts = answer_or_refusal(["verify", *argv], capsys)
+            classes = answer_or_refusal(["classify", *argv], capsys)
+            assert verdicts is not None and classes is not None
+            verdicts, classes = verdicts.splitlines(), classes.splitlines()
+            assert len(verdicts) == rows and all(v.startswith("VALID ") for v in verdicts)
+            assert len(classes) == rows
 
 
 class TestFlags:

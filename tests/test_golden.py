@@ -12,6 +12,7 @@ The files in tests/golden/ were generated from the repository root with:
     cmpoly verify -g j26.g --ineq hrep_j26.txt --no-meta -o verify_j26.txt
     cmpoly solve -g cycle8w.g --no-meta -o solve_cycle8w.txt
     cmpoly solve -g cycle8w.g --no-meta --no-family-cuts -o solve_cycle8w_nofam.txt
+    cmpoly solve -g cycle20w1.g --no-meta --no-family-cuts -o solve_cycle20w1_nofam.txt
     for f in j26 cube3 mixed8; do
         cmpoly family -g $f.g --certify --no-meta -o family_$f.txt
     done
@@ -22,7 +23,10 @@ The files in tests/golden/ were generated from the repository root with:
 hrep_cycle10.txt (235 facets) is the largest hull here, so its double
 description keeps the most rays per step.  cycle8w.g is a hand-written
 weighted 8-cycle whose best matching {1,5} is disconnected, so the solver
-has to connect it.  mixed8.g is a hand-written 8-vertex graph whose family
+has to connect it.  cycle20w1.g is cycle:20 with the weights of perfbench's
+`spread_weights(random.Random("x-cycle:20-1"), g)` written out; without
+family rows its solve visits 21 nodes and adds 611 MSI and 9 lazy cuts, so the
+last LPs have 640 rows.  mixed8.g is a hand-written 8-vertex graph whose family
 has a facet-certified row, rows that are not, and a row with an empty
 lambda set.  A change to any of these
 outputs is a change to what cmpoly proves; regenerate them only on purpose.
@@ -46,6 +50,7 @@ CASES = [
     (["verify", "-g", "j26.g", "--ineq", "hrep_j26.txt"], "verify_j26.txt"),
     (["solve", "-g", "cycle8w.g"], "solve_cycle8w.txt"),
     (["solve", "-g", "cycle8w.g", "--no-family-cuts"], "solve_cycle8w_nofam.txt"),
+    (["solve", "-g", "cycle20w1.g", "--no-family-cuts"], "solve_cycle20w1_nofam.txt"),
     (["family", "-g", "j26.g", "--certify"], "family_j26.txt"),
     (["family", "-g", "cube3.g", "--certify"], "family_cube3.txt"),
     (["family", "-g", "mixed8.g", "--certify"], "family_mixed8.txt"),

@@ -348,28 +348,36 @@ def test_root_gap_report_with_huge_weights():
 
 
 def test_random_lps_match_fraction_simplex():
-    # LPs not drawn from graphs: n = 1-4 columns, k = 1-6 rows, integer
-    # entries and rhs in [-3, 3], rational c; both sides give the same
-    # verdict, and unbounded LPs raise on both
+    # LPs not drawn from graphs, integer entries in [-3, 3] and rational c,
+    # in two regimes: small ones, n = 1-4 columns, k = 1-6 rows and rhs in
+    # [-3, 3]; and tall ones, n = 2-6, k = 8-24 and rhs in [0, 4], whose
+    # (value, x, basis, pivots) is pinned exactly.  The tall LPs pivot often
+    # enough that a nonbasic variable's label and its column position part,
+    # which Bland's rule must not confuse.  Both sides give the same verdict,
+    # and unbounded LPs raise on both
     rng = random.Random(11)
-    lps = negative = infeasible = unbounded = 0
-    for _ in range(400):
-        n, k = rng.randint(1, 4), rng.randint(1, 6)
-        c = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
-        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
-        b = [rng.randint(-3, 3) for _ in range(k)]
-        lps += 1
-        negative += any(bi < 0 for bi in b)
-        try:
-            want = fraction_simplex(c, A, b)
-        except GraphError:
-            with pytest.raises(GraphError, match="unbounded"):
-                _simplex(c, A, b)
-            unbounded += 1
-            continue
-        assert_matches_fraction_simplex(c, A, b, _simplex(c, A, b), want)
-        infeasible += want[0] is None
+    lps = negative = infeasible = unbounded = tall = 0
+    for count, ns, ks, bs in ((400, (1, 4), (1, 6), (-3, 3)),
+                              (200, (2, 6), (8, 24), (0, 4))):
+        for _ in range(count):
+            n, k = rng.randint(*ns), rng.randint(*ks)
+            c = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+            A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+            b = [rng.randint(*bs) for _ in range(k)]
+            lps += 1
+            negative += any(bi < 0 for bi in b)
+            try:
+                want = fraction_simplex(c, A, b)
+            except GraphError:
+                with pytest.raises(GraphError, match="unbounded"):
+                    _simplex(c, A, b)
+                unbounded += 1
+                continue
+            assert_matches_fraction_simplex(c, A, b, _simplex(c, A, b), want)
+            infeasible += want[0] is None
+            tall += k >= 8
     assert lps >= 300 and negative >= 100 and infeasible >= 30 and unbounded >= 10
+    assert tall >= 100
 
 
 def test_dual_pivot_is_negative():
