@@ -12,8 +12,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .rational_la import integer_row
+
+_INT_TOKEN = re.compile(r"[-+]?[0-9]+").fullmatch
 
 
 @dataclass(frozen=True)
@@ -34,8 +37,13 @@ class Inequality:
     def m(self):
         return len(self.coeffs)
 
+    @cached_property
+    def _support(self):   # nonzero (index, coefficient) pairs, on first use
+        return tuple((j, c) for j, c in enumerate(self.coeffs) if c)
+
     def evaluate(self, x):
-        return sum(c * v for c, v in zip(self.coeffs, x))
+        """coeffs . x, summed over the nonzero (index, coefficient) pairs."""
+        return sum([c * x[j] for j, c in self._support])
 
     def canonical(self):
         """Integer form (coeff tuple, rhs) with overall gcd 1: the stored row."""
@@ -55,19 +63,22 @@ class Inequality:
         return line
 
 
+def parse_entry(t, line):
+    """A row token: int() if it is an ASCII integer, else Fraction."""
+    try:
+        return int(t) if _INT_TOKEN(t) else Fraction(t)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad inequality entry {t!r} in line {line!r}") from None
+
+
 def parse_inequality_line(line):
-    """Parse one `<c1> ... <cm> <= <rhs>` row; comments after # are kept as tag."""
+    """Parse one `<c1> ... <cm> <= <rhs>` row of `parse_entry` tokens; # comment is the tag."""
     body, _, comment = line.partition("#")
     body = body.strip()
     mt = re.match(r"^(.*)<=\s*(-?\d+(?:/\d+)?)\s*$", body)
     if not mt:
         raise ValueError(f"bad inequality line: {line!r}")
-    values = []
-    for t in [*mt.group(1).split(), mt.group(2)]:
-        try:
-            values.append(Fraction(t))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"bad inequality entry {t!r} in line {line!r}") from None
+    values = [parse_entry(t, line) for t in [*mt.group(1).split(), mt.group(2)]]
     *coeffs, rhs = values
     tag = ""
     tm = re.search(r"tag=(\S+)", comment)
@@ -79,10 +90,11 @@ def parse_inequality_line(line):
 def parse_hrep_file(text):
     """H-description file: `h <m> <count>` header then inequality rows."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines or not lines[0].startswith("h "):
-        raise ValueError("missing 'h <m> <count>' header")
-    _, m_s, k_s = lines[0].split()
-    m, k = int(m_s), int(k_s)
+    header = lines[0] if lines else ""
+    head = re.fullmatch(r"h\s+([0-9]+)\s+([0-9]+)\s*", header)
+    if not head:
+        raise ValueError(f"header {header!r} is not 'h <m> <count>' with m, count >= 0")
+    m, k = int(head[1]), int(head[2])
     rows = [parse_inequality_line(ln) for ln in lines[1:]]
     if len(rows) != k:
         raise ValueError(f"header declares {k} rows, found {len(rows)}")

@@ -200,12 +200,25 @@ def verify_valid(q, V):
 
 
 def face_dimension(q, V):
-    """Affine dimension of the tight vertex set; -1 for an empty face."""
-    if verify_valid(q, V):
-        raise GraphError("inequality is not valid on the V-description")
-    tight = [p for p in V.points if q.evaluate(p) == q.rhs]
+    """Affine dimension of the tight vertex set; -1 for an empty face.
+
+    One pass evaluates each point once, raises on a violated one and keeps
+    the tight ones.  Column j with q_j != 0 is dropped: on q.p = rhs it is an
+    affine combination of the constant column and the others, so the rank of
+    the rows (1, *p) is kept and `eliminate` ends a facet at rank m."""
+    _check_width(q, V.m)
+    tight = []
+    for p in V.points:
+        v = q.evaluate(p)
+        if v > q.rhs:
+            raise GraphError("inequality is not valid on the V-description")
+        if v == q.rhs:
+            tight.append(p)
     if not tight:
         return -1
+    j = next((j for j, c in enumerate(q.coeffs) if c), None)
+    if j is not None:
+        tight = [p[:j] + p[j + 1:] for p in tight]
     return affine_dimension(tight)
 
 

@@ -14,17 +14,17 @@ from math import gcd, lcm
 
 
 def integer_row(values):
-    """Primitive integer multiple of a rational row, sign kept.
+    """Primitive integer multiple of a rational row, sign kept, as a new list.
 
-    Scales by the lcm of the denominators, then divides by the gcd of the
-    entries; an all-zero row stays zero.
+    A row of ints (`type(x) is int`; a bool takes the general path) is only
+    divided by the gcd of its entries.  Any other row is first scaled by the
+    lcm of the denominators.  An all-zero row stays zero.
     """
-    scale = lcm(*[x.denominator for x in values])
-    ints = [x.numerator * (scale // x.denominator) for x in values]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+    if {*map(type, values)} - {int}:
+        scale = lcm(*[x.denominator for x in values])
+        values = [x.numerator * (scale // x.denominator) for x in values]
+    g = gcd(*values)
+    return [x // g for x in values] if g > 1 else list(values)
 
 
 def bareiss_step(row, pivot_row, col, prev):

@@ -264,7 +264,14 @@ class TestIneqInput:
         ("h 10 1\n1 1 1 1 1 1 1 1 5 5 <= 4\n", "row has 10 coefficients"),
         ("h 8 1\n1/0 0 0 0 0 0 0 0 <= 1\n", "bad inequality entry '1/0'"),
         ("h 8 1\n1 0 0 0 0 0 0 0 <= 1/0\n", "bad inequality entry '1/0'"),
-    ], ids=["width-9", "width-2", "width-10", "zero-denominator", "zero-denominator-rhs"])
+        ("h 2\n", "header 'h 2' is not 'h <m> <count>'"),
+        ("h 2 x\n", "header 'h 2 x' is not 'h <m> <count>'"),
+        ("h 2 1 extra\n1 1 <= 1\n", "header 'h 2 1 extra' is not 'h <m> <count>'"),
+        ("h -1 0\n", "header 'h -1 0' is not 'h <m> <count>'"),
+        ("h 8 -1\n", "header 'h 8 -1' is not 'h <m> <count>'"),
+    ], ids=["width-9", "width-2", "width-10", "zero-denominator", "zero-denominator-rhs",
+            "header-short", "header-not-int", "header-long", "header-negative-width",
+            "header-negative-count"])
     def test_exits_one_with_error(self, command, rows, message, tmp_path, capsys):
         graph, ineq = tmp_path / "c8.g", tmp_path / "rows.ineq"
         graph.write_text(format_graph(generate("cycle:8")))

@@ -1,10 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cmpoly.inequality import Inequality, parse_inequality_line
+from cmpoly.inequality import Inequality, parse_entry, parse_inequality_line
 
 from conftest import assert_primitive_int_row
 
@@ -47,3 +48,21 @@ class TestParse:
     def test_bad_entry_names_its_token(self, line, token):
         with pytest.raises(ValueError, match=f"bad inequality entry '{token}'"):
             parse_inequality_line(line)
+
+    @pytest.mark.parametrize("t", ["+1", "-0", "007", "1.5", "1e3", "1_0", "\u0663", "1/0", "x"])
+    def test_token_reads_as_fraction_does(self, t):
+        """An ASCII integer token is read by int(), any other by Fraction: the
+        value, and the message for a token Fraction refuses, are Fraction's."""
+        line = f"{t} 1 <= 1"
+        try:
+            want = Fraction(t)
+        except (ValueError, ZeroDivisionError):
+            message = re.escape(f"bad inequality entry {t!r} in line {line!r}")
+            for parse in (lambda: parse_entry(t, line), lambda: parse_inequality_line(line)):
+                with pytest.raises(ValueError, match=message):
+                    parse()
+            return
+        got = parse_entry(t, line)
+        assert got == want
+        assert (type(got) is int) == bool(re.fullmatch(r"[-+]?[0-9]+", t))
+        assert parse_inequality_line(line) == Inequality([want, 1], 1)

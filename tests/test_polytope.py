@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
 import sympy
 
+from cmpoly import polytope
 from cmpoly.facet_family import family_inequality
 from cmpoly.graph_core import Graph, GraphError, generate
 from cmpoly.inequality import Inequality
@@ -332,6 +334,89 @@ class TestFaceDimension:
         g = generate("path:6")
         V = vrep(g)
         assert face_dimension(family_inequality(g, 1, 5), V) < polytope_dimension(V) - 1
+
+
+def reference_face_dimension(q, V):
+    """face_dimension's former body: a validity pass, then a pass for the
+    tight points, then the affine dimension over all m columns.  Rows are
+    evaluated by a zip over every coefficient, not by `Inequality.evaluate`."""
+    if q.m != V.m:
+        raise GraphError(f"row has {q.m} coefficients, the graph has {V.m} edges")
+    values = [sum(c * x for c, x in zip(q.coeffs, p)) for p in V.points]
+    if any(v > q.rhs for v in values):
+        raise GraphError("inequality is not valid on the V-description")
+    tight = [p for p, v in zip(V.points, values) if v == q.rhs]
+    return affine_dimension(tight) if tight else -1
+
+
+def face_rows(V, rng, draws=6):
+    """Seeded rows over V: coefficients in [-2, 2], rhs the maximum over V,
+    one less (invalid unless constant) and one more; and the all-zero row."""
+    rows = [Inequality([0] * V.m, 0)]
+    for _ in range(draws):
+        coeffs = [rng.randint(-2, 2) for _ in range(V.m)]
+        top = max(sum(c * x for c, x in zip(coeffs, p)) for p in V.points)
+        rows += [Inequality(coeffs, top + d) for d in (0, -1, 1)]
+    return rows
+
+
+def face_dimension_or_error(q, V, f):
+    try:
+        return f(q, V)
+    except GraphError:
+        return "GraphError"
+
+
+class TestFaceDimensionAgainstReference:
+    """face_dimension (one pass, one column fewer) against
+    `reference_face_dimension`: the same dimension, or GraphError from both."""
+
+    def assert_agree(self, V, rng, extra=()):
+        for q in [*face_rows(V, rng), *extra]:
+            assert face_dimension_or_error(q, V, face_dimension) == \
+                face_dimension_or_error(q, V, reference_face_dimension), (V.points, q)
+
+    def test_random_suite(self, random_suite):
+        rng = random.Random(13)
+        for g in random_suite:
+            self.assert_agree(vrep(g), rng)
+
+    @pytest.mark.parametrize("name", ["j26", "cube:3"])
+    def test_named(self, name):
+        """Seeded rows, and every facet, where the rank stops early."""
+        V = vrep(generate(name))
+        self.assert_agree(V, random.Random(name), hrep(V).facets)
+
+    def test_not_zero_one(self):
+        rng = random.Random(17)
+        self.assert_agree(PLANE_SQUARE, rng)
+        for _ in range(60):
+            self.assert_agree(random_int_vrep(rng), rng)
+
+    def test_one_pass_and_one_column_fewer(self, monkeypatch):
+        """Each point is evaluated once, verify_valid is not called, and a
+        row with a nonzero coefficient leaves m - 1 columns to the rank."""
+        V = vrep(generate("cycle:6"))
+        calls, widths = [], []
+        evaluate = Inequality.evaluate
+        monkeypatch.setattr(Inequality, "evaluate",
+                            lambda q, x: calls.append(x) or evaluate(q, x))
+        monkeypatch.setattr(polytope, "verify_valid", None)
+        monkeypatch.setattr(polytope, "affine_dimension",
+                            lambda pts: widths.append(len(pts[0])) or affine_dimension(pts))
+        assert face_dimension(family_inequality(generate("cycle:6"), 1, 4), V) == 5
+        assert sorted(calls) == sorted(V.points) and widths == [5]
+        calls.clear()
+        assert face_dimension(Inequality([0] * 6, 0), V) == 6
+        assert len(calls) == len(V.points) and widths == [5, 6]
+
+    def test_wrong_width_raises_before_reading_a_point(self):
+        class Unread:
+            def __iter__(self):
+                raise AssertionError("a point was read")
+
+        with pytest.raises(GraphError, match="row has 2 coefficients"):
+            face_dimension(Inequality([1, 1], 1), SimpleNamespace(m=3, points=Unread()))
 
 
 class TestClassify:

@@ -148,14 +148,25 @@ class TestEliminate:
             assert [ratio * x for x in ref] == col
 
 
+fracs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
 class TestIntegerRow:
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=12),
-                    max_size=6))
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.lists(fracs, max_size=6),
+        st.lists(st.integers(-60, 60), max_size=6),
+        st.lists(st.one_of(st.integers(-60, 60), st.booleans(), fracs), max_size=6),
+        st.lists(st.booleans(), max_size=6)))
     def test_matches_old_canonical(self, row):
+        """Fraction, int, mixed and bool rows (int rows take the gcd-only
+        path): the lcm/gcd reference, all ints, and never the caller's list."""
+        before = list(row)
         got = integer_row(row)
         assert got == _old_canonical(row)
         assert all(type(x) is int for x in got)
+        assert got is not row and row == before
+        assert all(type(x) is type(y) for x, y in zip(row, before))
 
     def test_keeps_sign(self):
         assert integer_row([Fraction(-2, 3), Fraction(4, 9), 0]) == [-3, 2, 0]
