@@ -11,19 +11,16 @@ from dataclasses import replace
 from .facet_family import generate_family
 from .graph_core import GraphError, format_graph, generate, parse_graph
 from .inequality import format_hrep_file, parse_hrep_file
-from .matchings import (brute_force_max_weight_cm, enumerate_connected_matchings,
-                        format_vrep)
+from .matchings import (DEFAULT_ENUM_LIMIT, brute_force_max_weight_cm,
+                        enumerate_connected_matchings, format_vrep)
 from .msi import dominates, minimal_separators_brute, project_msi
 from .polytope import classify, export_vrep_interop, hrep, verify_valid, vrep
 from .solver import SolveConfig, branch_and_cut
 
 
-def _load_graph(path, limit):
+def _read(path):
     with open(path) as fh:
-        g = parse_graph(fh.read())
-    if g.m > limit:
-        raise GraphError(f"graph has {g.m} edges, above --limit {limit}")
-    return g
+        return fh.read()
 
 
 def _emit(text, out):
@@ -34,8 +31,16 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _weights(g):
-    return [g.weight(e) for e in range(1, g.m + 1)]
+def _run_graph_command(func, args):
+    """Read and parse -g, refuse a graph above --limit, run `func(g, args)`
+    and write what it returns, text or lines, to -o or stdout."""
+    g = parse_graph(_read(args.graph))
+    if g.m > args.limit:
+        raise GraphError(f"graph has {g.m} edges, above --limit {args.limit}")
+    out, code = func(g, args)
+    _emit(out if isinstance(out, str) else "".join(line + "\n" for line in out),
+          args.output)
+    return code
 
 
 def cmd_gen(args):
@@ -43,15 +48,12 @@ def cmd_gen(args):
     return 0
 
 
-def cmd_enumerate(args):
-    g = _load_graph(args.graph, args.limit)
+def cmd_enumerate(g, args):
     vecs = enumerate_connected_matchings(g, limit=args.count_limit)
-    _emit(format_vrep(vecs, g.m), args.output)
-    return 0
+    return format_vrep(vecs, g.m), 0
 
 
-def cmd_hrep(args):
-    g = _load_graph(args.graph, args.limit)
+def cmd_hrep(g, args):
     H = hrep(vrep(g, limit=args.count_limit))
     classes = [classify(q, g) for q in H.facets]
     tagged = [replace(q, tag=fc.kind) for q, fc in zip(H.facets, classes)]
@@ -62,48 +64,38 @@ def cmd_hrep(args):
     else:
         out += "# class histogram: " + " ".join(
             f"{k}={v}" for k, v in sorted(hist.items())) + "\n"
-    _emit(out, args.output)
-    return 0
+    return out, 0
 
 
-def cmd_family(args):
-    g = _load_graph(args.graph, args.limit)
+def cmd_family(g, args):
     fam = generate_family(g)
     lines = []
-    certified = 0
     for q, cert in fam:
-        mark = ""
-        if args.certify:
-            mark = f" facet_certified={'yes' if cert.facet_certified else 'no'}"
-            certified += cert.facet_certified
         if args.tsv:
             lines.append(q.format_line().split("#")[0].strip() + "\t"
                          + f"pair=({cert.pair[0]},{cert.pair[1]})"
                          + (f"\tcertified={int(cert.facet_certified)}" if args.certify else ""))
+        elif args.certify:
+            lines.append(q.format_line() + " facet_certified="
+                         + ("yes" if cert.facet_certified else "no"))
         else:
-            lines.append(q.format_line() + mark)
+            lines.append(q.format_line())
     if args.certify and not args.tsv:
-        lines.append(f"# facet_certified rows: {certified}")
-    _emit("".join(line + "\n" for line in lines), args.output)
-    return 0
+        lines.append(f"# facet_certified rows: {sum(c.facet_certified for _, c in fam)}")
+    return lines, 0
 
 
-def cmd_classify(args):
-    g = _load_graph(args.graph, args.limit)
-    with open(args.ineq) as fh:
-        rows = parse_hrep_file(fh.read())
+def cmd_classify(g, args):
     lines = []
-    for q in rows:
+    for q in parse_hrep_file(_read(args.ineq)):
         fc = classify(q, g)
         detail = f" {fc.data}" if fc.data else ""
         sep = "\t" if args.tsv else "  ->  "
         lines.append(q.format_line().split("#")[0].strip() + sep + fc.kind + detail)
-    _emit("".join(line + "\n" for line in lines), args.output)
-    return 0
+    return lines, 0
 
 
-def cmd_msi(args):
-    g = _load_graph(args.graph, args.limit)
+def cmd_msi(g, args):
     if args.max_separator is not None and args.max_separator < 0:
         raise GraphError(f"separator size cap must be >= 0, got {args.max_separator}")
     fam_rows = [q for q, _ in generate_family(g)] if args.dominance else []
@@ -122,13 +114,11 @@ def cmd_msi(args):
                     if dom:
                         line += " dominated_by[" + "; ".join(dom) + "]"
                 lines.append(line)
-    _emit("".join(line + "\n" for line in lines), args.output)
-    return 0
+    return lines, 0
 
 
-def cmd_solve(args):
-    g = _load_graph(args.graph, args.limit)
-    w = _weights(g)
+def cmd_solve(g, args):
+    w = [g.weight(e) for e in range(1, g.m + 1)]
     config = SolveConfig(use_family_cuts=not args.no_family_cuts,
                          use_msi_separation=not args.no_msi,
                          node_limit=args.node_limit)
@@ -146,31 +136,20 @@ def cmd_solve(args):
         val, _ = brute_force_max_weight_cm(g, w, limit=args.count_limit)
         lines.append("MATCH" if val == res.value and res.status == "optimal"
                      else "MISMATCH")
-    _emit("\n".join(lines) + "\n", args.output)
-    return int(res.status != "optimal" or lines[-1] == "MISMATCH")
+    return lines, int(res.status != "optimal" or lines[-1] == "MISMATCH")
 
 
-def cmd_verify(args):
-    g = _load_graph(args.graph, args.limit)
-    with open(args.ineq) as fh:
-        rows = parse_hrep_file(fh.read())
+def cmd_verify(g, args):
+    rows = parse_hrep_file(_read(args.ineq))
     V = vrep(g, limit=args.count_limit)
-    bad = 0
-    lines = []
-    for q in rows:
-        violators = verify_valid(q, V)
-        lines.append(("VALID " if not violators else
-                      f"INVALID ({len(violators)} violations) ")
-                     + q.format_line())
-        bad += bool(violators)
-    _emit("".join(line + "\n" for line in lines), args.output)
-    return 1 if bad else 0
+    violations = [len(verify_valid(q, V)) for q in rows]
+    lines = [(f"INVALID ({k} violations) " if k else "VALID ") + q.format_line()
+             for q, k in zip(rows, violations)]
+    return lines, int(any(violations))
 
 
-def cmd_export(args):
-    g = _load_graph(args.graph, args.limit)
-    _emit(export_vrep_interop(vrep(g, limit=args.count_limit)), args.output)
-    return 0
+def cmd_export(g, args):
+    return export_vrep_interop(vrep(g, limit=args.count_limit)), 0
 
 
 @functools.cache
@@ -187,16 +166,16 @@ def build_parser():
         p.add_argument("-g", "--graph", required=True, help="graph file")
         p.add_argument("-o", "--output", default=None, help="output file")
         p.add_argument("--limit", type=int, default=20,
-                       help="max edge count accepted (default 20)")
+                       help="max edge count accepted (default %(default)s)")
         if count_limit:
-            p.add_argument("--count-limit", type=int, default=200_000,
-                           help="max enumerated matchings (default 200000)")
+            p.add_argument("--count-limit", type=int, default=DEFAULT_ENUM_LIMIT,
+                           help="max enumerated matchings (default %(default)s)")
         if tsv:
             p.add_argument("--tsv", action="store_true",
                            help="machine-readable output")
         p.add_argument("--no-meta", action="store_true",
                        help="suppress non-reproducible report lines")
-        p.set_defaults(func=func)
+        p.set_defaults(func=functools.partial(_run_graph_command, func))
         return p
 
     p = sub.add_parser("gen", help="write a generated graph")
@@ -226,7 +205,7 @@ def build_parser():
                    help="compare against the brute-force oracle")
     p.add_argument("--no-family-cuts", action="store_true")
     p.add_argument("--no-msi", action="store_true")
-    p.add_argument("--node-limit", type=int, default=100_000)
+    p.add_argument("--node-limit", type=int, default=SolveConfig.node_limit)
 
     p = command("verify", cmd_verify, "check an inequality file against vrep",
                 count_limit=True)

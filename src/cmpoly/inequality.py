@@ -74,12 +74,10 @@ def parse_entry(t, line):
 def parse_inequality_line(line):
     """Parse one `<c1> ... <cm> <= <rhs>` row of `parse_entry` tokens; # comment is the tag."""
     body, _, comment = line.partition("#")
-    body = body.strip()
-    mt = re.match(r"^(.*)<=\s*(-?\d+(?:/\d+)?)\s*$", body)
-    if not mt:
+    lhs, sense, rhs = body.rpartition("<=")
+    if not sense or len(rhs.split()) != 1:
         raise ValueError(f"bad inequality line: {line!r}")
-    values = [parse_entry(t, line) for t in [*mt.group(1).split(), mt.group(2)]]
-    *coeffs, rhs = values
+    *coeffs, rhs = [parse_entry(t, line) for t in [*lhs.split(), rhs.strip()]]
     tag = ""
     tm = re.search(r"tag=(\S+)", comment)
     if tm:

@@ -17,11 +17,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .graph_core import GraphError, is_separator, mask_bits, reach_within, vertex_mask
 from .inequality import Inequality
 from .matchings import is_connected_matching, is_matching
+from .rational_la import integer_row
 
 
 @dataclass(frozen=True)
@@ -171,8 +171,10 @@ def separate_fractional(g, xstar):
     for x in xstar:
         if x < 0 or x > 1:
             raise GraphError("xstar must lie in the unit box")
-    D = lcm(*[x.denominator for x in xstar])
-    X = [x.numerator * (D // x.denominator) for x in xstar]
+    # D is the lcm of the denominators and X is D * xstar: integer_row's gcd
+    # is 1, as for each prime p dividing D the entry whose denominator holds
+    # the highest power of p scales to a numerator that p does not divide.
+    *X, D = integer_row([*xstar, 1])
     # D times the degree sum of xstar at each vertex
     y = [0] + [sum(X[e - 1] for e in g.incident_edges(v)) for v in range(1, g.n + 1)]
     for v in range(1, g.n + 1):

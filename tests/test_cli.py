@@ -7,7 +7,7 @@ import pytest
 
 import cmpoly
 from cmpoly.cli import run
-from cmpoly.graph_core import format_graph, generate, parse_graph
+from cmpoly.graph_core import GraphError, format_graph, generate, parse_graph
 from cmpoly.inequality import parse_inequality_line
 from cmpoly.matchings import enumerate_cm_sets, is_connected_matching
 
@@ -373,6 +373,68 @@ class TestFlags:
         assert code == 0
         assert [ln for ln in meta.splitlines() if not ln.startswith("wall_time ")] \
             == plain.splitlines()
+
+
+class TestRunner:
+    """The one runner in front of every graph subcommand: -o gets exactly the
+    bytes stdout would get, the graph is read first, and a command that fails
+    writes nothing."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        paths = {name: str(tmp_path / name) for name in ("c7.g", "rows", "short_rows", "out")}
+        texts = {"c7.g": format_graph(generate("cycle:7")),
+                 # the second row is invalid: x_1 >= 1 fails at the empty matching
+                 "rows": "h 7 2\n1 0 0 0 0 0 0 <= 1\n-1 0 0 0 0 0 0 <= -1\n",
+                 "short_rows": "h 2 1\n1 1 <= 1\n"}
+        for name, text in texts.items():
+            with open(paths[name], "w") as fh:
+                fh.write(text)
+        return paths
+
+    @pytest.mark.parametrize("argv,code", [
+        (["enumerate"], 0), (["hrep"], 0), (["hrep", "--tsv"], 0),
+        (["family", "--certify"], 0), (["family", "--tsv"], 0),
+        (["classify", "--ineq", "{rows}"], 0), (["msi", "--dominance"], 0),
+        (["solve", "--no-meta", "--oracle-check"], 0),
+        (["solve", "--no-meta", "--no-family-cuts", "--no-msi", "--node-limit", "1"], 1),
+        (["verify", "--ineq", "{rows}"], 1), (["export"], 0),
+    ], ids=["enumerate", "hrep", "hrep-tsv", "family-certify", "family-tsv", "classify", "msi",
+            "solve", "solve-node-limit", "verify-invalid-row", "export"])
+    def test_output_file_gets_the_stdout_bytes(self, argv, code, files, capsys):
+        argv = [a.format(**files) for a in argv] + ["-g", files["c7.g"]]
+        got, out, err = invoke(argv, capsys)
+        assert (got, err) == (code, "") and out
+        assert invoke(argv + ["-o", files["out"]], capsys) == (code, "", "")
+        with open(files["out"], "rb") as fh:
+            assert fh.read() == out.encode()
+
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_bad_graph_is_reported_before_a_missing_ineq(self, command, tmp_path, capsys):
+        text = "p 2 1\ne 1 3\n"
+        with pytest.raises(GraphError) as exc:
+            parse_graph(text)
+        graph = tmp_path / "bad.g"
+        graph.write_text(text)
+        code, out, err = invoke([command, "-g", str(graph),
+                                 "--ineq", str(tmp_path / "missing.ineq")], capsys)
+        assert (code, out, err) == (1, "", f"error: {exc.value}\n")
+
+    @pytest.mark.parametrize("argv", [
+        *([command, "--limit", "6"] for command in ("enumerate", "hrep", "family", "msi",
+                                                  "solve", "export")),
+        ["classify", "--ineq", "{rows}", "--limit", "6"],
+        ["verify", "--ineq", "{rows}", "--limit", "6"],
+        ["enumerate", "--count-limit", "1"], ["hrep", "--count-limit", "1"],
+        ["export", "--count-limit", "1"], ["verify", "--ineq", "{rows}", "--count-limit", "1"],
+        ["solve", "--oracle-check", "--count-limit", "1"], ["solve", "--node-limit", "0"],
+        ["msi", "--max-separator", "-1"], ["classify", "--ineq", "{short_rows}"],
+    ], ids=lambda argv: "-".join(a.strip("-{}") for a in argv))
+    def test_failing_command_writes_no_file(self, argv, files, capsys):
+        argv = [a.format(**files) for a in argv] + ["-g", files["c7.g"], "-o", files["out"]]
+        code, out, err = invoke(argv, capsys)
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert not os.path.exists(files["out"])
 
 
 def run_cli_process(*argv):

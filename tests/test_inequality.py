@@ -51,18 +51,26 @@ class TestParse:
 
     @pytest.mark.parametrize("t", ["+1", "-0", "007", "1.5", "1e3", "1_0", "\u0663", "1/0", "x"])
     def test_token_reads_as_fraction_does(self, t):
-        """An ASCII integer token is read by int(), any other by Fraction: the
-        value, and the message for a token Fraction refuses, are Fraction's."""
-        line = f"{t} 1 <= 1"
-        try:
-            want = Fraction(t)
-        except (ValueError, ZeroDivisionError):
-            message = re.escape(f"bad inequality entry {t!r} in line {line!r}")
-            for parse in (lambda: parse_entry(t, line), lambda: parse_inequality_line(line)):
-                with pytest.raises(ValueError, match=message):
-                    parse()
-            return
-        got = parse_entry(t, line)
-        assert got == want
-        assert (type(got) is int) == bool(re.fullmatch(r"[-+]?[0-9]+", t))
-        assert parse_inequality_line(line) == Inequality([want, 1], 1)
+        """An ASCII integer token is read by int(), any other by Fraction, as a
+        coefficient and as the rhs: the value, and the message for a token
+        Fraction refuses, are Fraction's."""
+        for line, row in ((f"{t} 1 <= 1", lambda v: Inequality([v, 1], 1)),
+                          (f"1 1 <= {t}", lambda v: Inequality([1, 1], v))):
+            try:
+                want = Fraction(t)
+            except (ValueError, ZeroDivisionError):
+                message = re.escape(f"bad inequality entry {t!r} in line {line!r}")
+                for parse in (lambda: parse_entry(t, line), lambda: parse_inequality_line(line)):
+                    with pytest.raises(ValueError, match=message):
+                        parse()
+                continue
+            got = parse_entry(t, line)
+            assert got == want
+            assert (type(got) is int) == bool(re.fullmatch(r"[-+]?[0-9]+", t))
+            assert parse_inequality_line(line) == row(want)
+
+    @pytest.mark.parametrize("line", ["1 1 1", "1 1 <=", "1 1 <= 1 2", "1 1 <= # 1"],
+                             ids=["no-sense", "no-rhs", "two-rhs-tokens", "rhs-in-comment"])
+    def test_line_without_one_rhs_token_is_bad(self, line):
+        with pytest.raises(ValueError, match=re.escape(f"bad inequality line: {line!r}")):
+            parse_inequality_line(line)

@@ -2,8 +2,11 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cmpoly.graph_core import Graph, GraphError, generate
 from cmpoly.inequality import Inequality
@@ -13,6 +16,7 @@ from cmpoly.matchings import is_connected_matching, is_matching
 from cmpoly.msi import (Separator, _min_vertex_cut, _split_network, dominates,
                         lazy_cut_for_disconnected, minimal_separators_brute, minimalize,
                         project_msi, separate_fractional)
+from cmpoly.rational_la import integer_row
 
 from conftest import assert_primitive_int_row, random_connected_graph, set_bfs_components
 
@@ -329,6 +333,15 @@ class TestSeparateFractional:
             separate_fractional(g, [2, 0, 0, 0, 0, 0])
         with pytest.raises(GraphError):
             separate_fractional(g, [1, 1, 0, 0, 0, 0])
+
+    @given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=60), max_size=8))
+    @example([Fraction(0)] * 6)
+    def test_point_scaled_by_integer_row_as_by_lcm(self, xstar):
+        """The point scaling: integer_row([*xstar, 1]) is (lcm of the
+        denominators) * (xstar, 1), with no gcd left to divide out."""
+        D = lcm(*[x.denominator for x in xstar])
+        assert integer_row([*xstar, 1]) == [x.numerator * (D // x.denominator)
+                                             for x in xstar] + [D]
 
 
 class TestMinVertexCut:
