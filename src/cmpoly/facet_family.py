@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import (GraphError, is_biconnected_mask, is_connected_mask, mask_bits,
-                         union_over)
+from .graph_core import GraphError, is_biconnected_mask, mask_bits, union_over
 from .inequality import Inequality
 from .matchings import exists_cm_superset
 
@@ -27,6 +26,21 @@ class FamilyCertificate:
     facet_certified: bool
 
 
+def _edge_masks(g, e):
+    """(touch, nv, near) of edge id e: the edges that share an endpoint with
+    e, the vertices at or next to its endpoints, and the edges at those."""
+    u, v = g.endpoints(e)
+    at, nbr = g.incident_masks, g.neighbor_masks
+    nv = nbr[u] | nbr[v]   # holds u and v, each the other's neighbour
+    return at[u] | at[v], nv, union_over(at, nv)
+
+
+def _lambda_mask(a, b):
+    """Mask of the lambda set of two edges with _edge_masks a and b: edges at
+    a vertex next to each, at no endpoint of either."""
+    return a[2] & b[2] & ~(a[0] | b[0])
+
+
 def lambda_set(g, e1, e2):
     """Edge ids at line-graph distance exactly 2 from both e1 and e2.
 
@@ -35,21 +49,15 @@ def lambda_set(g, e1, e2):
     """
     if e1 == e2:
         raise GraphError("lambda set needs two distinct edges")
-    ends1, ends2 = g.cover_mask((e1,)), g.cover_mask((e2,))
-    # edges at a neighbour of e1 and at a neighbour of e2, but at no endpoint
-    at, nbr = g.incident_masks, g.neighbor_masks
-    lam = (union_over(at, union_over(nbr, ends1)) & union_over(at, union_over(nbr, ends2))
-           & ~union_over(at, ends1 | ends2))
-    return tuple(mask_bits(lam))
+    return tuple(mask_bits(_lambda_mask(_edge_masks(g, e1), _edge_masks(g, e2))))
 
 
 def is_disconnected_pair(g, e1, e2):
     """True iff e1,e2 are vertex-disjoint and their four endpoints induce a
-    disconnected subgraph.  Two edges sharing an endpoint cover a connected
-    set, so the connectivity test alone decides."""
+    disconnected subgraph: no endpoint of e2 is at or next to one of e1."""
     if e1 == e2:
         raise GraphError("pair needs two distinct edges")
-    return not is_connected_mask(g, g.cover_mask((e1, e2)))
+    return not _edge_masks(g, e1)[1] & g.cover_mask((e2,))
 
 
 def family_inequality(g, e1, e2):
@@ -82,11 +90,7 @@ def check_validity_hypothesis(g, e1, e2):
     """
     if not is_disconnected_pair(g, e1, e2):
         raise GraphError(f"edges {e1},{e2} are not a disconnected pair")
-    return _is_valid(g, e1, e2, lambda_set(g, e1, e2))
-
-
-def _is_valid(g, e1, e2, lam):
-    return not exists_cm_superset(g, [e1, e2], forbidden=lam)
+    return not exists_cm_superset(g, [e1, e2], forbidden=lambda_set(g, e1, e2))
 
 
 def _facet_hypothesis(g, e1, e2, lam):
@@ -105,16 +109,19 @@ def generate_family(g):
     """One (Inequality, FamilyCertificate) per unordered disconnected pair that
     passes the validity hypothesis, ordered by (min id, max id).
 
-    Each pair is decided once: one disconnected test, one lambda set, one
-    validity search, one certificate.
+    The _edge_masks of every edge are built once, so each pair costs one
+    mask test for disconnection and one for its lambda set, then one
+    validity search and one certificate.
     """
+    masks = [None] + [_edge_masks(g, e) for e in range(1, g.m + 1)]
     out = []
     for e1 in range(1, g.m + 1):
+        a = masks[e1]
         for e2 in range(e1 + 1, g.m + 1):
-            if not is_disconnected_pair(g, e1, e2):
+            if a[1] & g.endpoint_masks[e2]:
                 continue
-            lam = lambda_set(g, e1, e2)
-            if not _is_valid(g, e1, e2, lam):
+            lam = tuple(mask_bits(_lambda_mask(a, masks[e2])))
+            if exists_cm_superset(g, [e1, e2], forbidden=lam):
                 continue
             cert = FamilyCertificate(
                 pair=(e1, e2),

@@ -287,8 +287,10 @@ def union_over(table, mask):
     the neighbours of a vertex set, the edges at a vertex set or the
     vertices covered by an edge set."""
     out = 0
-    for i in mask_bits(mask):
-        out |= table[i]
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
     return out
 
 

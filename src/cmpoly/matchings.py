@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graph_core import GraphError, is_connected_mask, reach_within
+from .graph_core import GraphError, is_connected_mask, mask_bits, reach_within, union_over
 
 DEFAULT_ENUM_LIMIT = 200_000
 
@@ -69,39 +69,50 @@ def exists_cm_superset(g, R, forbidden=()):
     Edges in forbidden may not be picked as matching edges, but they still
     belong to g and count toward the connectivity of the covered set.
 
-    Backtracks over the free edges (neither in R nor forbidden, disjoint
-    from R) with the covered vertices as a bitmask C.  A subtree is cut
-    when C does not lie in one component of G[C | U], where U is what the
-    subtree's remaining compatible free edges could still cover.  The cut
-    is exact: every matching the subtree can reach covers a set between C
-    and C | U, so if that set is connected it joins all of C inside
-    G[C | U].  The neighbour masks hold every edge of g, forbidden ones
-    included, so the cut judges connectivity as the final test does.
+    Grows the covered vertex set C from R's cover one free edge at a time
+    (free: not forbidden and at no vertex of R; compatible: also at no
+    vertex of C).  Let K be the component of C's least vertex in G[C].  If
+    K != C, a connected cover grown from C holds a vertex next to K and
+    outside K, and no such vertex is in C, so the search branches only on
+    compatible edges that cover a neighbour of K outside C.  What is left
+    to choose, and so the answer, depends on C alone: a C met again in the
+    same call has already failed.  C is also cut when the rest of C cannot
+    be reached from K's neighbours in G[C | U], U being what its compatible
+    edges cover, since every cover grown from C lies between C and C | U.
+    The neighbour masks hold every edge of g, forbidden ones included, so
+    both steps judge connectivity as the final test does.
     """
-    R = sorted(set(R))
+    R = set(R)
     if not is_matching(g, R):
         raise GraphError("R is not a matching")
-    nbr = g.neighbor_masks
-    cover = g.endpoint_masks
+    nbr, at, cover, edges = g.neighbor_masks, g.incident_masks, g.endpoint_masks, g.edges
     base = g.cover_mask(R)
-    forbidden = set(forbidden)
-    # an edge of R covers vertices of base, so the test on base excludes it
-    free = [cover[e] for e in range(1, g.m + 1)
-            if e not in forbidden and not cover[e] & base]
+    free = ((1 << (g.m + 1)) - 2) & ~union_over(at, base)
+    for e in forbidden:
+        free &= ~(1 << e)
+    seen = set()
 
-    def rec(covered, idx):
-        low = covered & -covered
-        if reach_within(nbr, covered, low) == covered:
-            return True
-        options = [k for k in range(idx, len(free)) if not covered & free[k]]
-        room = covered
-        for k in options:
-            room |= free[k]
-        if reach_within(nbr, room, low) & covered != covered:
+    def rec(covered, options):
+        if covered in seen:
             return False
-        return any(rec(covered | free[k], k + 1) for k in options)
+        low = covered & -covered
+        comp = reach_within(nbr, covered, low)
+        if comp == covered:
+            return True
+        seen.add(covered)
+        rest = covered & ~comp
+        border = union_over(nbr, comp) & ~covered
+        grow = options & union_over(at, border)
+        room = rest | union_over(cover, options)
+        if not grow or reach_within(nbr, room, border & room) & rest != rest:
+            return False
+        for f in mask_bits(grow):
+            u, v = edges[f - 1]
+            if rec(covered | cover[f], options & ~(at[u] | at[v])):
+                return True
+        return False
 
-    return rec(base, 0)
+    return rec(base, free)
 
 
 def brute_force_max_weight_cm(g, w, limit=DEFAULT_ENUM_LIMIT):

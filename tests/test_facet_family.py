@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cmpoly import matchings
 from cmpoly.facet_family import (FamilyCertificate, _facet_hypothesis,
                                  check_validity_hypothesis, family_inequality,
                                  generate_family, is_disconnected_pair, lambda_set)
@@ -273,6 +274,20 @@ class TestGenerateFamily:
                     continue
                 for M in cms:
                     assert len(lam & set(M)) <= 1
+
+    def test_cycle30_search_work_is_bounded(self, monkeypatch):
+        # the index-order search made 701,068 reach_within calls here
+        calls = 0
+        reach_within = matchings.reach_within
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return reach_within(*args)
+
+        monkeypatch.setattr(matchings, "reach_within", counted)
+        assert len(generate_family(generate("cycle:30"))) == 195
+        assert calls < 50_000
 
     def test_certificate_consistency(self):
         for seed in range(10):

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from cmpoly.facet_family import is_disconnected_pair, lambda_set
-from cmpoly.graph_core import Graph, GraphError, generate
+from cmpoly.graph_core import Graph, GraphError, generate, reach_within
 from cmpoly.matchings import (SizeLimitExceeded, brute_force_max_weight_cm,
                               enumerate_cm_sets, enumerate_connected_matchings,
                               exists_cm_superset, format_vrep, incidence_vector,
@@ -28,6 +28,34 @@ def oracle_cm_sets(g):
             continue
         out.append(M)
     return sorted(out)
+
+
+def reference_exists_cm_superset(g, R, forbidden=()):
+    """The index-order search the growth search replaced: backtracks over
+    the free edges in id order, with the same reachability cut."""
+    R = sorted(set(R))
+    if not is_matching(g, R):
+        raise GraphError("R is not a matching")
+    nbr = g.neighbor_masks
+    cover = g.endpoint_masks
+    base = g.cover_mask(R)
+    forbidden = set(forbidden)
+    free = [cover[e] for e in range(1, g.m + 1)
+            if e not in forbidden and not cover[e] & base]
+
+    def rec(covered, idx):
+        low = covered & -covered
+        if reach_within(nbr, covered, low) == covered:
+            return True
+        options = [k for k in range(idx, len(free)) if not covered & free[k]]
+        room = covered
+        for k in options:
+            room |= free[k]
+        if reach_within(nbr, room, low) & covered != covered:
+            return False
+        return any(rec(covered | free[k], k + 1) for k in options)
+
+    return rec(base, 0)
 
 
 class TestPredicate:
@@ -160,6 +188,43 @@ class TestSuperset:
             superset_outcomes(random_connected_graph(seed, 7, 12, 4, 15), random.Random(seed))
         for seed in range(25):
             superset_outcomes(random_connected_graph(seed, 6, 10, 6, 14), random.Random(seed))
+
+
+class TestSupersetAgainstReference:
+    def test_random_suite_random_forbidden(self, random_suite):
+        rng = random.Random(11)
+        outcomes = set()
+        for g in random_suite:
+            for _ in range(12):
+                R = rng.sample(range(1, g.m + 1), rng.randint(1, min(3, g.m)))
+                if not is_matching(g, R):
+                    continue
+                forbidden = [f for f in range(1, g.m + 1) if rng.random() < 0.3]
+                got = exists_cm_superset(g, R, forbidden)
+                assert got == reference_exists_cm_superset(g, R, forbidden), (g, R, forbidden)
+                outcomes.add(got)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("name", ["cycle:24", "path:30", "petersen", "j26", "cube:4"])
+    def test_family_pairs_of_named_graphs(self, name):
+        g = generate(name)
+        pairs = 0
+        for e1 in range(1, g.m + 1):
+            for e2 in range(e1 + 1, g.m + 1):
+                if not is_disconnected_pair(g, e1, e2):
+                    continue
+                lam = lambda_set(g, e1, e2)
+                assert (exists_cm_superset(g, [e1, e2], lam)
+                        == reference_exists_cm_superset(g, [e1, e2], lam)), (e1, e2)
+                pairs += 1
+        assert pairs
+
+    def test_repeated_id_is_one_edge(self):
+        for g in (generate("cycle:6"), generate("path:4"), generate("petersen")):
+            for forbidden in ((), (1,), (3, 4)):
+                assert (exists_cm_superset(g, [2, 2], forbidden)
+                        == exists_cm_superset(g, [2], forbidden))
+        assert not exists_cm_superset(generate("cycle:6"), [1, 4, 4])
 
 
 def superset_outcomes(g, rng):
