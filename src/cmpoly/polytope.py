@@ -3,7 +3,6 @@ facet verification and classification, and interop export."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .facet_family import is_disconnected_pair, lambda_set
@@ -256,11 +255,6 @@ def classify(q, g):
                 return FacetClass("family", (tuple(plus), minus))
 
     return FacetClass("other")
-
-
-def class_histogram(H, g):
-    """Count facets by class key."""
-    return Counter(classify(q, g).key for q in H.facets)
 
 
 def export_vrep_interop(V):

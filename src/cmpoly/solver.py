@@ -260,9 +260,3 @@ def branch_and_cut(g, w, config=None):
     return SolveResult(value=incumbent_val, matching=incumbent_set,
                        status=status, stats=stats, log=log)
 
-
-def root_gap_report(g, w):
-    """Root LP values (without family rows, with family rows)."""
-    no_fam = build_base_lp(g, w, SolveConfig(use_family_cuts=False))
-    with_fam = build_base_lp(g, w, SolveConfig(use_family_cuts=True))
-    return solve_lp_exact(no_fam)[0], solve_lp_exact(with_fam)[0]

@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
 
 from cmpoly.graph_core import Graph
+from cmpoly.polytope import classify
+from cmpoly.solver import SolveConfig, build_base_lp, solve_lp_exact
 
 
 def random_connected_graph(seed, n_lo=4, n_hi=8, max_extra=4, m_cap=12):
@@ -47,6 +50,18 @@ def set_bfs_components(g, S):
         comps.append(comp)
         unseen -= comp
     return comps
+
+
+def class_histogram(H, g):
+    """Count facets by class key."""
+    return Counter(classify(q, g).key for q in H.facets)
+
+
+def root_gap_report(g, w):
+    """Root LP values (without family rows, with family rows)."""
+    no_fam = build_base_lp(g, w, SolveConfig(use_family_cuts=False))
+    with_fam = build_base_lp(g, w, SolveConfig(use_family_cuts=True))
+    return solve_lp_exact(no_fam)[0], solve_lp_exact(with_fam)[0]
 
 
 def to_networkx(g):

@@ -14,12 +14,12 @@ from cmpoly.facet_family import generate_family
 from cmpoly.graph_core import generate
 from cmpoly.matchings import brute_force_max_weight_cm
 from cmpoly.msi import minimal_separators_brute, project_msi
-from cmpoly.polytope import (VRep, class_histogram, classify, face_dimension,
-                             hrep, polytope_dimension, verify_valid, vrep)
+from cmpoly.polytope import (VRep, classify, face_dimension, hrep, polytope_dimension,
+                             verify_valid, vrep)
 from cmpoly.rational_la import affine_dimension
-from cmpoly.solver import branch_and_cut, root_gap_report
+from cmpoly.solver import branch_and_cut
 
-from conftest import random_connected_graph
+from conftest import class_histogram, random_connected_graph, root_gap_report
 
 
 NAMED_CORPUS = (["path:%d" % k for k in range(2, 8)]

@@ -89,6 +89,15 @@ class TestEnumerate:
         header = out.splitlines()[0]
         assert header.startswith("m 6 k ")
 
+    def test_negative_count_limit_exits_one(self, c6_file, capsys):
+        code, out, err = invoke(["enumerate", "-g", c6_file, "--count-limit", "-3"], capsys)
+        assert code == 1
+        assert out == "" and "count limit must be >= 0, got -3" in err
+        # the empty matching always exists, so a zero limit is exceeded, not refused
+        code, out, err = invoke(["enumerate", "-g", c6_file, "--count-limit", "0"], capsys)
+        assert code == 1
+        assert out == "" and "more than 0 connected matchings" in err
+
 
 class TestHrep:
     def test_histogram(self, c6_file, capsys):

@@ -20,6 +20,7 @@ The files in tests/golden/ were generated from the repository root with:
     cmpoly family -g j26.g --tsv --certify --no-meta -o family_j26.tsv
     cmpoly gen --name cycle:24 -o cycle24.g
     cmpoly family -g cycle24.g --certify --limit 24 --no-meta -o family_cycle24.txt
+    cmpoly enumerate -g cycle24.g --limit 24 --no-meta -o enumerate_cycle24.txt
     cmpoly msi -g j26.g --dominance --no-meta -o msi_j26.txt
     cmpoly msi -g cycle7.g --max-separator 2 --no-meta -o msi_cycle7.txt
 
@@ -31,7 +32,8 @@ has to connect it.  cycle20w1.g is cycle:20 with the weights of perfbench's
 family rows its solve visits 21 nodes and adds 611 MSI and 9 lazy cuts, so the
 last LPs have 640 rows; with family rows it solves at the root in 34 pivots.
 family_cycle24.txt holds the 120 valid pairs of cycle:24, whose validity
-searches are the deepest here.  mixed8.g is a hand-written 8-vertex graph
+searches are the deepest here, and enumerate_cycle24.txt its 267 connected
+matchings, out of 103,682 matchings.  mixed8.g is a hand-written 8-vertex graph
 whose family has a facet-certified row, rows that are not, and a row with
 an empty lambda set.  A change to any of these outputs is a change to what
 cmpoly proves; regenerate them only on purpose.
@@ -62,6 +64,7 @@ CASES = [
     (["family", "-g", "mixed8.g", "--certify"], "family_mixed8.txt"),
     (["family", "-g", "j26.g", "--tsv", "--certify"], "family_j26.tsv"),
     (["family", "-g", "cycle24.g", "--certify", "--limit", "24"], "family_cycle24.txt"),
+    (["enumerate", "-g", "cycle24.g", "--limit", "24"], "enumerate_cycle24.txt"),
     (["msi", "-g", "j26.g", "--dominance"], "msi_j26.txt"),
     (["msi", "-g", "cycle7.g", "--max-separator", "2"], "msi_cycle7.txt"),
 ]

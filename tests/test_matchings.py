@@ -5,8 +5,9 @@ from itertools import chain, combinations
 import networkx as nx
 import pytest
 
+from cmpoly import graph_core, matchings
 from cmpoly.facet_family import is_disconnected_pair, lambda_set
-from cmpoly.graph_core import Graph, GraphError, generate, reach_within
+from cmpoly.graph_core import Graph, GraphError, generate, is_connected_mask, reach_within
 from cmpoly.matchings import (SizeLimitExceeded, brute_force_max_weight_cm,
                               enumerate_cm_sets, enumerate_connected_matchings,
                               exists_cm_superset, format_vrep, incidence_vector,
@@ -28,6 +29,26 @@ def oracle_cm_sets(g):
             continue
         out.append(M)
     return sorted(out)
+
+
+def reference_enumerate_cm_sets(g):
+    """The backtracker the growth search replaced: every matching in edge-id
+    order, tested for connectivity when emitted."""
+    cover = g.endpoint_masks
+    out = []
+
+    def rec(current, covered, start):
+        if is_connected_mask(g, covered):
+            out.append(tuple(current))
+        for e in range(start, g.m + 1):
+            if covered & cover[e]:
+                continue
+            current.append(e)
+            rec(current, covered | cover[e], e + 1)
+            current.pop()
+
+    rec([], 0, 1)
+    return out
 
 
 def reference_exists_cm_superset(g, R, forbidden=()):
@@ -148,6 +169,43 @@ class TestEnumerate:
         with pytest.raises(SizeLimitExceeded):
             enumerate_cm_sets(generate("cycle:6"), limit=3)
 
+    @pytest.mark.parametrize("name", ["cycle:6", "j26", "petersen"])
+    def test_size_limit_boundary(self, name):
+        g = generate(name)
+        count = len(reference_enumerate_cm_sets(g))
+        with pytest.raises(SizeLimitExceeded):
+            enumerate_cm_sets(g, limit=count - 1)
+        assert len(enumerate_cm_sets(g, limit=count)) == count
+
+    def test_negative_limit_rejected(self):
+        with pytest.raises(GraphError, match="got -3"):
+            enumerate_cm_sets(generate("cycle:6"), limit=-3)
+        # the empty matching always exists, so a zero limit is exceeded
+        with pytest.raises(SizeLimitExceeded):
+            enumerate_cm_sets(generate("cycle:6"), limit=0)
+
+    def test_matches_reference(self, random_suite):
+        for g in random_suite:
+            assert enumerate_cm_sets(g) == reference_enumerate_cm_sets(g)
+        for name in ["petersen", "j26", "cube:3", "cube:4", "complete:7", "cycle:20",
+                     "path:16"]:
+            g = generate(name)
+            assert enumerate_cm_sets(g) == reference_enumerate_cm_sets(g), name
+
+    def test_work_follows_output(self, monkeypatch):
+        # the backtracker ran one BFS per matching: 103,682 on cycle:24
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return reach_within(*args)
+
+        monkeypatch.setattr(graph_core, "reach_within", counted)
+        monkeypatch.setattr(matchings, "reach_within", counted)
+        assert len(enumerate_cm_sets(generate("cycle:24"))) == 267
+        assert calls < 1000
+
 
 class TestSuperset:
     def test_single_edge(self):
@@ -167,7 +225,7 @@ class TestSuperset:
     def test_matches_enumeration(self):
         for seed in range(10):
             g = random_connected_graph(seed)
-            cms = enumerate_cm_sets(g)
+            cms = reference_enumerate_cm_sets(g)
             for R in [(1,), (1, 3), (2, 4)]:
                 if max(R) > g.m:
                     continue
@@ -232,7 +290,7 @@ def superset_outcomes(g, rng):
     set to R's lambda set, to no edges and to a drawn edge set, against a
     filter over all connected matchings: R inside M, no forbidden edge in
     M - R.  Returns the set of answers seen."""
-    cms = [set(M) for M in enumerate_cm_sets(g)]
+    cms = [set(M) for M in reference_enumerate_cm_sets(g)]
     outcomes = set()
     for e1 in range(1, g.m + 1):
         for e2 in range(e1 + 1, g.m + 1):
@@ -274,7 +332,7 @@ class TestBruteForce:
             w = [Fraction(rng.randint(-10, 10), rng.randint(1, 3)) for _ in range(g.m)]
             val, M = brute_force_max_weight_cm(g, w)
             best = max(sum((w[e - 1] for e in S), Fraction(0))
-                       for S in enumerate_cm_sets(g))
+                       for S in reference_enumerate_cm_sets(g))
             assert val == best
             assert is_connected_matching(g, M)
             assert sum((w[e - 1] for e in M), Fraction(0)) == val

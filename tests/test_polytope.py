@@ -12,14 +12,13 @@ from cmpoly.facet_family import family_inequality
 from cmpoly.graph_core import Graph, GraphError, generate
 from cmpoly.inequality import Inequality
 from cmpoly.matchings import enumerate_connected_matchings
-from cmpoly.polytope import (FacetClass, HRep, VRep, class_histogram, classify,
-                             export_vrep_interop, face_dimension, hrep,
-                             polytope_dimension, verify_valid, vrep)
+from cmpoly.polytope import (FacetClass, HRep, VRep, classify, export_vrep_interop,
+                             face_dimension, hrep, polytope_dimension, verify_valid, vrep)
 from cmpoly.rational_la import (affine_dimension, eliminate, integer_row, inverse_columns,
                                 rank)
 
-from conftest import (assert_primitive_int_row, random_connected_graph, set_bfs_components,
-                      to_networkx)
+from conftest import (assert_primitive_int_row, class_histogram, random_connected_graph,
+                      set_bfs_components, to_networkx)
 
 
 def oracle_hull_facets(points):

@@ -10,10 +10,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "cmpoly").glob("*.py"))
 OUTSIDE = [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "pyproject.toml"]
 
-ALLOWED = {
-    "class_histogram": "acceptance criterion 1 counts the j26 facet classes with it",
-    "root_gap_report": "acceptance criterion 9 reads root bounds; ROADMAP item 2 extends it",
-}
+ALLOWED = {}
 
 
 def test_every_public_name_is_reached():

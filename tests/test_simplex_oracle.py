@@ -30,10 +30,9 @@ import pytest
 from cmpoly import solver
 from cmpoly.graph_core import GraphError, generate, line_distance
 from cmpoly.msi import minimal_separators_brute, project_msi
-from cmpoly.solver import (SolveConfig, _simplex, branch_and_cut, build_base_lp,
-                           root_gap_report, solve_lp_exact)
+from cmpoly.solver import SolveConfig, _simplex, branch_and_cut, build_base_lp, solve_lp_exact
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, root_gap_report
 
 
 def fraction_simplex(c, A, b):

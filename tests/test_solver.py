@@ -6,10 +6,9 @@ import pytest
 from cmpoly import solver
 from cmpoly.graph_core import Graph, GraphError, generate
 from cmpoly.matchings import brute_force_max_weight_cm, enumerate_connected_matchings, is_connected_matching
-from cmpoly.solver import (SolveConfig, branch_and_cut, build_base_lp, root_gap_report,
-                           solve_lp_exact)
+from cmpoly.solver import SolveConfig, branch_and_cut, build_base_lp, solve_lp_exact
 
-from conftest import assert_primitive_int_row, random_connected_graph
+from conftest import assert_primitive_int_row, random_connected_graph, root_gap_report
 
 
 def random_weights(seed, m):
