@@ -42,42 +42,31 @@ def _grow(g, M, covered, options, emit):
     - Each matching is emitted once.  Every connected M' > M with its other
       edges in options has an edge in grow, and the branches split these M' by
       their least edge in grow: each leaves out its earlier siblings.
-    - Sibling exclusion keeps the memo valid.  If the branch on f emitted
-      nothing, no connected matching grown from this cover, or from one grown
-      from it, uses f.  A cover that failed with edges excluded would fail with
-      none, so a memo keyed on the cover alone is correct.
     - A branch of a connected cover is connected, so only disconnected covers
-      pay for the component BFS, the memo and the room cut (the rest of the
-      cover must reach N(K) within it and what options cover).  Enumeration
-      meets none; the superset test stops at its first emit.
+      pay for the component BFS and the room cut: the rest of the cover must
+      be reached from N(K) within it and what options cover.  The cut also
+      ends a cover whose grow is empty: then no option covers a vertex of
+      N(K) outside the cover, so the reach starts empty.  Enumeration meets
+      no disconnected cover; the superset test stops at its first emit.
     """
-    nbr, at, cover, edges = g.neighbor_masks, g.incident_masks, g.endpoint_masks, g.edges
-    seen = set()
-
-    def rec(M, covered, options):
-        if covered in seen:
-            return False
-        comp = reach_within(nbr, covered, covered & -covered)
-        if comp == covered:
-            if emit(M):
-                return True
-            near = covered | union_over(nbr, covered)
-            return _grow_connected(g, M, near, union_over(at, near), options, emit)
-        seen.add(covered)
-        rest = covered & ~comp
-        border = union_over(nbr, comp) & ~covered
-        grow = options & union_over(at, border)
-        room = rest | union_over(cover, options)
-        if not grow or reach_within(nbr, room, border & room) & rest != rest:
-            return False
-        for f in mask_bits(grow):
-            options &= ~(1 << f)
-            u, v = edges[f - 1]
-            if rec(M + (f,), covered | cover[f], options & ~(at[u] | at[v])):
-                return True
+    nbr, at, cover = g.neighbor_masks, g.incident_masks, g.endpoint_masks
+    comp = reach_within(nbr, covered, covered & -covered)
+    if comp == covered:
+        if emit(M):
+            return True
+        near = covered | union_over(nbr, covered)
+        return _grow_connected(g, M, near, union_over(at, near), options, emit)
+    rest = covered & ~comp
+    border = union_over(nbr, comp) & ~covered
+    room = rest | union_over(cover, options)
+    if reach_within(nbr, room, border & room) & rest != rest:
         return False
-
-    return rec(M, covered, options)
+    for f in mask_bits(options & union_over(at, border)):
+        options &= ~(1 << f)
+        u, v = g.edges[f - 1]
+        if _grow(g, M + (f,), covered | cover[f], options & ~(at[u] | at[v]), emit):
+            return True
+    return False
 
 
 def _grow_connected(g, M, near, reach, options, emit):

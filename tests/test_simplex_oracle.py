@@ -1,10 +1,12 @@
 """The integer-pivoting simplex against the all-Fraction simplex it replaced,
 and the node LPs against the formulation they replaced.
 
-`fraction_simplex` is an earlier `solver._simplex`, kept verbatim as the
-reference: a phase 1 on artificial variables with their drive-out, then the
-primal simplex on c, Bland's rule throughout, every entry a Fraction.  It is
-run on every LP that `solve_lp_exact` hands to `_simplex` (base rows,
+`fraction_simplex` is an earlier `solver._simplex`, kept as the reference
+with one change, that its row operations skip zero entries (which leaves
+every Fraction as it was and only saves time): a phase 1 on artificial
+variables with their drive-out, then the primal simplex on c, Bland's rule
+throughout, every entry a Fraction.  It is run on every LP that
+`solve_lp_exact` hands to `_simplex` (base rows,
 branching fixes, MSI and lazy cut pools, weights from small rationals up to
 30-digit numerators and denominators) and on random LPs not drawn from graphs:
 - when b >= 0 neither runs a phase 1 and both take the same primal pivots,
@@ -71,11 +73,11 @@ def fraction_simplex(c, A, b):
         nonlocal pivots
         pivots += 1
         piv = T[leave][enter]
-        T[leave] = [x / piv for x in T[leave]]
+        T[leave] = [x / piv if x else x for x in T[leave]]
         for i in range(len(T)):
             if i != leave and T[i][enter] != 0:
                 f = T[i][enter]
-                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
+                T[i] = [x - f * y if y else x for x, y in zip(T[i], T[leave])]
         basis[leave] = enter
 
     def run_phase(obj, allowed):
@@ -85,7 +87,7 @@ def fraction_simplex(c, A, b):
         for i, bi in enumerate(basis):
             if z[bi] != 0:
                 f = z[bi]
-                z = [x - f * y for x, y in zip(z, T[i][:-1])]
+                z = [x - f * y if y else x for x, y in zip(z, T[i][:-1])]
                 val += f * T[i][-1]
         in_basis = set(basis)
         while True:
@@ -111,7 +113,7 @@ def fraction_simplex(c, A, b):
             in_basis.add(enter)
             pivot(leave, enter)
             f = z[enter]
-            z = [x - f * y for x, y in zip(z, T[leave][:-1])]
+            z = [x - f * y if y else x for x, y in zip(z, T[leave][:-1])]
             val += f * T[leave][-1]
 
     if ncols > real:
