@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .graph_core import GraphError, is_biconnected_mask, mask_bits, union_over
 from .inequality import Inequality
-from .matchings import exists_cm_superset
+from .matchings import _grow, exists_cm_superset
 
 
 @dataclass(frozen=True)
@@ -111,18 +111,23 @@ def generate_family(g):
 
     The _edge_masks of every edge are built once, so each pair costs one
     mask test for disconnection and one for its lambda set, then one
-    validity search and one certificate.
+    validity search, entered with those masks, and one certificate.
     """
     masks = [None] + [_edge_masks(g, e) for e in range(1, g.m + 1)]
+    ends, every = g.endpoint_masks, (1 << (g.m + 1)) - 2
     out = []
     for e1 in range(1, g.m + 1):
         a = masks[e1]
         for e2 in range(e1 + 1, g.m + 1):
-            if a[1] & g.endpoint_masks[e2]:
+            b = masks[e2]
+            if a[1] & ends[e2]:
                 continue
-            lam = tuple(mask_bits(_lambda_mask(a, masks[e2])))
-            if exists_cm_superset(g, [e1, e2], forbidden=lam):
+            lam = _lambda_mask(a, b)
+            # exists_cm_superset(g, (e1, e2), lam) without its input checks
+            if _grow(g, (e1, e2), ends[e1] | ends[e2], every & ~(a[0] | b[0] | lam),
+                     lambda M: True):
                 continue
+            lam = tuple(mask_bits(lam))
             cert = FamilyCertificate(
                 pair=(e1, e2),
                 lam=lam,

@@ -7,9 +7,10 @@ projected to edge space through y_u = sum_{e incident to u} x_e.
 Separation scales the vertex degrees y of a fractional point by their common
 denominator D, so the max-flow runs on integer capacities and each test
 against 1 becomes a test against D.  The vertex-split network is built once
-per point and copied for each pair (a,b): a flow from a's out-copy to b's
-in-copy never uses the arcs of a or b, so the same capacities serve every
-pair.  Separator sides are vertex bitmasks from graph_core.reach_within.
+per point and each pair (a,b) copies its capacities: a flow from a's out-copy
+to b's in-copy never uses the arcs of a or b, so the same capacities serve
+every pair.  A pair's max-flow stops at y_a + y_b - D, where its row cannot
+be violated.  Separator sides are vertex bitmasks from graph_core.reach_within.
 """
 
 from __future__ import annotations
@@ -102,58 +103,59 @@ def dominates(p, q):
 
 
 def _split_network(g, y):
-    """Residual capacities of the vertex-split digraph for integer vertex
-    capacities y (indexed by vertex): node 2v is v's in-copy, node 2v+1 its
-    out-copy, the arc 2v -> 2v+1 has capacity y[v], and each edge {u,v}
-    gives arcs 2u+1 -> 2v and 2v+1 -> 2u that no cut can afford."""
+    """Arc lists (head, cap, out) of the vertex-split digraph for integer
+    vertex capacities y (indexed by vertex): arc i enters head[i], arc i^1 is
+    its reverse, out[u] lists the arcs leaving u.  Node 2v is v's in-copy,
+    node 2v+1 its out-copy, the arc 2v -> 2v+1 has capacity y[v], and each
+    edge {u,v} gives arcs 2u+1 -> 2v and 2v+1 -> 2u that no cut can afford."""
     big = sum(y) + 1
-    net = [{} for _ in range(2 * g.n + 2)]
-    for v in range(1, g.n + 1):
-        net[2 * v][2 * v + 1] = y[v]
-        net[2 * v + 1][2 * v] = 0
-    for u, v in g.edges:
-        for s, t in ((u, v), (v, u)):
-            net[2 * s + 1][2 * t] = big
-            net[2 * t][2 * s + 1] = 0
-    return net
+    head, cap, out = [], [], [[] for _ in range(2 * g.n + 2)]
+    arcs = [(2 * v, 2 * v + 1, y[v]) for v in range(1, g.n + 1)]
+    arcs += [(2 * s + 1, 2 * t, big) for u, v in g.edges for s, t in ((u, v), (v, u))]
+    for s, t, c in arcs:
+        out[s].append(len(head))
+        out[t].append(len(head) + 1)
+        head += (t, s)
+        cap += (c, 0)
+    return head, cap, out
 
 
-def _min_vertex_cut(net, a, b):
-    """Minimum-capacity (a,b)-vertex separator by exact max-flow on a copy
-    of the split network net, from a's out-copy to b's in-copy; returns
-    (flow value, cut vertex set).
+def _min_vertex_cut(net, a, b, bound):
+    """Minimum-capacity (a,b)-vertex separator by exact max-flow on a copy of
+    net's capacities, from a's out-copy to b's in-copy; returns (flow value,
+    cut vertex set), or (a flow >= bound, None) once the flow reaches bound.
 
     One network serves every pair: no augmenting path enters the source or
     leaves the sink, so the arcs of a and b never carry flow and their
     capacities never matter.  The cut is the set the source reaches in the
     final residual graph, which is the same for every maximum flow; the
     last, failed augmenting search visits exactly that set."""
-    arcs = [dict(out) for out in net]
+    head, cap, out = net
+    cap = cap[:]
     src, snk = 2 * a + 1, 2 * b
     flow = 0
-    while True:
+    while flow < bound:
         parent = {src: None}
         queue = deque([src])
         while queue and snk not in parent:
-            u = queue.popleft()
-            for v, c in arcs[u].items():
-                if c > 0 and v not in parent:
-                    parent[v] = u
+            for i in out[queue.popleft()]:
+                v = head[i]
+                if cap[i] and v not in parent:
+                    parent[v] = i
                     queue.append(v)
         if snk not in parent:
-            break
+            return flow, {u >> 1 for u in parent if not u & 1 and u + 1 not in parent}
         path = []
         v = snk
-        while parent[v] is not None:
-            path.append((parent[v], v))
-            v = parent[v]
-        aug = min(arcs[u][v] for u, v in path)
-        for u, v in path:
-            arcs[u][v] -= aug
-            arcs[v][u] += aug
+        while (i := parent[v]) is not None:
+            path.append(i)
+            v = head[i ^ 1]
+        aug = min(cap[i] for i in path)
+        for i in path:
+            cap[i] -= aug
+            cap[i ^ 1] += aug
         flow += aug
-    cut = {u >> 1 for u in parent if not u & 1 and u + 1 not in parent}
-    return flow, cut
+    return flow, None
 
 
 def separate_fractional(g, xstar):
@@ -187,8 +189,8 @@ def separate_fractional(g, xstar):
         for b in range(a + 1, g.n + 1):
             if nbr[a] >> b & 1 or y[a] + y[b] <= D:
                 continue
-            flow, cut = _min_vertex_cut(net, a, b)
-            if y[a] + y[b] - flow <= D:
+            _flow, cut = _min_vertex_cut(net, a, b, y[a] + y[b] - D)
+            if cut is None:
                 continue
             row = project_msi(g, minimalize(g, Separator(a, b, tuple(cut))))
             cuts.setdefault(row.canonical(), row)

@@ -3,9 +3,7 @@
 Rational rows enter through `integer_row`, their primitive integer multiple.
 `bareiss_step` is the one fraction-free (Bareiss) row update.  `eliminate`,
 the first-fit elimination over integer rows, applies it; rank, affine
-dimension, basis selection and the inverse of a basis are all read off its
-output.  The exact simplex in `solver` pivots its integer dictionary, the
-rows over the nonbasic columns, with the same step.
+dimension, basis selection and basis inverses are read off its output.
 """
 
 from __future__ import annotations

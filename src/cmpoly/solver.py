@@ -4,9 +4,8 @@ The LP relaxation at a node is the model's own rows (degree rows, optional a
 priori family rows, the cut pool) over the edges the node has not fixed.  A
 simplex with Bland's rule solves it (a dual phase 1 when a fix overdraws a
 row, then the primal simplex on the weights); it keeps an integer dictionary
-of the nonbasic columns and pivots it with `rational_la.bareiss_step`, the
-fraction-free row update of the exact elimination kernel, so every bound and
-optimality claim is exact.
+of the nonbasic columns, each row primitive with its own positive scale, so
+every bound and optimality claim is exact.
 Fractional points are attacked with projected minimal separator cuts;
 integral but disconnected matchings trigger lazy connectivity cuts;
 remaining fractionality is resolved by branching.
@@ -18,12 +17,13 @@ import heapq
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .facet_family import generate_family
 from .graph_core import GraphError
 from .inequality import Inequality
 from .matchings import is_connected_matching
-from .rational_la import bareiss_step, integer_row
+from .rational_la import integer_row
 from .msi import lazy_cut_for_disconnected, separate_fractional
 
 
@@ -107,37 +107,45 @@ def _simplex(c, A, b):
     pivots), with value, x and basis None when the LP is infeasible.  Labels:
     structurals 0..n-1, then the k slacks, whose basis is the start.  T is a
     dictionary (Chvatal 1983) over the nonbasic variables `cols` and the rhs:
-    A's rows as primitive integer multiples (a positive row scale changes
-    neither Bland's choices nor x), then the objective row.  Row i reads
-    d*x_basis[i] + sum_j T[i][j]*x_cols[j] = T[i][-1], d = |last pivot|.  A
-    pivot is one `bareiss_step` per row (Edmonds 1967), as in lrs: the leaving
-    variable's full-tableau column d*e_leave becomes (-f, ..., d, ...).
+    A's rows, then the objective row, each primitive and with its own scale
+    s > 0 (Azulay & Pique 2001): row i reads s[i]*x_basis[i] +
+    sum_j T[i][j]*x_cols[j] = T[i][-1].  A pivot on the leaving row e, with
+    p = e[enter] > 0 (else e and s[leave] are negated first), skips each row
+    with a zero in the entering column and takes any other r, f = r[enter], to
+    p*r - f*e with -f*s[leave] in that column and scale p*s[i], then divides
+    row and scale by their gcd; e takes scale p.  Bland's rule reads only
+    signs and ratios within rows, so no scale changes a choice.
 
     Phase 1 is the dual simplex on the zero objective, for which every basis
     is dual feasible (Lemke 1954).  Under Bland's rule, finite here too (Bland
     1977), the row with a negative rhs whose basic variable has the least label
     leaves, and the nonbasic variable of least label with a negative entry in
     it enters; if there is none, its row says a nonnegative sum is negative:
-    infeasible.  Phase 2 is the primal simplex on c, whose objective row (d
-    times the reduced costs) is pivoted with the others from the start.
+    infeasible.  Phase 2 is the primal simplex on c, whose objective row (the
+    scaled reduced costs) is pivoted with the others from the start.
     """
     n, k = len(c), len(A)
     T = [integer_row([*a, bi]) for a, bi in zip(A, b)] + [integer_row([*c, 0])]
     basis, cols = list(range(n, n + k)), list(range(n))
-    d, pivots = 1, 0
+    scale, pivots = [1] * (k + 1), 0
 
     def pivot(leave, enter):
-        nonlocal d, pivots
+        nonlocal pivots
         pivots += 1
-        e = T[leave]
+        e, s, p = T[leave], scale[leave], T[leave][enter]
+        if p < 0:
+            e, s, p = [-x for x in e], -s, -p
         for i, r in enumerate(T):
-            if r is not e:
-                T[i] = bareiss_step(r, e, enter, d)
-                T[i][enter] = -r[enter]
-        e[enter], d = d, e[enter]
-        if d < 0:
-            T[:] = [[-x for x in r] for r in T]
-            d = -d
+            f = r[enter]
+            if f and i != leave:
+                r = [p * x - f * y for x, y in zip(r, e)]
+                r[enter] = -f * s
+                si = p * scale[i]
+                if (q := gcd(si, *r)) > 1:
+                    r, si = [x // q for x in r], si // q
+                T[i], scale[i] = r, si
+        e[enter] = s
+        T[leave], scale[leave] = e, p
         basis[leave], cols[enter] = cols[enter], basis[leave]
 
     def least(row, sign):   # Bland: least label with sign * row[j] > 0
@@ -166,9 +174,9 @@ def _simplex(c, A, b):
             raise GraphError("LP unbounded; missing variable bounds")
         pivot(leave, enter)
     x = [Fraction(0)] * n
-    for r, bi in zip(T, basis):
+    for r, si, bi in zip(T, scale, basis):
         if bi < n:
-            x[bi] = Fraction(r[-1], d)
+            x[bi] = Fraction(r[-1], si)
     value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
     return value, x, basis, pivots
 

@@ -1,10 +1,11 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from cmpoly.graph_core import Graph
+from cmpoly.graph_core import Graph, line_distance
 from cmpoly.polytope import classify
 from cmpoly.solver import SolveConfig, build_base_lp, solve_lp_exact
 
@@ -23,6 +24,26 @@ def random_connected_graph(seed, n_lo=4, n_hi=8, max_extra=4, m_cap=12):
         u, v = rng.sample(verts, 2)
         edges.add((min(u, v), max(u, v)))
     return Graph(n, tuple(sorted(edges)))
+
+
+BIG = 10 ** 30
+
+
+def spread_weights(rng, g, huge):
+    """Weights in [3/2, 8] on a maximal set of edges pairwise at line-graph
+    distance >= 3 and in [0, 1] on the rest, so the LP optimum tends to be
+    disconnected and branch-and-cut has to cut and branch; with `huge`, each
+    is scaled by a 30-digit ratio in [1/2, 2]."""
+    heavy = []
+    for e in rng.sample(range(1, g.m + 1), g.m):
+        if all(line_distance(g, e, f) >= 3 for f in heavy):
+            heavy.append(e)
+    w = [Fraction(rng.randint(12, 64) if e in heavy else rng.randint(0, 8), 8)
+         for e in range(1, g.m + 1)]
+    if huge:
+        w = [x * Fraction(rng.randint(BIG, 2 * BIG), rng.randint(BIG, 2 * BIG))
+             for x in w]
+    return w
 
 
 def assert_primitive_int_row(q):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from cmpoly import solver
 from cmpoly.graph_core import Graph, GraphError, generate
 from cmpoly.inequality import Inequality
 from cmpoly.matchings import enumerate_cm_sets, enumerate_connected_matchings, incidence_vector
@@ -17,8 +18,10 @@ from cmpoly.msi import (Separator, _min_vertex_cut, _split_network, dominates,
                         lazy_cut_for_disconnected, minimal_separators_brute, minimalize,
                         project_msi, separate_fractional)
 from cmpoly.rational_la import integer_row
+from cmpoly.solver import SolveConfig
 
-from conftest import assert_primitive_int_row, random_connected_graph, set_bfs_components
+from conftest import (assert_primitive_int_row, random_connected_graph, set_bfs_components,
+                      spread_weights)
 
 
 def reference_min_vertex_cut(g, a, b, cap):
@@ -292,6 +295,24 @@ class TestDominates:
             dominates(Inequality([1], 1), Inequality([1, 1], 1))
 
 
+def full_flow_separate_fractional(g, xstar):
+    """The earlier separation: each pair's max-flow runs to the end on its
+    own network (reference_min_vertex_cut), and the pair is skipped when
+    y_a + y_b - flow <= D afterwards."""
+    D = lcm(*[Fraction(x).denominator for x in xstar])
+    y = {v: int(sum((Fraction(xstar[e - 1]) for e in g.incident_edges(v)), Fraction(0)) * D)
+         for v in range(1, g.n + 1)}
+    cuts = {}
+    for a, b in nonadjacent_pairs(g):
+        if y[a] + y[b] <= D:
+            continue
+        flow, cut = reference_min_vertex_cut(g, a, b, y)
+        if y[a] + y[b] - flow > D:
+            row = project_msi(g, minimalize(g, Separator(a, b, tuple(cut))))
+            cuts.setdefault(row.canonical(), row)
+    return [cuts[k] for k in sorted(cuts)]
+
+
 class TestSeparateFractional:
     def test_cm_vertex_gives_nothing(self):
         g = generate("cycle:6")
@@ -327,6 +348,35 @@ class TestSeparateFractional:
             for q in separate_fractional(g, xstar):
                 assert q.evaluate(xstar) > q.rhs
 
+    def test_matches_full_flow_reference_on_solver_points(self, monkeypatch):
+        # every LP point that branch-and-cut separates, without family rows,
+        # on cycles 8-13 and seeded random graphs: the same rows, provenance
+        # included, in the same order
+        points = rows = 0
+
+        def checked(g, xstar):
+            nonlocal points, rows
+            got = separate_fractional(g, xstar)
+            want = full_flow_separate_fractional(g, xstar)
+            assert got == want   # Inequality equality includes provenance
+            points += 1
+            rows += len(got)
+            return got
+
+        monkeypatch.setattr(solver, "separate_fractional", checked)
+        config = SolveConfig(use_family_cuts=False)
+        for n in range(8, 14):
+            for draw in range(4):
+                g = generate(f"cycle:{n}")
+                w = spread_weights(random.Random(f"{n}-{draw}"), g, huge=False)
+                solver.branch_and_cut(g, w, config)
+        cycle_points = points
+        for seed in range(40):
+            g = random_connected_graph(seed, n_lo=6, n_hi=10, max_extra=6, m_cap=14)
+            w = spread_weights(random.Random(seed), g, huge=seed % 3 == 2)
+            solver.branch_and_cut(g, w, config)
+        assert cycle_points >= 70 and points - cycle_points >= 5 and rows >= 400
+
     def test_precondition_violations(self):
         g = generate("cycle:6")
         with pytest.raises(GraphError):
@@ -344,21 +394,46 @@ class TestSeparateFractional:
                                              for x in xstar] + [D]
 
 
+def full_min_vertex_cut(net, a, b):
+    """_min_vertex_cut run to the end: no flow reaches the sum of every
+    capacity plus one."""
+    return _min_vertex_cut(net, a, b, sum(net[1]) + 1)
+
+
 class TestMinVertexCut:
     def test_integer_capacities_stay_int(self):
         # C6 from 1 to 4: one vertex of each side path must go
         g = generate("cycle:6")
-        flow, cut = _min_vertex_cut(_split_network(g, [0] + [2] * 6), 1, 4)
+        flow, cut = full_min_vertex_cut(_split_network(g, [0] + [2] * 6), 1, 4)
         assert type(flow) is int and flow == 4
         assert cut == {2, 6}
 
     def test_network_is_not_consumed(self):
         g = generate("cycle:6")
         net = _split_network(g, [0, 1, 2, 3, 4, 5, 6])
-        before = [dict(out) for out in net]
-        first = _min_vertex_cut(net, 1, 4)
+        head, cap, out = net
+        before = (list(head), list(cap), [list(arcs) for arcs in out])
+        first = full_min_vertex_cut(net, 1, 4)
         assert net == before
-        assert _min_vertex_cut(net, 1, 4) == first
+        assert full_min_vertex_cut(net, 1, 4) == first
+        flow, cut = _min_vertex_cut(net, 1, 4, 1)
+        assert cut is None and flow >= 1
+        assert net == before
+
+    def test_arc_lists_pair_each_arc_with_its_reverse(self):
+        g = generate("petersen")
+        y = [0] + [v % 4 for v in range(1, g.n + 1)]
+        head, cap, out = _split_network(g, y)
+        assert len(head) == len(cap) == 2 * (g.n + 2 * g.m)
+        assert sorted(i for arcs in out for i in arcs) == list(range(len(head)))
+        for u, arcs in enumerate(out):
+            for i in arcs:
+                assert i ^ 1 in out[head[i]] and head[i ^ 1] == u
+        forward = {(head[i ^ 1], head[i]): cap[i] for i in range(0, len(head), 2)}
+        assert all(cap[i] == 0 for i in range(1, len(head), 2))
+        assert forward == {**{(2 * v, 2 * v + 1): y[v] for v in range(1, g.n + 1)},
+                           **{(2 * s + 1, 2 * t): sum(y) + 1
+                              for u, v in g.edges for s, t in ((u, v), (v, u))}}
 
     def test_shared_network_matches_per_pair_network(self, random_suite):
         rng = random.Random(5)
@@ -367,7 +442,7 @@ class TestMinVertexCut:
             cap = {v: rng.choice((0, 0, 1, 2, 3, 5, 8)) for v in range(1, g.n + 1)}
             net = _split_network(g, [0] + [cap[v] for v in range(1, g.n + 1)])
             for a, b in nonadjacent_pairs(g):
-                flow, cut = _min_vertex_cut(net, a, b)
+                flow, cut = full_min_vertex_cut(net, a, b)
                 assert (flow, cut) == reference_min_vertex_cut(g, a, b, cap)
                 assert is_separator(g, a, b, cut)
                 assert sum(cap[v] for v in cut) == flow
@@ -381,6 +456,27 @@ class TestMinVertexCut:
                 pairs += 1
                 zero_cuts += any(cap[v] == 0 for v in rest)
         assert pairs >= 500 and zero_cuts >= 100
+
+    def test_bounded_flow_against_reference(self, random_suite):
+        # below the true flow F, at it and above it: under F + 1 and more the
+        # exact flow and cut come back; at a bound <= F the search stops
+        # with a flow in [bound, F] and no cut
+        rng = random.Random(6)
+        exact = stopped = 0
+        for g in random_suite:
+            cap = {v: rng.choice((0, 1, 2, 3, 5, 8)) for v in range(1, g.n + 1)}
+            net = _split_network(g, [0] + [cap[v] for v in range(1, g.n + 1)])
+            for a, b in nonadjacent_pairs(g):
+                flow, cut = reference_min_vertex_cut(g, a, b, cap)
+                for bound in (0, flow // 2, flow - 1, flow, flow + 1, 2 * flow + 3):
+                    got = _min_vertex_cut(net, a, b, bound)
+                    if bound > flow:
+                        assert got == (flow, cut)
+                        exact += 1
+                    else:
+                        assert got[1] is None and bound <= got[0] <= flow
+                        stopped += bound > 0
+        assert exact >= 1000 and stopped >= 1000
 
 
 class TestLazyCut:

@@ -1,5 +1,13 @@
-"""The integer-pivoting simplex against the all-Fraction simplex it replaced,
-and the node LPs against the formulation they replaced.
+"""The integer-pivoting simplex against the simplices it replaced, and the
+node LPs against the formulation they replaced.
+
+`common_denominator_simplex` is the earlier `solver._simplex` whose
+dictionary shared one denominator d, the last pivot, and pivoted every row
+with `rational_la.bareiss_step`, the rows with a zero in the entering column
+included.  The per-row scales of `_simplex` change no sign and no ratio
+within a row, so on every LP of the corpus below, b < 0 included, it must
+return the same (value, x, basis, pivots) tuple; every row of its dictionary
+must stay primitive with a positive scale after each pivot.
 
 `fraction_simplex` is an earlier `solver._simplex`, kept as the reference
 with one change, that its row operations skip zero entries (which leaves
@@ -25,16 +33,19 @@ every old row.
 """
 
 import random
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from cmpoly import solver
-from cmpoly.graph_core import GraphError, generate, line_distance
+from cmpoly.graph_core import GraphError, generate
 from cmpoly.msi import minimal_separators_brute, project_msi
+from cmpoly.rational_la import bareiss_step, integer_row
 from cmpoly.solver import SolveConfig, _simplex, branch_and_cut, build_base_lp, solve_lp_exact
 
-from conftest import random_connected_graph, root_gap_report
+from conftest import BIG, random_connected_graph, root_gap_report, spread_weights
 
 
 def fraction_simplex(c, A, b):
@@ -139,6 +150,104 @@ def fraction_simplex(c, A, b):
     return value, x, list(basis), pivots
 
 
+def common_denominator_simplex(c, A, b):
+    """Dictionary simplex, Bland's rule, one common denominator d.
+
+    Row i reads d*x_basis[i] + sum_j T[i][j]*x_cols[j] = T[i][-1], with d the
+    absolute value of the last pivot; a pivot is one `bareiss_step` per row.
+    Otherwise as `solver._simplex`: a dual phase 1 on the zero objective, then
+    the primal simplex on c.
+    """
+    n, k = len(c), len(A)
+    T = [integer_row([*a, bi]) for a, bi in zip(A, b)] + [integer_row([*c, 0])]
+    basis, cols = list(range(n, n + k)), list(range(n))
+    d, pivots = 1, 0
+
+    def pivot(leave, enter):
+        nonlocal d, pivots
+        pivots += 1
+        e = T[leave]
+        for i, r in enumerate(T):
+            if r is not e:
+                T[i] = bareiss_step(r, e, enter, d)
+                T[i][enter] = -r[enter]
+        e[enter], d = d, e[enter]
+        if d < 0:
+            T[:] = [[-x for x in r] for r in T]
+            d = -d
+        basis[leave], cols[enter] = cols[enter], basis[leave]
+
+    def least(row, sign):   # Bland: least label with sign * row[j] > 0
+        return min((j for j in range(n) if sign * row[j] > 0),
+                   key=cols.__getitem__, default=None)
+
+    while overdrawn := [i for i in range(k) if T[i][-1] < 0]:
+        leave = min(overdrawn, key=basis.__getitem__)
+        enter = least(T[leave], -1)
+        if enter is None:
+            return None, None, None, pivots
+        pivot(leave, enter)
+
+    while (enter := least(T[k], 1)) is not None:
+        leave = None
+        for i in range(k):
+            a = T[i][enter]
+            if a > 0:
+                if leave is not None:
+                    diff = T[i][-1] * T[leave][enter] - T[leave][-1] * a
+                    if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
+                        continue
+                leave = i
+        if leave is None:
+            raise GraphError("LP unbounded; missing variable bounds")
+        pivot(leave, enter)
+    x = [Fraction(0)] * n
+    for r, bi in zip(T, basis):
+        if bi < n:
+            x[bi] = Fraction(r[-1], d)
+    value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
+    return value, x, basis, pivots
+
+
+PIVOT_CODE = next(code for code in _simplex.__code__.co_consts
+                  if getattr(code, "co_name", None) == "pivot")
+
+
+def assert_rows_primitive(T, scale):
+    assert len(T) == len(scale)
+    for row, s in zip(T, scale):
+        assert type(s) is int and s > 0 and all(type(x) is int for x in row)
+        assert gcd(s, *row) == 1
+
+
+def scaled_simplex(c, A, b):
+    """_simplex(c, A, b), with assert_rows_primitive run on its dictionary
+    (the closure variables T and scale of its inner `pivot`) after every
+    pivot, and required to equal common_denominator_simplex(c, A, b)."""
+    def on_call(frame, event, arg):
+        if frame.f_code is not PIVOT_CODE:
+            return None
+        frame.f_trace_lines = False
+        return on_return
+
+    def on_return(frame, event, arg):
+        if event == "return":
+            assert_rows_primitive(frame.f_locals["T"], frame.f_locals["scale"])
+            checked.append(event)
+        return on_return
+
+    checked = []
+    outer = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        got = _simplex(c, A, b)
+    finally:
+        sys.settrace(outer)
+    assert len(checked) == got[3]
+    assert got == common_denominator_simplex(c, A, b), (c, A, b)
+    return got
+
+
 def old_formulation(model, fixed0=(), fixed1=()):
     """(c, A, b) of the same node LP with its rows as they were: the model rows
     and cut pool, x_e <= 1 for every edge, x_e <= 0 for e in fixed0 and
@@ -188,14 +297,13 @@ def assert_matches_fraction_simplex(c, A, b, got, want):
 
 
 def pin_simplex(monkeypatch):
-    """Route solver._simplex through a check against fraction_simplex on the
-    same (c, A, b); returns the list of the (c, A, b, pivots, reference
-    pivots) seen, in order."""
+    """Route solver._simplex through scaled_simplex and a check against
+    fraction_simplex on the same (c, A, b); returns the list of the (c, A, b,
+    pivots, reference pivots) seen, in order."""
     seen = []
-    simplex = solver._simplex
 
     def pinned(c, A, b):
-        got = simplex(c, A, b)
+        got = scaled_simplex(c, A, b)
         want = fraction_simplex(c, A, b)
         assert_matches_fraction_simplex(c, A, b, got, want)
         seen.append((c, A, b, got[3], want[3]))
@@ -205,9 +313,6 @@ def pin_simplex(monkeypatch):
     return seen
 
 
-BIG = 10 ** 30
-
-
 def corpus_weights(rng, g, huge):
     """Random weights: small rationals, or 30-digit numerators and
     denominators."""
@@ -215,23 +320,6 @@ def corpus_weights(rng, g, huge):
         return [Fraction(rng.randint(-BIG // 5, BIG), rng.randint(BIG // 10, BIG))
                 for _ in range(g.m)]
     return [Fraction(rng.randint(-4, 20), rng.randint(1, 4)) for _ in range(g.m)]
-
-
-def spread_weights(rng, g, huge):
-    """Weights in [3/2, 8] on a maximal set of edges pairwise at line-graph
-    distance >= 3 and in [0, 1] on the rest, so the LP optimum tends to be
-    disconnected and branch-and-cut has to cut and branch; with `huge`, each
-    is scaled by a 30-digit ratio in [1/2, 2]."""
-    heavy = []
-    for e in rng.sample(range(1, g.m + 1), g.m):
-        if all(line_distance(g, e, f) >= 3 for f in heavy):
-            heavy.append(e)
-    w = [Fraction(rng.randint(12, 64) if e in heavy else rng.randint(0, 8), 8)
-         for e in range(1, g.m + 1)]
-    if huge:
-        w = [x * Fraction(rng.randint(BIG, 2 * BIG), rng.randint(BIG, 2 * BIG))
-             for x in w]
-    return w
 
 
 def corpus_lps(seed):
@@ -372,9 +460,11 @@ def test_random_lps_match_fraction_simplex():
             except GraphError:
                 with pytest.raises(GraphError, match="unbounded"):
                     _simplex(c, A, b)
+                with pytest.raises(GraphError, match="unbounded"):
+                    common_denominator_simplex(c, A, b)
                 unbounded += 1
                 continue
-            assert_matches_fraction_simplex(c, A, b, _simplex(c, A, b), want)
+            assert_matches_fraction_simplex(c, A, b, scaled_simplex(c, A, b), want)
             infeasible += want[0] is None
             tall += k >= 8
     assert lps >= 300 and negative >= 100 and infeasible >= 30 and unbounded >= 10
@@ -383,8 +473,9 @@ def test_random_lps_match_fraction_simplex():
 
 def test_dual_pivot_is_negative():
     # max x s.t. -x <= -1, x <= 1.  Row 0 has rhs -1 and its one negative
-    # entry is x's -1, so the dual pivot is negative and the integer tableau
-    # is negated; phase 2 then brings s0 in on row 1 at zero.
+    # entry is x's -1, so the dual pivot is negative and the leaving row is
+    # negated to keep its scale positive; phase 2 then brings s0 in on row 1
+    # at zero.
     c, A, b = [Fraction(1)], [[Fraction(-1)], [Fraction(1)]], [Fraction(-1), Fraction(1)]
     got = _simplex(c, A, b)
     assert got[:2] == fraction_simplex(c, A, b)[:2] == (1, [1])
