@@ -102,7 +102,7 @@ def cmd_msi(g, args):
     lines = []
     for a in range(1, g.n + 1):
         for b in range(a + 1, g.n + 1):
-            if g.edge_id(a, b) is not None:
+            if g.neighbor_masks[a] >> b & 1:
                 continue
             for s in minimal_separators_brute(g, a, b, max_size=args.max_separator):
                 row = project_msi(g, s)

@@ -114,7 +114,7 @@ def generate_family(g):
     validity search, entered with those masks, and one certificate.
     """
     masks = [None] + [_edge_masks(g, e) for e in range(1, g.m + 1)]
-    ends, every = g.endpoint_masks, (1 << (g.m + 1)) - 2
+    ends, every = g.endpoint_masks, g.all_edges
     out = []
     for e1 in range(1, g.m + 1):
         a = masks[e1]

@@ -36,6 +36,8 @@ class Graph:
     endpoint_masks: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.n < 0:
+            raise GraphError(f"negative vertex count {self.n}")
         seen = set()
         self.edges = tuple(_check_edge(self.n, u, v, seen) for u, v in self.edges)
         if self.weights is not None:
@@ -60,6 +62,11 @@ class Graph:
     def all_vertices(self):
         """Mask of the vertices 1..n."""
         return (1 << (self.n + 1)) - 2
+
+    @property
+    def all_edges(self):
+        """Mask of the edge ids 1..m."""
+        return (1 << (self.m + 1)) - 2
 
     def endpoints(self, e):
         """Endpoints of edge id e (1-based)."""

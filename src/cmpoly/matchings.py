@@ -96,7 +96,7 @@ def enumerate_cm_sets(g, limit=DEFAULT_ENUM_LIMIT):
             raise SizeLimitExceeded(f"more than {limit} connected matchings; raise the limit")
         out.append(tuple(sorted(M)))
 
-    _grow(g, (), 0, (1 << (g.m + 1)) - 2, emit)
+    _grow(g, (), 0, g.all_edges, emit)
     return sorted(out)
 
 
@@ -114,7 +114,7 @@ def exists_cm_superset(g, R, forbidden=()):
     if not is_matching(g, R):
         raise GraphError("R is not a matching")
     base = g.cover_mask(R)
-    free = ((1 << (g.m + 1)) - 2) & ~union_over(g.incident_masks, base)
+    free = g.all_edges & ~union_over(g.incident_masks, base)
     for e in forbidden:
         free &= ~(1 << e)
     return _grow(g, tuple(R), base, free, lambda M: True)

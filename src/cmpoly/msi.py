@@ -1,8 +1,11 @@
 """Projected minimal separator inequalities: construction, minimality,
 dominance, fractional separation by exact max-flow, and lazy connectivity cuts.
 
-A separator row  y_a + y_b - sum_{u in C} y_u <= 1  over vertex indicators is
-projected to edge space through y_u = sum_{e incident to u} x_e.
+`vertex_row` projects a vertex row  y(plus) - y(minus) <= 1  to edge space
+through y_v = x(delta(v)): the degree rows and each separator row
+y_a + y_b - y(C) <= 1.  A separator is a vertex bitmask from the max-flow cut
+through `_minimal` to its row; `minimalize` and `project_msi` check a
+`Separator`, then take the same path.
 
 Separation scales the vertex degrees y of a fractional point by their common
 denominator D, so the max-flow runs on integer capacities and each test
@@ -10,7 +13,7 @@ against 1 becomes a test against D.  The vertex-split network is built once
 per point and each pair (a,b) copies its capacities: a flow from a's out-copy
 to b's in-copy never uses the arcs of a or b, so the same capacities serve
 every pair.  A pair's max-flow stops at y_a + y_b - D, where its row cannot
-be violated.  Separator sides are vertex bitmasks from graph_core.reach_within.
+be violated.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 
 from .graph_core import GraphError, is_separator, mask_bits, reach_within, vertex_mask
 from .inequality import Inequality
-from .matchings import is_connected_matching, is_matching
+from .matchings import is_matching
 from .rational_la import integer_row
 
 
@@ -36,8 +39,7 @@ class Separator:
 
     def validate(self, g):
         if not is_separator(g, self.a, self.b, self.C):
-            raise GraphError(
-                f"C={set(self.C)} does not separate {self.a} from {self.b}")
+            raise GraphError(f"C={set(self.C)} does not separate {self.a} from {self.b}")
 
 
 def _redundant_vertex(g, a, b, C):
@@ -53,34 +55,37 @@ def _redundant_vertex(g, a, b, C):
     return None
 
 
-def minimalize(g, s):
-    """Shrink C to a minimal separator by dropping, one at a time, the least
-    member without a neighbor on both sides of G - C.  C must separate a
-    from b in g (GraphError otherwise)."""
-    s.validate(g)
-    C = vertex_mask(s.C)
-    while (u := _redundant_vertex(g, s.a, s.b, C)) is not None:
+def _minimal(g, a, b, C):
+    """Drop `_redundant_vertex` from the (a,b)-separator mask C until it is minimal."""
+    while (u := _redundant_vertex(g, a, b, C)) is not None:
         C ^= 1 << u
-    return Separator(s.a, s.b, tuple(mask_bits(C)))
+    return C
+
+
+def minimalize(g, s):
+    """`_minimal` on a Separator, whose C must separate a from b (GraphError)."""
+    s.validate(g)
+    return Separator(s.a, s.b, tuple(mask_bits(_minimal(g, s.a, s.b, vertex_mask(s.C)))))
+
+
+def vertex_row(g, plus, minus, tag, provenance):
+    """The row y(plus) - y(minus) <= 1 of vertex masks in edge space, through
+    y_v = x(delta(v)): edge e gets +1 per endpoint in plus, -1 per one in minus."""
+    ends = g.endpoint_masks
+    return Inequality([(ends[e] & plus).bit_count() - (ends[e] & minus).bit_count()
+                       for e in range(1, g.m + 1)], 1, tag=tag, provenance=provenance)
+
+
+def _msi_row(g, a, b, C):
+    """The projected MSI of the (a,b)-separator mask C; coefficients reach -2."""
+    return vertex_row(g, 1 << a | 1 << b, C, "msi",
+                      f"msi a={a} b={b} C={{{','.join(map(str, mask_bits(C)))}}}")
 
 
 def project_msi(g, s):
-    """Project the separator row onto edge space; rhs 1.
-
-    Coefficient of edge e: +1 per endpoint in {a,b}, -1 per endpoint in C
-    (so coefficients can reach -2).
-    """
+    """The projected MSI of a Separator, whose C must separate a from b (GraphError)."""
     s.validate(g)
-    coeffs = [0] * g.m
-    for e in g.incident_edges(s.a):
-        coeffs[e - 1] += 1
-    for e in g.incident_edges(s.b):
-        coeffs[e - 1] += 1
-    for u in s.C:
-        for e in g.incident_edges(u):
-            coeffs[e - 1] -= 1
-    prov = f"msi a={s.a} b={s.b} C={{{','.join(map(str, s.C))}}}"
-    return Inequality(coeffs, 1, tag="msi", provenance=prov)
+    return _msi_row(g, s.a, s.b, vertex_mask(s.C))
 
 
 def dominates(p, q):
@@ -123,7 +128,7 @@ def _split_network(g, y):
 def _min_vertex_cut(net, a, b, bound):
     """Minimum-capacity (a,b)-vertex separator by exact max-flow on a copy of
     net's capacities, from a's out-copy to b's in-copy; returns (flow value,
-    cut vertex set), or (a flow >= bound, None) once the flow reaches bound.
+    cut vertex mask), or (a flow >= bound, None) once the flow reaches bound.
 
     One network serves every pair: no augmenting path enters the source or
     leaves the sink, so the arcs of a and b never carry flow and their
@@ -144,7 +149,7 @@ def _min_vertex_cut(net, a, b, bound):
                     parent[v] = i
                     queue.append(v)
         if snk not in parent:
-            return flow, {u >> 1 for u in parent if not u & 1 and u + 1 not in parent}
+            return flow, vertex_mask(u >> 1 for u in parent if not u & 1 and u + 1 not in parent)
         path = []
         v = snk
         while (i := parent[v]) is not None:
@@ -178,7 +183,7 @@ def separate_fractional(g, xstar):
     # the highest power of p scales to a numerator that p does not divide.
     *X, D = integer_row([*xstar, 1])
     # D times the degree sum of xstar at each vertex
-    y = [0] + [sum(X[e - 1] for e in g.incident_edges(v)) for v in range(1, g.n + 1)]
+    y = [0] + [sum(X[e - 1] for e in mask_bits(g.incident_masks[v])) for v in range(1, g.n + 1)]
     for v in range(1, g.n + 1):
         if y[v] > D:
             raise GraphError(f"degree sum at vertex {v} exceeds 1")
@@ -190,10 +195,9 @@ def separate_fractional(g, xstar):
             if nbr[a] >> b & 1 or y[a] + y[b] <= D:
                 continue
             _flow, cut = _min_vertex_cut(net, a, b, y[a] + y[b] - D)
-            if cut is None:
-                continue
-            row = project_msi(g, minimalize(g, Separator(a, b, tuple(cut))))
-            cuts.setdefault(row.canonical(), row)
+            if cut is not None:
+                row = _msi_row(g, a, b, _minimal(g, a, b, cut))
+                cuts.setdefault(row.canonical(), row)
     return [cuts[k] for k in sorted(cuts)]
 
 
@@ -203,25 +207,22 @@ def lazy_cut_for_disconnected(g, M):
     M = sorted(set(M))
     if not is_matching(g, M):
         raise GraphError("M is not a matching")
-    if len(M) < 2 or is_connected_matching(g, M):
-        raise GraphError("M must be a disconnected matching with >= 2 edges")
     covered = g.cover_mask(M)
     low = covered & -covered
-    a = low.bit_length() - 1
     rest = covered & ~reach_within(g.neighbor_masks, covered, low)
-    b = (rest & -rest).bit_length() - 1
-    pool = tuple(mask_bits(g.all_vertices & ~covered))
-    sep = minimalize(g, Separator(a, b, pool))
-    return project_msi(g, sep)
+    if not rest:   # G[covered] is empty or connected
+        raise GraphError("M must be a disconnected matching with >= 2 edges")
+    # a and b lie in different components of G[covered]: the rest separates them
+    a, b = low.bit_length() - 1, (rest & -rest).bit_length() - 1
+    return _msi_row(g, a, b, _minimal(g, a, b, g.all_vertices & ~covered))
 
 
 def minimal_separators_brute(g, a, b, max_size=None):
-    """All minimal (a,b)-separators by subset enumeration (test scale only)."""
+    """All minimal (a,b)-separators by subset enumeration (test scale only);
+    the first test, of C = (), rejects bad or adjacent a, b (GraphError)."""
     from itertools import combinations
     if max_size is not None and max_size < 0:
         raise GraphError(f"separator size cap must be >= 0, got {max_size}")
-    if g.edge_id(a, b) is not None:
-        raise GraphError("adjacent pair has no separator")
     rest = [v for v in range(1, g.n + 1) if v not in (a, b)]
     limit = max_size if max_size is not None else len(rest)
     found = []

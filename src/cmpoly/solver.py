@@ -21,10 +21,9 @@ from math import gcd
 
 from .facet_family import generate_family
 from .graph_core import GraphError
-from .inequality import Inequality
 from .matchings import is_connected_matching
 from .rational_la import integer_row
-from .msi import lazy_cut_for_disconnected, separate_fractional
+from .msi import lazy_cut_for_disconnected, separate_fractional, vertex_row
 
 
 # MSI separation rounds per node before it branches
@@ -61,15 +60,8 @@ def build_base_lp(g, w, config=None):
     w = tuple(Fraction(x) for x in w)
     if len(w) != g.m:
         raise GraphError(f"expected {g.m} weights, got {len(w)}")
-    rows = []
-    for v in range(1, g.n + 1):
-        inc = g.incident_edges(v)
-        if not inc:
-            continue
-        coeffs = [0] * g.m
-        for e in inc:
-            coeffs[e - 1] = 1
-        rows.append(Inequality(coeffs, 1, tag="degree", provenance=f"v={v}"))
+    rows = [vertex_row(g, 1 << v, 0, "degree", f"v={v}")
+            for v in range(1, g.n + 1) if g.incident_masks[v]]
     if config.use_family_cuts:
         rows.extend(q for q, _cert in generate_family(g))
     return Model(objective=w, rows=rows)

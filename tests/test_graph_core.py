@@ -216,6 +216,8 @@ class TestMaskTables:
         graphs = kernel_corpus() + [Graph(5, ((1, 2), (3, 4))), Graph(1, ()), Graph(0, ())]
         for g in graphs:
             assert g.endpoint_masks == [0] + [vertex_mask(e) for e in g.edges]
+            assert g.all_vertices == vertex_mask(range(1, g.n + 1))
+            assert g.all_edges == vertex_mask(range(1, g.m + 1))
             for v in range(1, g.n + 1):
                 at_v = [i for i, e in enumerate(g.edges, start=1) if v in e]
                 assert g.incident_edges(v) == at_v
@@ -340,6 +342,14 @@ class TestGraphInvariants:
     def test_duplicate_rejected(self):
         with pytest.raises(GraphError):
             Graph(3, ((1, 2), (2, 1)))
+
+    def test_negative_vertex_count_rejected(self):
+        for n in (-1, -5):
+            with pytest.raises(GraphError, match=f"negative vertex count {n}"):
+                Graph(n, ())
+        # parse_graph still names the header line
+        with pytest.raises(ParseError, match="line 1: negative header field"):
+            parse_graph("p -1 0\n")
 
     def test_weight_length_checked(self):
         with pytest.raises(GraphError):

@@ -12,11 +12,11 @@ from cmpoly import solver
 from cmpoly.graph_core import Graph, GraphError, generate
 from cmpoly.inequality import Inequality
 from cmpoly.matchings import enumerate_cm_sets, enumerate_connected_matchings, incidence_vector
-from cmpoly.graph_core import is_separator
+from cmpoly.graph_core import is_separator, mask_bits, vertex_mask
 from cmpoly.matchings import is_connected_matching, is_matching
 from cmpoly.msi import (Separator, _min_vertex_cut, _split_network, dominates,
                         lazy_cut_for_disconnected, minimal_separators_brute, minimalize,
-                        project_msi, separate_fractional)
+                        project_msi, separate_fractional, vertex_row)
 from cmpoly.rational_la import integer_row
 from cmpoly.solver import SolveConfig
 
@@ -261,6 +261,57 @@ class TestProjectMsi:
                         assert all(q.evaluate(x) <= q.rhs for x in vecs)
 
 
+def reference_project_msi(g, s):
+    """The earlier list-based projection: +1 on each edge at a and at b, -1
+    on each edge at a vertex of C."""
+    s.validate(g)
+    coeffs = [0] * g.m
+    for e in g.incident_edges(s.a):
+        coeffs[e - 1] += 1
+    for e in g.incident_edges(s.b):
+        coeffs[e - 1] += 1
+    for u in s.C:
+        for e in g.incident_edges(u):
+            coeffs[e - 1] -= 1
+    prov = f"msi a={s.a} b={s.b} C={{{','.join(map(str, s.C))}}}"
+    return Inequality(coeffs, 1, tag="msi", provenance=prov)
+
+
+def reference_degree_rows(g):
+    """The earlier degree-row loop of solver.build_base_lp."""
+    rows = []
+    for v in range(1, g.n + 1):
+        inc = g.incident_edges(v)
+        if not inc:
+            continue
+        coeffs = [0] * g.m
+        for e in inc:
+            coeffs[e - 1] = 1
+        rows.append(Inequality(coeffs, 1, tag="degree", provenance=f"v={v}"))
+    return rows
+
+
+class TestVertexRow:
+    def test_matches_list_based_reference(self, random_suite):
+        graphs = random_suite + [generate(name) for name in ("petersen", "j26", "cube:3")]
+        graphs.append(Graph(5, ((1, 2), (2, 3))))   # isolated vertices: no degree row
+        rows = 0
+        for g in graphs:
+            for a, b in nonadjacent_pairs(g):
+                for s in minimal_separators_brute(g, a, b):
+                    want = reference_project_msi(g, s)
+                    assert vertex_row(g, vertex_mask((a, b)), vertex_mask(s.C), "msi",
+                                      want.provenance) == want
+                    assert project_msi(g, s) == want   # tag and provenance included
+                    rows += 1
+            degree = reference_degree_rows(g)
+            assert [vertex_row(g, 1 << v, 0, "degree", f"v={v}")
+                    for v in range(1, g.n + 1) if g.incident_edges(v)] == degree
+            model = solver.build_base_lp(g, [1] * g.m, SolveConfig(use_family_cuts=False))
+            assert model.rows == degree
+        assert rows >= 1000
+
+
 class TestDominates:
     def test_reflexive(self):
         q = Inequality([1, -1, 0], 1)
@@ -406,7 +457,7 @@ class TestMinVertexCut:
         g = generate("cycle:6")
         flow, cut = full_min_vertex_cut(_split_network(g, [0] + [2] * 6), 1, 4)
         assert type(flow) is int and flow == 4
-        assert cut == {2, 6}
+        assert cut == vertex_mask({2, 6})
 
     def test_network_is_not_consumed(self):
         g = generate("cycle:6")
@@ -443,9 +494,10 @@ class TestMinVertexCut:
             net = _split_network(g, [0] + [cap[v] for v in range(1, g.n + 1)])
             for a, b in nonadjacent_pairs(g):
                 flow, cut = full_min_vertex_cut(net, a, b)
-                assert (flow, cut) == reference_min_vertex_cut(g, a, b, cap)
-                assert is_separator(g, a, b, cut)
-                assert sum(cap[v] for v in cut) == flow
+                ref_flow, ref_cut = reference_min_vertex_cut(g, a, b, cap)
+                assert (flow, cut) == (ref_flow, vertex_mask(ref_cut))
+                assert is_separator(g, a, b, mask_bits(cut))
+                assert sum(cap[v] for v in mask_bits(cut)) == flow
                 # brute force over every separator of the pair
                 rest = [v for v in range(1, g.n + 1) if v not in (a, b)]
                 best = min(sum(cap[v] for v in C)
@@ -471,7 +523,7 @@ class TestMinVertexCut:
                 for bound in (0, flow // 2, flow - 1, flow, flow + 1, 2 * flow + 3):
                     got = _min_vertex_cut(net, a, b, bound)
                     if bound > flow:
-                        assert got == (flow, cut)
+                        assert got == (flow, vertex_mask(cut))
                         exact += 1
                     else:
                         assert got[1] is None and bound <= got[0] <= flow
@@ -505,6 +557,12 @@ class TestLazyCut:
         g = generate("path:6")
         with pytest.raises(GraphError):
             lazy_cut_for_disconnected(g, (1, 3))
+
+    @pytest.mark.parametrize("M", [(2,), (), (1, 2), (1, 9)],
+                             ids=["one-edge", "empty", "not-a-matching", "edge-out-of-range"])
+    def test_short_or_invalid_matching_rejected(self, M):
+        with pytest.raises(GraphError):
+            lazy_cut_for_disconnected(generate("path:6"), M)
 
     def test_always_evaluates_to_two(self):
         for seed in range(15):
