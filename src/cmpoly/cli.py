@@ -8,7 +8,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 
-from .facet_family import generate_family
+from .facet_family import facet_hypothesis, family_pair, generate_family
 from .graph_core import GraphError, format_graph, generate, parse_graph
 from .inequality import format_hrep_file, parse_hrep_file
 from .matchings import (DEFAULT_ENUM_LIMIT, brute_force_max_weight_cm,
@@ -68,20 +68,20 @@ def cmd_hrep(g, args):
 
 
 def cmd_family(g, args):
-    fam = generate_family(g)
-    lines = []
-    for q, cert in fam:
+    lines, certified = [], 0
+    for q in generate_family(g):
+        pair, lam = family_pair(g, q)
+        flag = args.certify and facet_hypothesis(g, pair, lam)
+        certified += flag
         if args.tsv:
             lines.append(q.format_line().split("#")[0].strip() + "\t"
-                         + f"pair=({cert.pair[0]},{cert.pair[1]})"
-                         + (f"\tcertified={int(cert.facet_certified)}" if args.certify else ""))
-        elif args.certify:
-            lines.append(q.format_line() + " facet_certified="
-                         + ("yes" if cert.facet_certified else "no"))
+                         + f"pair=({pair[0]},{pair[1]})"
+                         + (f"\tcertified={int(flag)}" if args.certify else ""))
         else:
-            lines.append(q.format_line())
+            mark = " facet_certified=" + ("yes" if flag else "no")
+            lines.append(q.format_line() + (mark if args.certify else ""))
     if args.certify and not args.tsv:
-        lines.append(f"# facet_certified rows: {sum(c.facet_certified for _, c in fam)}")
+        lines.append(f"# facet_certified rows: {certified}")
     return lines, 0
 
 
@@ -98,7 +98,7 @@ def cmd_classify(g, args):
 def cmd_msi(g, args):
     if args.max_separator is not None and args.max_separator < 0:
         raise GraphError(f"separator size cap must be >= 0, got {args.max_separator}")
-    fam_rows = [q for q, _ in generate_family(g)] if args.dominance else []
+    fam_rows = generate_family(g) if args.dominance else []
     lines = []
     for a in range(1, g.n + 1):
         for b in range(a + 1, g.n + 1):
@@ -189,7 +189,8 @@ def build_parser():
 
     p = command("family", cmd_family, "generate the pairwise inequality family", tsv=True)
     p.add_argument("--certify", action="store_true",
-                   help="report the facet certificate per row")
+                   help="flag each row the sufficient facet hypothesis certifies "
+                        "(it under-claims: an unflagged row may still be a facet)")
 
     p = command("classify", cmd_classify, "classify rows of an inequality file", tsv=True)
     p.add_argument("--ineq", required=True, help="inequality file")

@@ -5,25 +5,16 @@ distance exactly 2 from both, the row  x_e1 + x_e2 - sum_{f in L} x_f <= 1
 is valid whenever no connected matching contains both e1 and e2 while
 avoiding the edges of L.  It is facet-defining when additionally L is
 nonempty, L induces a clique in the line graph, and each triple
-{e1, e2, f} induces a 2-connected subgraph.
+{e1, e2, f} induces a 2-connected subgraph.  That facet hypothesis is
+sufficient, not necessary, so it under-claims: all five family facets of j26
+fail it.  A row is its own certificate: `family_pair` reads the pair and L back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph_core import GraphError, is_biconnected_mask, mask_bits, union_over
 from .inequality import Inequality
 from .matchings import _grow, exists_cm_superset
-
-
-@dataclass(frozen=True)
-class FamilyCertificate:
-    """What a family row's pair was found to satisfy.  Every emitted pair is
-    disconnected and valid, so only the checks that can fail are kept."""
-    pair: tuple
-    lam: tuple
-    facet_certified: bool
 
 
 def _edge_masks(g, e):
@@ -77,6 +68,20 @@ def _family_row(g, e1, e2, lam):
     return Inequality(coeffs, 1, tag="family", provenance=prov)
 
 
+def family_pair(g, q):
+    """(pair, lambda) when q is the family row of a disconnected pair of g --
+    rhs 1, +1 on the two pair edges, -1 on exactly their lambda set, 0
+    elsewhere -- else None.  Rows are stored primitive, so a positive
+    multiple of a family row reads as the row."""
+    if q.rhs != 1 or q.m != g.m or not set(q.coeffs) <= {-1, 0, 1}:
+        return None
+    pair = tuple(j + 1 for j, c in enumerate(q.coeffs) if c == 1)
+    lam = tuple(j + 1 for j, c in enumerate(q.coeffs) if c == -1)
+    if len(pair) == 2 and is_disconnected_pair(g, *pair) and lam == lambda_set(g, *pair):
+        return pair, lam
+    return None
+
+
 def check_validity_hypothesis(g, e1, e2):
     """True iff no connected matching of g contains both e1 and e2 while
     avoiding every lambda edge.
@@ -93,7 +98,8 @@ def check_validity_hypothesis(g, e1, e2):
     return not exists_cm_superset(g, [e1, e2], forbidden=lambda_set(g, e1, e2))
 
 
-def _facet_hypothesis(g, e1, e2, lam):
+def facet_hypothesis(g, pair, lam):
+    """The module's facet hypothesis for the pair and its lambda set lam."""
     if not lam:
         return False
     ends = g.endpoint_masks
@@ -101,17 +107,17 @@ def _facet_hypothesis(g, e1, e2, lam):
         for f2 in lam[i + 1:]:
             if not ends[f] & ends[f2]:
                 return False
-    pair_cover = ends[e1] | ends[e2]
+    pair_cover = ends[pair[0]] | ends[pair[1]]
     return all(is_biconnected_mask(g, pair_cover | ends[f]) for f in lam)
 
 
 def generate_family(g):
-    """One (Inequality, FamilyCertificate) per unordered disconnected pair that
-    passes the validity hypothesis, ordered by (min id, max id).
+    """The family row of each unordered disconnected pair that passes the
+    validity hypothesis, ordered by (min id, max id).
 
     The _edge_masks of every edge are built once, so each pair costs one
     mask test for disconnection and one for its lambda set, then one
-    validity search, entered with those masks, and one certificate.
+    validity search, entered with those masks.
     """
     masks = [None] + [_edge_masks(g, e) for e in range(1, g.m + 1)]
     ends, every = g.endpoint_masks, g.all_edges
@@ -127,11 +133,5 @@ def generate_family(g):
             if _grow(g, (e1, e2), ends[e1] | ends[e2], every & ~(a[0] | b[0] | lam),
                      lambda M: True):
                 continue
-            lam = tuple(mask_bits(lam))
-            cert = FamilyCertificate(
-                pair=(e1, e2),
-                lam=lam,
-                facet_certified=_facet_hypothesis(g, e1, e2, lam),
-            )
-            out.append((_family_row(g, e1, e2, lam), cert))
+            out.append(_family_row(g, e1, e2, tuple(mask_bits(lam))))
     return out

@@ -83,9 +83,9 @@ class Graph:
         return mask
 
     def weight(self, e):
-        if self.weights is None:
-            return Fraction(1)
-        return self.weights[e - 1]
+        """Weight of edge id e (1 on an unweighted graph)."""
+        self.endpoints(e)
+        return Fraction(1) if self.weights is None else self.weights[e - 1]
 
     def neighbors(self, v):
         """Neighbours of v, sorted."""

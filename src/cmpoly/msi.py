@@ -219,16 +219,19 @@ def lazy_cut_for_disconnected(g, M):
 
 def minimal_separators_brute(g, a, b, max_size=None):
     """All minimal (a,b)-separators by subset enumeration (test scale only);
-    the first test, of C = (), rejects bad or adjacent a, b (GraphError)."""
+    bad or adjacent a, b raise GraphError before any subset is tried."""
     from itertools import combinations
     if max_size is not None and max_size < 0:
         raise GraphError(f"separator size cap must be >= 0, got {max_size}")
+    is_separator(g, a, b, ())   # raises on bad or adjacent a, b
+    nbr, every = g.neighbor_masks, g.all_vertices
     rest = [v for v in range(1, g.n + 1) if v not in (a, b)]
     limit = max_size if max_size is not None else len(rest)
     found = []
     for size in range(limit + 1):
         for C in combinations(rest, size):
-            if (is_separator(g, a, b, C)
-                    and _redundant_vertex(g, a, b, vertex_mask(C)) is None):
+            cut = vertex_mask(C)
+            if (not reach_within(nbr, every & ~cut, 1 << a) >> b & 1
+                    and _redundant_vertex(g, a, b, cut) is None):
                 found.append(Separator(a, b, C))
     return found

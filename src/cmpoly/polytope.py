@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .facet_family import is_disconnected_pair, lambda_set
+from .facet_family import family_pair
 from .graph_core import GraphError, mask_bits, union_over
 from .inequality import Inequality
 from .matchings import DEFAULT_ENUM_LIMIT, enumerate_connected_matchings
@@ -247,14 +247,8 @@ def classify(q, g):
             if sup == union_over(g.incident_masks, H) & ~outside:
                 return FacetClass("blossom", (tuple(mask_bits(H)),))
 
-    if rhs == 1 and all(c in (-1, 0, 1) for c in ints):
-        plus = [i + 1 for i, c in enumerate(ints) if c == 1]
-        minus = tuple(sorted(i + 1 for i, c in enumerate(ints) if c == -1))
-        if len(plus) == 2 and is_disconnected_pair(g, plus[0], plus[1]):
-            if minus == lambda_set(g, plus[0], plus[1]):
-                return FacetClass("family", (tuple(plus), minus))
-
-    return FacetClass("other")
+    fam = family_pair(g, q)
+    return FacetClass("family", fam) if fam else FacetClass("other")
 
 
 def export_vrep_interop(V):

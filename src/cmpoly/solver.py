@@ -63,7 +63,7 @@ def build_base_lp(g, w, config=None):
     rows = [vertex_row(g, 1 << v, 0, "degree", f"v={v}")
             for v in range(1, g.n + 1) if g.incident_masks[v]]
     if config.use_family_cuts:
-        rows.extend(q for q, _cert in generate_family(g))
+        rows.extend(generate_family(g))
     return Model(objective=w, rows=rows)
 
 

@@ -1,12 +1,14 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cmpoly import matchings
-from cmpoly.facet_family import (FamilyCertificate, _facet_hypothesis,
-                                 check_validity_hypothesis, family_inequality,
-                                 generate_family, is_disconnected_pair, lambda_set)
-from cmpoly.graph_core import Graph, GraphError, generate, line_distance
+from cmpoly.facet_family import (check_validity_hypothesis, facet_hypothesis,
+                                 family_inequality, family_pair, generate_family,
+                                 is_disconnected_pair, lambda_set)
+from cmpoly.graph_core import Graph, GraphError, generate, line_distance, parse_graph
+from cmpoly.inequality import Inequality
 from cmpoly.matchings import enumerate_cm_sets, enumerate_connected_matchings
 
 from conftest import (assert_primitive_int_row, random_connected_graph, set_bfs_components,
@@ -46,6 +48,15 @@ def reference_facet_hypothesis(g, e1, e2, lam):
 
 def differential_corpus(random_suite):
     return random_suite + [generate(n) for n in ("petersen", "j26", "cube:3", "cycle:8")]
+
+
+def certificates(g, rows):
+    """(pair, lambda, facet flag) of each family row, read back from the row."""
+    out = []
+    for q in rows:
+        pair, lam = family_pair(g, q)
+        out.append((pair, lam, facet_hypothesis(g, pair, lam)))
+    return out
 
 
 class TestLambdaSet:
@@ -132,11 +143,12 @@ class TestFamilyInequality:
     def test_support_structure(self):
         for seed in range(10):
             g = random_connected_graph(seed)
-            for q, cert in generate_family(g):
+            for q in generate_family(g):
+                _, lam = family_pair(g, q)
                 ints, rhs = q.canonical()
                 assert rhs == 1
                 assert sorted(c for c in ints if c != 0) == \
-                    [-1] * len(cert.lam) + [1, 1]
+                    [-1] * len(lam) + [1, 1]
 
 
 class TestValidityHypothesis:
@@ -155,25 +167,25 @@ class TestValidityHypothesis:
             check_validity_hypothesis(generate("path:4"), 1, 2)
 
 
-def facet_hypothesis(g, e1, e2):
-    """The facet flag generate_family computes for the pair."""
-    return _facet_hypothesis(g, e1, e2, lambda_set(g, e1, e2))
+def pair_facet_flag(g, e1, e2):
+    """The facet flag of the pair's family row."""
+    return facet_hypothesis(g, (e1, e2), lambda_set(g, e1, e2))
 
 
 class TestFacetHypothesis:
     def test_p6_not_biconnected(self):
         g = generate("path:6")
-        assert not facet_hypothesis(g, 1, 5)
+        assert not pair_facet_flag(g, 1, 5)
 
     def test_cube3_clique_fails(self):
         g = generate("cube:3")
         e1, e2 = g.edge_id(1, 2), g.edge_id(7, 8)
-        assert not facet_hypothesis(g, e1, e2)
+        assert not pair_facet_flag(g, e1, e2)
 
     def test_empty_lambda_never_certified(self):
         g = generate("cycle:6")
         assert lambda_set(g, 1, 4) == ()
-        assert not facet_hypothesis(g, 1, 4)
+        assert not pair_facet_flag(g, 1, 4)
 
     def test_matches_set_based_reference(self, random_suite):
         seen = set()
@@ -184,20 +196,20 @@ class TestFacetHypothesis:
                         continue
                     lam = reference_lambda_set(g, e1, e2)
                     expect = reference_facet_hypothesis(g, e1, e2, lam)
-                    assert facet_hypothesis(g, e1, e2) == expect, (e1, e2)
+                    assert pair_facet_flag(g, e1, e2) == expect, (e1, e2)
                     seen.add(expect)
         assert seen == {True, False}
 
     def test_positive_case(self):
         g = Graph(6, ((1, 2), (1, 3), (1, 4), (2, 5), (3, 4), (3, 6), (4, 5),
                       (4, 6)))
-        fam = generate_family(g)
-        certified = [c for _, c in fam if c.facet_certified]
-        assert any(c.pair == (4, 6) and c.lam == (3,) for c in certified)
+        certified = [c for c in certificates(g, generate_family(g)) if c[2]]
+        assert any(pair == (4, 6) and lam == (3,) for pair, lam, _ in certified)
 
 
 def reference_family(g):
-    """generate_family rebuilt pair by pair from the per-pair predicates."""
+    """generate_family rebuilt pair by pair from the per-pair predicates, each
+    row with its (pair, lambda, facet flag)."""
     out = []
     for e1 in range(1, g.m + 1):
         for e2 in range(e1 + 1, g.m + 1):
@@ -206,9 +218,7 @@ def reference_family(g):
             if not check_validity_hypothesis(g, e1, e2):
                 continue
             lam = lambda_set(g, e1, e2)
-            cert = FamilyCertificate(
-                pair=(e1, e2), lam=lam,
-                facet_certified=_facet_hypothesis(g, e1, e2, lam))
+            cert = ((e1, e2), lam, facet_hypothesis(g, (e1, e2), lam))
             out.append((family_inequality(g, e1, e2), cert))
     return out
 
@@ -225,34 +235,34 @@ class TestGenerateFamily:
         certs = []
         for g in random_suite + named + larger:
             got, want = generate_family(g), reference_family(g)
-            assert [c for _, c in got] == [c for _, c in want]
-            assert [row_key(q) for q, _ in got] == [row_key(q) for q, _ in want]
-            certs += [c for _, c in got]
-        # the corpus reaches both outcomes of the certificate flag, and
-        # both empty and nonempty lambda sets
-        assert {c.facet_certified for c in certs} == {True, False}
-        assert {bool(c.lam) for c in certs} == {True, False}
+            assert certificates(g, got) == [c for _, c in want]
+            assert [row_key(q) for q in got] == [row_key(q) for q, _ in want]
+            certs += certificates(g, got)
+        # the corpus reaches both outcomes of the facet flag, and both empty
+        # and nonempty lambda sets
+        assert {flag for _, _, flag in certs} == {True, False}
+        assert {bool(lam) for _, lam, _ in certs} == {True, False}
 
     def test_k4_empty(self):
         assert generate_family(generate("complete:4")) == []
 
     def test_c6(self):
-        fam = generate_family(generate("cycle:6"))
-        pairs = [cert.pair for _, cert in fam]
-        assert pairs == [(1, 4), (2, 5), (3, 6)]
-        assert all(not cert.facet_certified for _, cert in fam)
-        assert all(cert.lam == () for _, cert in fam)
+        g = generate("cycle:6")
+        certs = certificates(g, generate_family(g))
+        assert [pair for pair, _, _ in certs] == [(1, 4), (2, 5), (3, 6)]
+        assert all(not flag for _, _, flag in certs)
+        assert all(lam == () for _, lam, _ in certs)
 
     def test_rows_are_primitive_int(self):
         for seed in range(10):
-            for q, _cert in generate_family(random_connected_graph(seed)):
+            for q in generate_family(random_connected_graph(seed)):
                 assert_primitive_int_row(q)
 
     def test_order_and_size_bound(self):
         for seed in range(10):
             g = random_connected_graph(seed)
             fam = generate_family(g)
-            pairs = [cert.pair for _, cert in fam]
+            pairs = [pair for pair, _, _ in certificates(g, fam)]
             assert pairs == sorted(pairs)
             assert len(fam) <= g.m * (g.m - 1) // 2
 
@@ -260,7 +270,7 @@ class TestGenerateFamily:
         for seed in range(20):
             g = random_connected_graph(seed)
             vecs = enumerate_connected_matchings(g)
-            for q, _ in generate_family(g):
+            for q in generate_family(g):
                 assert all(q.evaluate(x) <= q.rhs for x in vecs)
 
     def test_fact1_corollary(self):
@@ -268,9 +278,9 @@ class TestGenerateFamily:
         for seed in range(10):
             g = random_connected_graph(seed)
             cms = enumerate_cm_sets(g)
-            for _, cert in generate_family(g):
-                lam = set(cert.lam)
-                if not lam or not cert.facet_certified:
+            for _, lam, flag in certificates(g, generate_family(g)):
+                lam = set(lam)
+                if not lam or not flag:
                     continue
                 for M in cms:
                     assert len(lam & set(M)) <= 1
@@ -292,12 +302,12 @@ class TestGenerateFamily:
     def test_certificate_consistency(self):
         for seed in range(10):
             g = random_connected_graph(seed)
-            for q, cert in generate_family(g):
-                assert is_disconnected_pair(g, *cert.pair)
-                assert check_validity_hypothesis(g, *cert.pair)
-                assert cert.lam == lambda_set(g, *cert.pair)
-                if cert.facet_certified:
-                    assert cert.lam
+            for pair, lam, flag in certificates(g, generate_family(g)):
+                assert is_disconnected_pair(g, *pair)
+                assert check_validity_hypothesis(g, *pair)
+                assert lam == lambda_set(g, *pair)
+                if flag:
+                    assert lam
 
 
 class TestJ26Family:
@@ -305,12 +315,58 @@ class TestJ26Family:
         # the five hull facets of family shape exist among generated rows
         g = generate("j26")
         fam = generate_family(g)
-        sizes = sorted(len(c.lam) for _, c in fam if c.lam)
+        sizes = sorted(len(lam) for _, lam, _ in certificates(g, fam) if lam)
         # the lifting pattern of the worked example: |lambda| = 2 occurs
         assert 2 in sizes
 
     def test_eq2_shape_present(self):
         g = generate("j26")
         fam = generate_family(g)
-        shapes = {tuple(sorted(q.canonical()[0])) for q, _ in fam}
+        shapes = {tuple(sorted(q.canonical()[0])) for q in fam}
         assert (-1, -1) + (0,) * 10 + (1, 1) in shapes
+
+
+def reader_corpus(random_suite):
+    mixed8 = parse_graph((Path(__file__).parent / "golden" / "mixed8.g").read_text())
+    return random_suite + [generate(n) for n in ("petersen", "j26", "cube:3")] + [mixed8]
+
+
+class TestFamilyPair:
+    def test_reads_every_generated_row(self, random_suite):
+        rows = 0
+        for g in reader_corpus(random_suite):
+            want = [(pair, lam) for _, (pair, lam, _) in reference_family(g)]
+            got = [family_pair(g, q) for q in generate_family(g)]
+            assert got == want
+            for pair, lam in got:
+                assert lam == reference_lambda_set(g, *pair)
+            rows += len(got)
+        assert rows
+
+    def test_rejects_near_family_rows(self, random_suite):
+        tried = 0
+        for g in reader_corpus(random_suite):
+            for q in generate_family(g):
+                pair, lam = family_pair(g, q)
+                if not lam:
+                    continue
+                outside = [f for f in range(1, g.m + 1) if f not in pair and f not in lam]
+                near = [Inequality([1 if f in pair else 0 for f in range(1, g.m + 1)], 1),
+                        Inequality([c if j + 1 != lam[0] else 0
+                                    for j, c in enumerate(q.coeffs)], 1),
+                        Inequality(q.coeffs, 2)]
+                if outside:
+                    near.append(Inequality([c if j + 1 != outside[0] else -1
+                                            for j, c in enumerate(q.coeffs)], 1))
+                for r in near:
+                    assert family_pair(g, r) is None, r.format_line()
+                tried += len(near)
+        assert tried
+
+    def test_flag_matches_set_based_reference(self, random_suite):
+        flags = set()
+        for g in reader_corpus(random_suite):
+            for pair, lam, flag in certificates(g, generate_family(g)):
+                assert flag == reference_facet_hypothesis(g, *pair, lam), pair
+                flags.add(flag)
+        assert flags == {True, False}

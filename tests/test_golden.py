@@ -17,6 +17,8 @@ The files in tests/golden/ were generated from the repository root with:
     for f in j26 cube3 mixed8; do
         cmpoly family -g $f.g --certify --no-meta -o family_$f.txt
     done
+    cmpoly family -g mixed8.g --no-meta -o family_mixed8_plain.txt
+    cmpoly family -g mixed8.g --tsv --no-meta -o family_mixed8.tsv
     cmpoly family -g j26.g --tsv --certify --no-meta -o family_j26.tsv
     cmpoly gen --name cycle:24 -o cycle24.g
     cmpoly family -g cycle24.g --certify --limit 24 --no-meta -o family_cycle24.txt
@@ -62,6 +64,8 @@ CASES = [
     (["family", "-g", "j26.g", "--certify"], "family_j26.txt"),
     (["family", "-g", "cube3.g", "--certify"], "family_cube3.txt"),
     (["family", "-g", "mixed8.g", "--certify"], "family_mixed8.txt"),
+    (["family", "-g", "mixed8.g"], "family_mixed8_plain.txt"),
+    (["family", "-g", "mixed8.g", "--tsv"], "family_mixed8.tsv"),
     (["family", "-g", "j26.g", "--tsv", "--certify"], "family_j26.tsv"),
     (["family", "-g", "cycle24.g", "--certify", "--limit", "24"], "family_cycle24.txt"),
     (["enumerate", "-g", "cycle24.g", "--limit", "24"], "enumerate_cycle24.txt"),

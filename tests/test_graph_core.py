@@ -29,6 +29,14 @@ class TestParse:
         g = parse_graph("p 2 1\ne 1 2 w 3/7\n")
         assert g.weight(1) == Fraction(3, 7)
 
+    @pytest.mark.parametrize("weights", [(5, 7), None])
+    def test_weight_edge_id_range_checked(self, weights):
+        g = Graph(3, ((1, 2), (2, 3)), weights)
+        assert [g.weight(e) for e in (1, 2)] == ([5, 7] if weights else [1, 1])
+        for e in (0, -1, g.m + 1):
+            with pytest.raises(GraphError, match="out of range"):
+                g.weight(e)
+
     def test_loop_rejected(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_graph("p 2 1\ne 1 1\n")
