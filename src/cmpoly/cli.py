@@ -32,8 +32,11 @@ def _emit(text, out):
 
 
 def _run_graph_command(func, args):
-    """Read and parse -g, refuse a graph above --limit, run `func(g, args)`
-    and write what it returns, text or lines, to -o or stdout."""
+    """Refuse a negative --count-limit, read and parse -g, refuse a graph
+    above --limit, run `func(g, args)` and write what it returns, text or
+    lines, to -o or stdout."""
+    if getattr(args, "count_limit", 0) < 0:
+        raise GraphError(f"count limit must be >= 0, got {args.count_limit}")
     g = parse_graph(_read(args.graph))
     if g.m > args.limit:
         raise GraphError(f"graph has {g.m} edges, above --limit {args.limit}")

@@ -74,7 +74,8 @@ def hrep(V):
     Adjacency is read from a per-constraint ray index (Fukuda & Prodon,
     *Double description method revisited*, 1996, as cddlib keeps it).  Each
     ray keeps a fixed slot for its whole life; the int mask `alive` marks
-    the slots in use, and a removed ray only clears its bit there.  Bit b of
+    the slots in use, and a removed ray only clears its bit there.  A step
+    walks the rays in slot order, the set bits of `alive`.  Bit b of
     a ray's tight mask is the b-th processed constraint, and `tight_on[b]`
     masks the slots of the rays tight on it.  A positive and a negative ray
     whose tight masks meet in `common` (at least m - 1 constraints) are
@@ -104,7 +105,6 @@ def hrep(V):
 
     rays = inverse_columns([cons[i] for i in basis_idx])   # by slot; None once removed
     tight = [(1 << dim) - 1 - (1 << i) for i in range(dim)]
-    live = list(range(dim))
     alive = (1 << dim) - 1
     tight_on = [alive ^ (1 << b) for b in range(dim)]
 
@@ -115,18 +115,16 @@ def hrep(V):
     for ci in rest:
         nz = [(j, x) for j, x in enumerate(cons[ci]) if x]
         bit = 1 << len(tight_on)
-        keep, pos, neg = [], [], []
+        pos, neg = [], []
         zero = dead = 0
-        for k in live:
+        for k in mask_bits(alive):
             r = rays[k]
             v = sum(r[j] * x for j, x in nz)
-            if v >= 0:
-                keep.append(k)
-                if v:
-                    pos.append((k, v))
-                else:
-                    zero |= 1 << k
-                    tight[k] |= bit
+            if v > 0:
+                pos.append((k, v))
+            elif v == 0:
+                zero |= 1 << k
+                tight[k] |= bit
             else:
                 neg.append((k, v, tight[k]))
                 dead |= 1 << k
@@ -178,9 +176,8 @@ def hrep(V):
             if slots:
                 tight_on[b] |= slots << base
         alive = (alive ^ dead) | ((1 << len(new)) - 1) << base
-        live = keep + list(range(base, base + len(new)))
 
-    facets = [Inequality([-v for v in rays[k][1:]], rays[k][0]) for k in live]
+    facets = [Inequality([-v for v in rays[k][1:]], rays[k][0]) for k in mask_bits(alive)]
     facets.sort(key=lambda q: (q.coeffs, q.rhs))
     return HRep(tuple(facets))
 

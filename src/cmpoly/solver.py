@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 from .facet_family import generate_family
-from .graph_core import GraphError
+from .graph_core import GraphError, mask_bits
 from .matchings import is_connected_matching
 from .rational_la import integer_row
 from .msi import lazy_cut_for_disconnected, separate_fractional, vertex_row
@@ -67,10 +67,11 @@ def build_base_lp(g, w, config=None):
     return Model(objective=w, rows=rows)
 
 
-def solve_lp_exact(model, fixed0=frozenset(), fixed1=frozenset()):
-    """Exact optimum of  max c.x  s.t. rows, x >= 0, x_e = 0 on fixed0 and
-    x_e = 1 on fixed1, by `_simplex`: a dual phase 1 from the slack basis when
-    a fix overdraws a row, then the primal simplex (Bland's rule in both).
+def solve_lp_exact(model, fixed0=0, fixed1=0):
+    """Exact optimum of  max c.x  s.t. rows, x >= 0, x_e = 0 for each bit e
+    of the edge mask fixed0 and x_e = 1 for each bit e of fixed1, by
+    `_simplex`: a dual phase 1 from the slack basis when a fix overdraws a
+    row, then the primal simplex (Bland's rule in both).
 
     A fixed edge leaves the LP: its column is dropped, after it is subtracted
     from every rhs when fixed to 1.  Returns (value, xstar, pivots) with xstar
@@ -78,15 +79,15 @@ def solve_lp_exact(model, fixed0=frozenset(), fixed1=frozenset()):
     """
     rows = model.rows + model.cut_pool
     c = model.objective
-    free = [j for j in range(len(c)) if j + 1 not in fixed0 and j + 1 not in fixed1]
-    ones = [e - 1 for e in fixed1]
+    free = [j for j in range(len(c)) if not (fixed0 | fixed1) >> (j + 1) & 1]
+    ones = [e - 1 for e in mask_bits(fixed1)]
     value, xfree, _basis, pivots = _simplex(
         [c[j] for j in free],
         [[q.coeffs[j] for j in free] for q in rows],
         [q.rhs - sum(q.coeffs[j] for j in ones) for q in rows])
     if value is None:
         return None, None, pivots
-    x = [Fraction(int(e in fixed1)) for e in range(1, len(c) + 1)]
+    x = [Fraction(fixed1 >> e & 1) for e in range(1, len(c) + 1)]
     for j, xj in zip(free, xfree):
         x[j] = xj
     return value + sum(c[j] for j in ones), x, pivots
@@ -193,68 +194,60 @@ def branch_and_cut(g, w, config=None):
     stats = {"nodes": 0, "lp_pivots": 0, "cuts": {"msi": 0, "lazy": 0},
              "family_rows": sum(1 for q in model.rows if q.tag == "family")}
 
-    # heap of open nodes (-bound, node id, fixed0, fixed1): best bound first,
-    # then lowest id; the root alone has no bound
-    open_nodes = [(None, 0, frozenset(), frozenset())]
+    # heap of open nodes (-bound, node id, fixed0, fixed1), the fixes as edge
+    # masks: best bound first, then lowest id; the root alone has no bound
+    open_nodes = [(None, 0, 0, 0)]
     next_id = 1
-    pool = set()   # canonical forms of the rows in model.cut_pool
     status = "optimal"
+
+    def note(bound, outcome):
+        log.append(f"node {node_id} bound {bound} cuts {cuts_here} status {outcome}")
 
     while open_nodes:
         if stats["nodes"] >= config.node_limit:
             status = "node-limit"
             break
         neg_bound, node_id, fixed0, fixed1 = heapq.heappop(open_nodes)
+        cuts_here = 0
         if neg_bound is not None and -neg_bound <= incumbent_val:
-            log.append(f"node {node_id} bound {-neg_bound} cuts 0 status pruned")
+            note(-neg_bound, "pruned")
             continue
         stats["nodes"] += 1
-        cuts_here = 0
 
         while True:
             value, xstar, pivots = solve_lp_exact(model, fixed0, fixed1)
             stats["lp_pivots"] += pivots
             if value is None or value <= incumbent_val:
-                shown = "infeasible" if value is None else value
-                log.append(f"node {node_id} bound {shown} cuts {cuts_here} "
-                           "status pruned")
+                note("infeasible" if value is None else value, "pruned")
                 break
             frac = [e for e in range(1, g.m + 1)
                     if xstar[e - 1] not in (0, 1)]
+            # every pooled row holds at xstar, so a round's cuts are all new
+            kind, cuts = "msi", []
             if not frac:
                 M = tuple(e for e in range(1, g.m + 1) if xstar[e - 1] == 1)
-                if len(M) >= 2 and not is_connected_matching(g, M):
-                    cut = lazy_cut_for_disconnected(g, M)
-                    model.cut_pool.append(cut)
-                    pool.add(cut.canonical())
-                    stats["cuts"]["lazy"] += 1
-                    cuts_here += 1
-                    continue
-                log.append(f"node {node_id} bound {value} cuts {cuts_here} "
-                           "status int")
-                if value > incumbent_val:
+                if len(M) < 2 or is_connected_matching(g, M):
+                    note(value, "int")
                     incumbent_val, incumbent_set = value, M
-                break
-            if config.use_msi_separation and cuts_here < CUT_ROUNDS:
-                found = [(q.canonical(), q) for q in separate_fractional(g, xstar)]
-                new = [q for key, q in found if key not in pool]
-                pool.update(key for key, _ in found)
-                if new:
-                    model.cut_pool.extend(new)
-                    stats["cuts"]["msi"] += len(new)
-                    cuts_here += 1
-                    continue
-            log.append(f"node {node_id} bound {value} cuts {cuts_here} "
-                       "status frac")
+                    break
+                kind, cuts = "lazy", [lazy_cut_for_disconnected(g, M)]
+            elif config.use_msi_separation and cuts_here < CUT_ROUNDS:
+                cuts = separate_fractional(g, xstar)
+            if cuts:
+                model.cut_pool.extend(cuts)
+                stats["cuts"][kind] += len(cuts)
+                cuts_here += 1
+                continue
+            note(value, "frac")
             bvar = min(frac, key=lambda e: (abs(xstar[e - 1] - half), e))
-            heapq.heappush(open_nodes, (-value, next_id, fixed0, fixed1 | {bvar}))
-            heapq.heappush(open_nodes, (-value, next_id + 1, fixed0 | {bvar}, fixed1))
+            heapq.heappush(open_nodes, (-value, next_id, fixed0, fixed1 | 1 << bvar))
+            heapq.heappush(open_nodes, (-value, next_id + 1, fixed0 | 1 << bvar, fixed1))
             next_id += 2
             break
 
     if status == "node-limit":
-        bounds = [-nb for nb, _, _, _ in open_nodes if nb is not None]
-        stats["upper_bound"] = max([incumbent_val] + bounds)
+        # the root is popped first (node_limit >= 1), so every open node has a bound
+        stats["upper_bound"] = max([incumbent_val] + [-nb for nb, *_ in open_nodes])
     log.append(f"opt {incumbent_val} matching {{{','.join(map(str, incumbent_set))}}}")
     stats["wall_time"] = time.monotonic() - start
     return SolveResult(value=incumbent_val, matching=incumbent_set,

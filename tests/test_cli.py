@@ -89,10 +89,16 @@ class TestEnumerate:
         header = out.splitlines()[0]
         assert header.startswith("m 6 k ")
 
-    def test_negative_count_limit_exits_one(self, c6_file, capsys):
-        code, out, err = invoke(["enumerate", "-g", c6_file, "--count-limit", "-3"], capsys)
-        assert code == 1
-        assert out == "" and "count limit must be >= 0, got -3" in err
+    def test_negative_count_limit_exits_one(self, c6_file, tmp_path, capsys):
+        ineq = tmp_path / "c6.ineq"
+        invoke(["hrep", "-g", c6_file, "-o", str(ineq)], capsys)
+        # refused before any work by every subcommand that takes the flag,
+        # solve included, which reads it only under --oracle-check
+        for argv in (["enumerate"], ["hrep"], ["verify", "--ineq", str(ineq)], ["export"],
+                     ["solve"], ["solve", "--oracle-check"]):
+            code, out, err = invoke(argv + ["-g", c6_file, "--count-limit", "-3"], capsys)
+            assert code == 1, argv
+            assert out == "" and "count limit must be >= 0, got -3" in err, argv
         # the empty matching always exists, so a zero limit is exceeded, not refused
         code, out, err = invoke(["enumerate", "-g", c6_file, "--count-limit", "0"], capsys)
         assert code == 1

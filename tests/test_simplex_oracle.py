@@ -40,7 +40,7 @@ from math import gcd
 import pytest
 
 from cmpoly import solver
-from cmpoly.graph_core import GraphError, generate
+from cmpoly.graph_core import GraphError, generate, mask_bits
 from cmpoly.msi import minimal_separators_brute, project_msi
 from cmpoly.rational_la import bareiss_step, integer_row
 from cmpoly.solver import SolveConfig, _simplex, branch_and_cut, build_base_lp, solve_lp_exact
@@ -248,10 +248,10 @@ def scaled_simplex(c, A, b):
     return got
 
 
-def old_formulation(model, fixed0=(), fixed1=()):
+def old_formulation(model, fixed0=0, fixed1=0):
     """(c, A, b) of the same node LP with its rows as they were: the model rows
-    and cut pool, x_e <= 1 for every edge, x_e <= 0 for e in fixed0 and
-    -x_e <= -1 for e in fixed1."""
+    and cut pool, x_e <= 1 for every edge, x_e <= 0 for each bit e of the
+    edge mask fixed0 and -x_e <= -1 for each bit e of fixed1."""
     m = len(model.objective)
 
     def unit(e, sign):
@@ -259,8 +259,8 @@ def old_formulation(model, fixed0=(), fixed1=()):
 
     rows = ([(list(q.coeffs), q.rhs) for q in model.rows + model.cut_pool]
             + [(unit(e, 1), 1) for e in range(1, m + 1)]
-            + [(unit(e, 1), 0) for e in sorted(fixed0)]
-            + [(unit(e, -1), -1) for e in sorted(fixed1)])
+            + [(unit(e, 1), 0) for e in mask_bits(fixed0)]
+            + [(unit(e, -1), -1) for e in mask_bits(fixed1)])
     return list(model.objective), [a for a, _ in rows], [b for _, b in rows]
 
 
@@ -323,7 +323,8 @@ def corpus_weights(rng, g, huge):
 
 
 def corpus_lps(seed):
-    """(model, fixed0, fixed1) triples for one seeded graph and weight draw.
+    """(model, fixed0, fixed1) triples for one seeded graph and weight draw,
+    the fixes as edge masks.
 
     The root LP; the projected MSIs of every minimal separator of one
     non-adjacent pair (a, b) (coefficients down to -2); then, on that cut
@@ -343,29 +344,28 @@ def corpus_lps(seed):
     g = random_connected_graph(seed, n_hi=8, m_cap=10)
     w = corpus_weights(rng, g, huge=seed % 3 == 2)
     model = build_base_lp(g, w, SolveConfig(use_family_cuts=seed % 2 == 0))
-    edges = set(range(1, g.m + 1))
-    yield model, set(), set()
+    yield model, 0, 0
     pairs = [(a, b) for a in range(1, g.n + 1) for b in range(a + 1, g.n + 1)
              if g.edge_id(a, b) is None]
     if pairs:
         a, b = rng.choice(pairs)
         model.cut_pool.extend(project_msi(g, s)
                               for s in minimal_separators_brute(g, a, b))
-        yield model, set(), set()
+        yield model, 0, 0
         ea, eb = rng.choice(g.incident_edges(a)), rng.choice(g.incident_edges(b))
-        yield model, set(), {ea, eb}
-    e, f = rng.sample(sorted(edges), 2)
-    yield model, set(), {e}
-    yield model, {e}, {f}
+        yield model, 0, 1 << ea | 1 << eb
+    e, f = rng.sample(mask_bits(g.all_edges), 2)
+    yield model, 0, 1 << e
+    yield model, 1 << e, 1 << f
     for q in model.rows:
         if q.tag == "family":
-            yield model, set(), {j + 1 for j, coef in enumerate(q.coeffs) if coef == 1}
+            yield model, 0, sum(1 << (j + 1) for j, coef in enumerate(q.coeffs) if coef == 1)
             break
     v = max(range(1, g.n + 1), key=lambda u: len(g.incident_edges(u)))
-    two = set(g.incident_edges(v)[:2])
-    yield model, set(), two
-    yield model, set(g.incident_edges(v)) - two, two
-    yield model, edges - {e}, {e}
+    two = sum(1 << e for e in g.incident_edges(v)[:2])
+    yield model, 0, two
+    yield model, g.incident_masks[v] ^ two, two
+    yield model, g.all_edges ^ 1 << e, 1 << e
 
 
 def test_integer_simplex_matches_fraction_simplex(monkeypatch):
@@ -400,7 +400,7 @@ def test_branch_and_cut_lps_match_fraction_simplex(monkeypatch):
     lps = phase1 = cut = 0
     solve = solver.solve_lp_exact
 
-    def checked(model, fixed0=frozenset(), fixed1=frozenset()):
+    def checked(model, fixed0=0, fixed1=0):
         nonlocal lps, phase1, cut
         got = solve(model, fixed0, fixed1)
         assert_solves_old_formulation(model, fixed0, fixed1, got)

@@ -8,7 +8,8 @@ from cmpoly.graph_core import Graph, GraphError, generate
 from cmpoly.matchings import brute_force_max_weight_cm, enumerate_connected_matchings, is_connected_matching
 from cmpoly.solver import SolveConfig, branch_and_cut, build_base_lp, solve_lp_exact
 
-from conftest import assert_primitive_int_row, random_connected_graph, root_gap_report
+from conftest import (assert_primitive_int_row, random_connected_graph, root_gap_report,
+                      spread_weights)
 
 
 def random_weights(seed, m):
@@ -92,7 +93,7 @@ class TestLpExact:
         g = generate("path:3")
         model = build_base_lp(g, [1, 1])
         # both edges share vertex 2; fixing both to 1 contradicts the degree row
-        value, x, _ = solve_lp_exact(model, fixed1={1, 2})
+        value, x, _ = solve_lp_exact(model, fixed1=1 << 1 | 1 << 2)
         assert value is None and x is None
 
     def test_fixed_columns_put_back(self):
@@ -100,10 +101,10 @@ class TestLpExact:
         # the value counts the fixed edge's weight
         g = generate("path:4")
         model = build_base_lp(g, [3, 5, 7])
-        value, x, _ = solve_lp_exact(model, fixed0={3}, fixed1={1})
+        value, x, _ = solve_lp_exact(model, fixed0=1 << 3, fixed1=1 << 1)
         assert (value, x) == (3, [1, 0, 0])
         # every column fixed: no LP is left, only the fixed point
-        value, x, pivots = solve_lp_exact(model, fixed0={2}, fixed1={1, 3})
+        value, x, pivots = solve_lp_exact(model, fixed0=1 << 2, fixed1=1 << 1 | 1 << 3)
         assert (value, x, pivots) == (10, [1, 0, 1], 0)
 
 
@@ -149,7 +150,7 @@ class TestBranchAndCut:
         models = []
         solve = solver.solve_lp_exact
 
-        def capture(model, fixed0=frozenset(), fixed1=frozenset()):
+        def capture(model, fixed0=0, fixed1=0):
             models.append(model)
             return solve(model, fixed0, fixed1)
 
@@ -169,6 +170,41 @@ class TestBranchAndCut:
                 msi += res.stats["cuts"]["msi"]
                 lazy += res.stats["cuts"]["lazy"]
         assert msi >= 1 and lazy >= 1
+
+    def test_separated_rows_are_new(self, monkeypatch):
+        # every MSI row separated at x* is violated there, and x* is an LP
+        # optimum over every row already in the cut pool, so no round returns
+        # a pooled row: the pool stays duplicate-free without a key set
+        models, rows_out = [], []
+        solve, separate = solver.solve_lp_exact, solver.separate_fractional
+
+        def capture(model, fixed0=0, fixed1=0):
+            models.append(model)
+            return solve(model, fixed0, fixed1)
+
+        def checked(g, xstar):
+            rows = separate(g, xstar)
+            pooled = {q.canonical() for q in models[-1].cut_pool}
+            for q in rows:
+                assert q.evaluate(xstar) > q.rhs, q
+                assert q.canonical() not in pooled, q
+            rows_out.extend(rows)
+            return rows
+
+        monkeypatch.setattr(solver, "solve_lp_exact", capture)
+        monkeypatch.setattr(solver, "separate_fractional", checked)
+        total = 0
+        for seed in range(12):
+            g = generate(f"cycle:{7 + seed % 4}")
+            models.clear()
+            rows_out.clear()
+            res = branch_and_cut(g, spread_weights(random.Random(seed), g, huge=False),
+                                 SolveConfig(use_family_cuts=False))
+            pool = models[-1].cut_pool
+            assert len({q.canonical() for q in pool}) == len(pool)
+            assert res.stats["cuts"]["msi"] == len(rows_out)
+            total += len(rows_out)
+        assert total >= 50
 
     def test_determinism(self):
         g = random_connected_graph(7)
