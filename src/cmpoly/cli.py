@@ -13,7 +13,7 @@ from .graph_core import GraphError, format_graph, generate, parse_graph
 from .inequality import format_hrep_file, parse_hrep_file
 from .matchings import (DEFAULT_ENUM_LIMIT, brute_force_max_weight_cm,
                         enumerate_connected_matchings, format_vrep)
-from .msi import dominates, minimal_separators_brute, project_msi
+from .msi import dominates, minimal_separators, msi_row
 from .polytope import classify, export_vrep_interop, hrep, verify_valid, vrep
 from .solver import SolveConfig, branch_and_cut
 
@@ -99,16 +99,19 @@ def cmd_classify(g, args):
 
 
 def cmd_msi(g, args):
-    if args.max_separator is not None and args.max_separator < 0:
-        raise GraphError(f"separator size cap must be >= 0, got {args.max_separator}")
+    cap = g.n if args.max_separator is None else args.max_separator
+    if cap < 0:
+        raise GraphError(f"separator size cap must be >= 0, got {cap}")
     fam_rows = generate_family(g) if args.dominance else []
     lines = []
     for a in range(1, g.n + 1):
         for b in range(a + 1, g.n + 1):
             if g.neighbor_masks[a] >> b & 1:
                 continue
-            for s in minimal_separators_brute(g, a, b, max_size=args.max_separator):
-                row = project_msi(g, s)
+            for C in minimal_separators(g, a, b):
+                if C.bit_count() > cap:
+                    continue
+                row = msi_row(g, a, b, C)
                 if not any(row.coeffs):
                     continue   # 0 <= 1 holds everywhere and says nothing
                 line = row.format_line()
@@ -200,7 +203,7 @@ def build_parser():
 
     p = command("msi", cmd_msi, "projected minimal separator inequalities")
     p.add_argument("--max-separator", type=int, default=None,
-                   help="cap on brute-force separator size")
+                   help="print only separators of at most this many vertices")
     p.add_argument("--dominance", action="store_true",
                    help="mark rows dominated by a family inequality")
 

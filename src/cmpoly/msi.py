@@ -1,10 +1,12 @@
-"""Projected minimal separator inequalities: construction, minimality,
-dominance, fractional separation by exact max-flow, and lazy connectivity cuts.
+"""Projected minimal separator inequalities: generation of every minimal
+separator, minimality, dominance, fractional separation by exact max-flow, and
+lazy connectivity cuts.
 
 `vertex_row` projects a vertex row  y(plus) - y(minus) <= 1  to edge space
 through y_v = x(delta(v)): the degree rows and each separator row
-y_a + y_b - y(C) <= 1.  A separator is a vertex bitmask from the max-flow cut
-through `_minimal` to its row; `minimalize` and `project_msi` check a
+y_a + y_b - y(C) <= 1, built by `msi_row`.  A separator is a vertex bitmask
+from where it is made to its row: from `minimal_separators`, or from the
+max-flow cut through `_minimal`; `minimalize` and `project_msi` check a
 `Separator`, then take the same path.
 
 Separation scales the vertex degrees y of a fractional point by their common
@@ -22,7 +24,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph_core import GraphError, is_separator, mask_bits, reach_within, vertex_mask
+from .graph_core import (GraphError, is_separator, mask_bits, reach_within, union_over,
+                         vertex_mask)
 from .inequality import Inequality
 from .matchings import is_matching
 from .rational_la import integer_row
@@ -42,24 +45,18 @@ class Separator:
             raise GraphError(f"C={set(self.C)} does not separate {self.a} from {self.b}")
 
 
-def _redundant_vertex(g, a, b, C):
-    """Least vertex of the mask C without a neighbour in both a's and b's
-    component of G - C, or None when C is a minimal (a,b)-separator."""
-    nbr = g.neighbor_masks
-    room = g.all_vertices & ~C
-    side_a = reach_within(nbr, room, 1 << a)
-    side_b = reach_within(nbr, room, 1 << b)
-    for u in mask_bits(C):
-        if not (nbr[u] & side_a and nbr[u] & side_b):
-            return u
-    return None
-
-
 def _minimal(g, a, b, C):
-    """Drop `_redundant_vertex` from the (a,b)-separator mask C until it is minimal."""
-    while (u := _redundant_vertex(g, a, b, C)) is not None:
-        C ^= 1 << u
-    return C
+    """Drop the least vertex of the (a,b)-separator mask C without a neighbour
+    in both a's and b's component of G - C until none is left: C is minimal."""
+    nbr = g.neighbor_masks
+    while True:
+        room = g.all_vertices & ~C
+        side_a = reach_within(nbr, room, 1 << a)
+        side_b = reach_within(nbr, room, 1 << b)
+        drop = [u for u in mask_bits(C) if not (nbr[u] & side_a and nbr[u] & side_b)]
+        if not drop:
+            return C
+        C ^= 1 << drop[0]
 
 
 def minimalize(g, s):
@@ -76,7 +73,7 @@ def vertex_row(g, plus, minus, tag, provenance):
                        for e in range(1, g.m + 1)], 1, tag=tag, provenance=provenance)
 
 
-def _msi_row(g, a, b, C):
+def msi_row(g, a, b, C):
     """The projected MSI of the (a,b)-separator mask C; coefficients reach -2."""
     return vertex_row(g, 1 << a | 1 << b, C, "msi",
                       f"msi a={a} b={b} C={{{','.join(map(str, mask_bits(C)))}}}")
@@ -85,7 +82,7 @@ def _msi_row(g, a, b, C):
 def project_msi(g, s):
     """The projected MSI of a Separator, whose C must separate a from b (GraphError)."""
     s.validate(g)
-    return _msi_row(g, s.a, s.b, vertex_mask(s.C))
+    return msi_row(g, s.a, s.b, vertex_mask(s.C))
 
 
 def dominates(p, q):
@@ -196,7 +193,7 @@ def separate_fractional(g, xstar):
                 continue
             _flow, cut = _min_vertex_cut(net, a, b, y[a] + y[b] - D)
             if cut is not None:
-                row = _msi_row(g, a, b, _minimal(g, a, b, cut))
+                row = msi_row(g, a, b, _minimal(g, a, b, cut))
                 cuts.setdefault(row.canonical(), row)
     return [cuts[k] for k in sorted(cuts)]
 
@@ -214,24 +211,28 @@ def lazy_cut_for_disconnected(g, M):
         raise GraphError("M must be a disconnected matching with >= 2 edges")
     # a and b lie in different components of G[covered]: the rest separates them
     a, b = low.bit_length() - 1, (rest & -rest).bit_length() - 1
-    return _msi_row(g, a, b, _minimal(g, a, b, g.all_vertices & ~covered))
+    return msi_row(g, a, b, _minimal(g, a, b, g.all_vertices & ~covered))
 
 
-def minimal_separators_brute(g, a, b, max_size=None):
-    """All minimal (a,b)-separators by subset enumeration (test scale only);
-    bad or adjacent a, b raise GraphError before any subset is tried."""
-    from itertools import combinations
-    if max_size is not None and max_size < 0:
-        raise GraphError(f"separator size cap must be >= 0, got {max_size}")
+def minimal_separators(g, a, b):
+    """All minimal (a,b)-separators as vertex masks, by size and then by their
+    sorted vertices; bad or adjacent a, b raise GraphError.  Close-neighbourhood
+    generation (Berry, Bordat & Cogis 2000): for a connected set A holding a
+    and no neighbour of b, the neighbourhood of b's component of G - N[A] is a
+    minimal separator with A on a's side.  It starts from A = {a}, and each S
+    found gives A = side_a(S) + x for each x in S not adjacent to b."""
     is_separator(g, a, b, ())   # raises on bad or adjacent a, b
     nbr, every = g.neighbor_masks, g.all_vertices
-    rest = [v for v in range(1, g.n + 1) if v not in (a, b)]
-    limit = max_size if max_size is not None else len(rest)
-    found = []
-    for size in range(limit + 1):
-        for C in combinations(rest, size):
-            cut = vertex_mask(C)
-            if (not reach_within(nbr, every & ~cut, 1 << a) >> b & 1
-                    and _redundant_vertex(g, a, b, cut) is None):
-                found.append(Separator(a, b, C))
-    return found
+
+    def close_to(A):
+        side_b = reach_within(nbr, every & ~(A | union_over(nbr, A)), 1 << b)
+        return union_over(nbr, side_b) & ~side_b
+
+    found, todo = set(), [close_to(1 << a)]
+    while todo:
+        S = todo.pop()
+        if S not in found:
+            found.add(S)
+            side_a = reach_within(nbr, every & ~S, 1 << a)
+            todo += [close_to(side_a | 1 << x) for x in mask_bits(S & ~nbr[b])]
+    return sorted(found, key=lambda S: (S.bit_count(), mask_bits(S)))

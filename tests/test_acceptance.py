@@ -13,7 +13,7 @@ import pytest
 from cmpoly.facet_family import facet_hypothesis, family_pair, generate_family
 from cmpoly.graph_core import generate
 from cmpoly.matchings import brute_force_max_weight_cm
-from cmpoly.msi import minimal_separators_brute, project_msi
+from cmpoly.msi import minimal_separators, msi_row
 from cmpoly.polytope import (VRep, classify, face_dimension, hrep, polytope_dimension,
                              verify_valid, vrep)
 from cmpoly.rational_la import affine_dimension
@@ -120,9 +120,8 @@ def test_criterion_3_dominance(capsys):
             for b in range(a + 1, g.n + 1):
                 if g.edge_id(a, b) is not None:
                     continue
-                for s in minimal_separators_brute(g, a, b, max_size=4):
-                    if len(s.C) == 4 and _rho1_dominates(facet,
-                                                         project_msi(g, s)):
+                for C in minimal_separators(g, a, b):
+                    if C.bit_count() == 4 and _rho1_dominates(facet, msi_row(g, a, b, C)):
                         pairs.add((a, b))
         best = max(best, len(pairs))
     report(capsys, 3, "projected MSIs dominated with rho=1", best >= 4,

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -177,6 +178,33 @@ class TestMsiCmd:
                               capsys)
         assert code == 0
         assert "msi a=" in out
+
+    @pytest.mark.parametrize("name", ["j26", "cube:3"])
+    def test_max_separator_is_a_filter(self, name, tmp_path, capsys):
+        g = generate(name)
+        graph = tmp_path / "g.g"
+        graph.write_text(format_graph(g))
+        code, out, _ = invoke(["msi", "-g", str(graph)], capsys)
+        assert code == 0
+        rows = out.splitlines()
+        sizes = [len([v for v in row.split("C={")[1].split("}")[0].split(",") if v])
+                 for row in rows]
+        assert max(sizes) < g.n
+        for k in range(g.n + 1):
+            code, out, _ = invoke(["msi", "-g", str(graph), "--max-separator", str(k)],
+                                  capsys)
+            assert code == 0
+            assert out.splitlines() == [row for row, size in zip(rows, sizes) if size <= k]
+
+    def test_cycle_row_count_closed_form(self, tmp_path, capsys):
+        # four vertices of C_n in cyclic order give two rows: a and b are
+        # two opposite ones, C the other two
+        for n in range(5, 21):
+            graph = tmp_path / "g.g"
+            graph.write_text(format_graph(generate(f"cycle:{n}")))
+            code, out, _ = invoke(["msi", "-g", str(graph)], capsys)
+            assert code == 0
+            assert len(out.splitlines()) == 2 * comb(n, 4), n
 
     def test_dominance_marks(self, j26_file, capsys):
         code, out, _ = invoke(["msi", "-g", j26_file, "--max-separator", "4",

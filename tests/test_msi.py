@@ -12,11 +12,11 @@ from cmpoly import solver
 from cmpoly.graph_core import Graph, GraphError, generate
 from cmpoly.inequality import Inequality
 from cmpoly.matchings import enumerate_cm_sets, enumerate_connected_matchings, incidence_vector
-from cmpoly.graph_core import is_separator, mask_bits, vertex_mask
+from cmpoly.graph_core import is_separator, mask_bits, reach_within, vertex_mask
 from cmpoly.matchings import is_connected_matching, is_matching
 from cmpoly.msi import (Separator, _min_vertex_cut, _split_network, dominates,
-                        lazy_cut_for_disconnected, minimal_separators_brute, minimalize,
-                        project_msi, separate_fractional, vertex_row)
+                        lazy_cut_for_disconnected, minimal_separators, minimalize,
+                        msi_row, project_msi, separate_fractional, vertex_row)
 from cmpoly.rational_la import integer_row
 from cmpoly.solver import SolveConfig
 
@@ -192,40 +192,74 @@ class TestMinimalSeparator:
         assert checked >= 300 and shrunk >= 100
 
 
-def parent_minimal_separators_brute(g, a, b, max_size=None):
-    """The earlier body: a separator test, then a minimality test that
-    validates the separator once more."""
-    if g.edge_id(a, b) is not None:
-        raise GraphError("adjacent pair has no separator")
-    rest = sorted(set(range(1, g.n + 1)) - {a, b})
-    limit = max_size if max_size is not None else len(rest)
-    found = []
-    for size in range(limit + 1):
-        for C in combinations(rest, size):
-            s = Separator(a, b, C)
-            if is_separator(g, a, b, C) and minimalize(g, s) == s:
-                found.append(s)
+def reference_minimal_separators(g):
+    """Every minimal separator of every non-adjacent pair by subset
+    enumeration: C is a minimal (a,b)-separator iff a and b lie in two
+    different full components of G - C, components next to every vertex of
+    C.  Returns {(a, b): masks} for a < b, each list by size and then by
+    sorted vertices."""
+    nbr = g.neighbor_masks
+    found = {pair: [] for pair in nonadjacent_pairs(g)}
+    for size in range(g.n - 1):
+        for C in combinations(range(1, g.n + 1), size):
+            cut = vertex_mask(C)
+            room, full = g.all_vertices & ~cut, []
+            while room:
+                comp = reach_within(nbr, room, room & -room)
+                room ^= comp
+                if all(nbr[u] & comp for u in C):
+                    full.append(comp)
+            for A, B in combinations(full, 2):
+                for a in mask_bits(A):
+                    for b in mask_bits(B):
+                        found[min(a, b), max(a, b)].append(cut)
     return found
 
 
-class TestMinimalSeparatorsBrute:
-    def test_negative_cap_rejected(self):
-        with pytest.raises(GraphError, match="cap must be >= 0"):
-            minimal_separators_brute(generate("cycle:8"), 1, 5, max_size=-1)
+def seeded_graphs(count):
+    """Graphs on 2-12 vertices with edge probability 0.1-0.9: sparse ones are
+    often disconnected, dense ones have few non-adjacent pairs."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        n, p = 2 + seed % 11, (0.1, 0.3, 0.5, 0.7, 0.9)[seed % 5]
+        yield Graph(n, tuple(e for e in combinations(range(1, n + 1), 2) if rng.random() < p))
 
-    def test_matches_parent_body(self, random_suite):
+
+def generated_separators(g, a, b, max_size):
+    """The generator's minimal (a,b)-separators of at most max_size vertices."""
+    return [Separator(a, b, mask_bits(C)) for C in minimal_separators(g, a, b)
+            if C.bit_count() <= max_size]
+
+
+class TestMinimalSeparators:
+    def test_matches_reference(self, random_suite):
         found = 0
         for g in random_suite:
-            for a, b in nonadjacent_pairs(g):
-                for max_size in (None, 2):
-                    got = minimal_separators_brute(g, a, b, max_size)
-                    assert got == parent_minimal_separators_brute(g, a, b, max_size)
-                    found += len(got)
-        assert found
+            for pair, want in reference_minimal_separators(g).items():
+                assert minimal_separators(g, *pair) == want
+                found += len(want)
+        assert found >= 1500
 
-    def test_adjacent_pair_rejected(self):
+    def test_matches_reference_on_named_and_seeded_graphs(self):
+        names = ("j26", "petersen", "cube:3", "cycle:9", "path:8", "complete:5")
+        graphs = [generate(name) for name in names] + list(seeded_graphs(440))
+        found = split = several = dense = 0
+        for g in graphs:
+            for pair, want in reference_minimal_separators(g).items():
+                assert minimal_separators(g, *pair) == want, (g, pair)
+                found += len(want)
+                split += want == [0]   # a and b in different components of G
+                several += len(want) >= 2
+                dense += 2 * g.m >= g.n * (g.n - 1) * 0.8
+        assert found >= 10000 and split >= 2000 and several >= 2000 and dense >= 200
+
+    def test_bad_or_adjacent_pair_rejected(self):
+        g = generate("cycle:6")
         with pytest.raises(GraphError, match="adjacent"):
-            minimal_separators_brute(generate("cycle:6"), 1, 2)
+            minimal_separators(g, 1, 2)
+        for a, b in ((1, 1), (0, 3), (1, 7), (-1, 3)):
+            with pytest.raises(GraphError):
+                minimal_separators(g, a, b)
 
 
 class TestProjectMsi:
@@ -240,7 +274,7 @@ class TestProjectMsi:
             for a in range(1, g.n + 1):
                 for b in range(a + 1, g.n + 1):
                     if g.edge_id(a, b) is None:
-                        for s in minimal_separators_brute(g, a, b, max_size=2):
+                        for s in generated_separators(g, a, b, 2):
                             assert_primitive_int_row(project_msi(g, s))
 
     def test_rejects_non_separator(self):
@@ -256,7 +290,7 @@ class TestProjectMsi:
                 for b in range(a + 1, g.n + 1):
                     if g.edge_id(a, b) is not None:
                         continue
-                    for s in minimal_separators_brute(g, a, b, max_size=3):
+                    for s in generated_separators(g, a, b, 3):
                         q = project_msi(g, s)
                         assert all(q.evaluate(x) <= q.rhs for x in vecs)
 
@@ -298,11 +332,12 @@ class TestVertexRow:
         rows = 0
         for g in graphs:
             for a, b in nonadjacent_pairs(g):
-                for s in minimal_separators_brute(g, a, b):
+                for s in generated_separators(g, a, b, g.n):
                     want = reference_project_msi(g, s)
                     assert vertex_row(g, vertex_mask((a, b)), vertex_mask(s.C), "msi",
                                       want.provenance) == want
                     assert project_msi(g, s) == want   # tag and provenance included
+                    assert msi_row(g, a, b, vertex_mask(s.C)) == want
                     rows += 1
             degree = reference_degree_rows(g)
             assert [vertex_row(g, 1 << v, 0, "degree", f"v={v}")

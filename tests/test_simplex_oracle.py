@@ -41,7 +41,7 @@ import pytest
 
 from cmpoly import solver
 from cmpoly.graph_core import GraphError, generate, mask_bits
-from cmpoly.msi import minimal_separators_brute, project_msi
+from cmpoly.msi import minimal_separators, msi_row
 from cmpoly.rational_la import bareiss_step, integer_row
 from cmpoly.solver import SolveConfig, _simplex, branch_and_cut, build_base_lp, solve_lp_exact
 
@@ -349,8 +349,7 @@ def corpus_lps(seed):
              if g.edge_id(a, b) is None]
     if pairs:
         a, b = rng.choice(pairs)
-        model.cut_pool.extend(project_msi(g, s)
-                              for s in minimal_separators_brute(g, a, b))
+        model.cut_pool.extend(msi_row(g, a, b, C) for C in minimal_separators(g, a, b))
         yield model, 0, 0
         ea, eb = rng.choice(g.incident_edges(a)), rng.choice(g.incident_edges(b))
         yield model, 0, 1 << ea | 1 << eb
