@@ -130,8 +130,7 @@ def generate_family(g):
                 continue
             lam = _lambda_mask(a, b)
             # exists_cm_superset(g, (e1, e2), lam) without its input checks
-            if _grow(g, (e1, e2), ends[e1] | ends[e2], every & ~(a[0] | b[0] | lam),
-                     lambda M: True):
+            if _grow(g, ends[e1] | ends[e2], every & ~(a[0] | b[0] | lam)):
                 continue
             out.append(_family_row(g, e1, e2, tuple(mask_bits(lam))))
     return out

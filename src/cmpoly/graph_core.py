@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .rational_la import exact_number
+
 
 class GraphError(ValueError):
     """Base class for graph-domain errors."""
@@ -41,7 +43,7 @@ class Graph:
         seen = set()
         self.edges = tuple(_check_edge(self.n, u, v, seen) for u, v in self.edges)
         if self.weights is not None:
-            self.weights = tuple(Fraction(w) for w in self.weights)
+            self.weights = tuple(exact_number(w) for w in self.weights)
             if len(self.weights) != len(self.edges):
                 raise GraphError("weight count does not match edge count")
         self.neighbor_masks = [0] * (self.n + 1)
@@ -161,8 +163,8 @@ def parse_graph(text):
             if len(tok) == 5:
                 any_weight = True
                 try:
-                    weights.append(Fraction(tok[4]))
-                except (ValueError, ZeroDivisionError):
+                    weights.append(exact_number(tok[4]))
+                except ValueError:
                     raise ParseError(f"line {lineno}: bad weight '{tok[4]}'")
             else:
                 weights.append(Fraction(1))

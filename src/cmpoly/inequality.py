@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
-from .rational_la import integer_row
+from .rational_la import exact_number, integer_row
 
 _INT_TOKEN = re.compile(r"[-+]?[0-9]+").fullmatch
 
@@ -64,10 +63,10 @@ class Inequality:
 
 
 def parse_entry(t, line):
-    """A row token: int() if it is an ASCII integer, else Fraction."""
+    """A row token: int() if it is an ASCII integer, else exact_number."""
     try:
-        return int(t) if _INT_TOKEN(t) else Fraction(t)
-    except (ValueError, ZeroDivisionError):
+        return int(t) if _INT_TOKEN(t) else exact_number(t)
+    except ValueError:
         raise ValueError(f"bad inequality entry {t!r} in line {line!r}") from None
 
 

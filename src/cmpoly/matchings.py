@@ -1,10 +1,13 @@
-"""Connected-matching predicates and the one search that grows them."""
+"""Connected-matching predicates and two searches that grow them, each for
+its own question: `_grow` answers whether some connected matching contains
+a given one, and `_grow_connected` emits every connected matching."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .graph_core import GraphError, is_connected_mask, mask_bits, reach_within, union_over
+from .rational_la import exact_number
 
 DEFAULT_ENUM_LIMIT = 200_000
 
@@ -27,35 +30,29 @@ def is_connected_matching(g, M):
 def incidence_vector(g, M):
     x = [0] * g.m
     for e in M:
+        g.endpoints(e)   # range-checks e: x[-1] is the last edge
         x[e - 1] = 1
     return tuple(x)
 
 
-def _grow(g, M, covered, options, emit):
-    """Grow connected matchings from the matching M (a tuple covering the
-    vertex mask covered) by edges of options, which avoid covered.
+def _grow(g, covered, options):
+    """True iff some connected matching grows from the matching M covering
+    the vertex mask covered by edges of options, which avoid covered.
 
-    emit gets each connected matching reached; once it returns True, so does
-    the search.  Let K be the component of the cover's least vertex.  The
-    search branches on grow: the edges of options at a vertex of N(K) outside
-    the cover (every option when the cover is empty).  It is exact:
-    - Each matching is emitted once.  Every connected M' > M with its other
-      edges in options has an edge in grow, and the branches split these M' by
-      their least edge in grow: each leaves out its earlier siblings.
-    - A branch of a connected cover is connected, so only disconnected covers
-      pay for the component BFS and the room cut: the rest of the cover must
-      be reached from N(K) within it and what options cover.  The cut also
-      ends a cover whose grow is empty: then no option covers a vertex of
-      N(K) outside the cover, so the reach starts empty.  Enumeration meets
-      no disconnected cover; the superset test stops at its first emit.
+    A connected cover answers at once.  Else let K be the component of the
+    cover's least vertex.  The search branches on grow: the edges of options
+    at a vertex of N(K) outside the cover.  It is exact:
+    - Every connected M' > M with its other edges in options has an edge in
+      grow, and the branches split these M' by their least edge in grow.
+    - The room cut: the rest of the cover must be reached from N(K) within
+      it and what options cover.  It also ends a cover whose grow is empty:
+      then no option covers a vertex of N(K) outside the cover, so the reach
+      starts empty.
     """
     nbr, at, cover = g.neighbor_masks, g.incident_masks, g.endpoint_masks
     comp = reach_within(nbr, covered, covered & -covered)
     if comp == covered:
-        if emit(M):
-            return True
-        near = covered | union_over(nbr, covered)
-        return _grow_connected(g, M, near, union_over(at, near), options, emit)
+        return True
     rest = covered & ~comp
     border = union_over(nbr, comp) & ~covered
     room = rest | union_over(cover, options)
@@ -64,24 +61,29 @@ def _grow(g, M, covered, options, emit):
     for f in mask_bits(options & union_over(at, border)):
         options &= ~(1 << f)
         u, v = g.edges[f - 1]
-        if _grow(g, M + (f,), covered | cover[f], options & ~(at[u] | at[v]), emit):
+        if _grow(g, covered | cover[f], options & ~(at[u] | at[v])):
             return True
     return False
 
 
 def _grow_connected(g, M, near, reach, options, emit):
-    """_grow from a connected cover, whose branches all stay connected: near
-    is the cover with its neighbours, and reach the edges at near."""
+    """Emit each connected matching M' > M, M connected, with its other edges
+    in options, which avoid M's cover: near is the cover with its neighbours,
+    and reach the edges at near (for the empty M, every option).
+
+    Each M' is emitted once: it has an edge in reach, and the branches split
+    the M' by their least edge in reach, each leaving out its earlier
+    siblings.  A branch of a connected cover stays connected.
+    """
     nbr, at, edges = g.neighbor_masks, g.incident_masks, g.edges
     for f in mask_bits(options & reach if M else options):
         options &= ~(1 << f)
         u, v = edges[f - 1]
         new = (nbr[u] | nbr[v]) & ~near
         grown = M + (f,)
-        if emit(grown) or _grow_connected(g, grown, near | new, reach | union_over(at, new),
-                                          options & ~(at[u] | at[v]), emit):
-            return True
-    return False
+        emit(grown)
+        _grow_connected(g, grown, near | new, reach | union_over(at, new),
+                        options & ~(at[u] | at[v]), emit)
 
 
 def enumerate_cm_sets(g, limit=DEFAULT_ENUM_LIMIT):
@@ -96,7 +98,8 @@ def enumerate_cm_sets(g, limit=DEFAULT_ENUM_LIMIT):
             raise SizeLimitExceeded(f"more than {limit} connected matchings; raise the limit")
         out.append(tuple(sorted(M)))
 
-    _grow(g, (), 0, g.all_edges, emit)
+    emit(())
+    _grow_connected(g, (), 0, 0, g.all_edges, emit)
     return sorted(out)
 
 
@@ -116,8 +119,9 @@ def exists_cm_superset(g, R, forbidden=()):
     base = g.cover_mask(R)
     free = g.all_edges & ~union_over(g.incident_masks, base)
     for e in forbidden:
+        g.endpoints(e)   # range-checks e, as cover_mask does for R
         free &= ~(1 << e)
-    return _grow(g, tuple(R), base, free, lambda M: True)
+    return _grow(g, base, free)
 
 
 def brute_force_max_weight_cm(g, w, limit=DEFAULT_ENUM_LIMIT):
@@ -126,7 +130,7 @@ def brute_force_max_weight_cm(g, w, limit=DEFAULT_ENUM_LIMIT):
     Ties broken by lexicographically smallest sorted edge-id set, which is
     the enumeration order, so the first maximizer wins.  Returns (value,
     edge-id tuple); the empty matching keeps the value >= 0."""
-    w = [Fraction(x) for x in w]
+    w = [exact_number(x) for x in w]
     if len(w) != g.m:
         raise GraphError(f"expected {g.m} weights, got {len(w)}")
     best = max(enumerate_cm_sets(g, limit), key=lambda M: sum(w[e - 1] for e in M))

@@ -28,7 +28,7 @@ from .graph_core import (GraphError, is_separator, mask_bits, reach_within, unio
                          vertex_mask)
 from .inequality import Inequality
 from .matchings import is_matching
-from .rational_la import integer_row
+from .rational_la import exact_number, integer_row
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def separate_fractional(g, xstar):
     Minimalizing keeps the violation: the row evaluates to y_a + y_b - y(C')
     with C' inside the cut, and y(cut) is the flow.
     """
-    xstar = [Fraction(x) for x in xstar]
+    xstar = [exact_number(x) for x in xstar]
     if len(xstar) != g.m:
         raise GraphError("xstar dimension mismatch")
     for x in xstar:

@@ -1,6 +1,7 @@
 """Exact linear algebra over the rationals, computed in integers.
 
-Rational rows enter through `integer_row`, their primitive integer multiple.
+A number from outside enters through `exact_number`, and a rational row
+through `integer_row`, its primitive integer multiple.
 `bareiss_step` is the one fraction-free (Bareiss) row update.  `eliminate`,
 the first-fit elimination over integer rows, applies it; rank, affine
 dimension, basis selection and basis inverses are read off its output.
@@ -8,7 +9,20 @@ dimension, basis selection and basis inverses are read off its output.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
+
+
+def exact_number(x):
+    """x as a Fraction: an int, a Fraction or a string such as "1/10".  A
+    float is refused, since 0.1 is not 1/10; so are a malformed string and a
+    zero denominator, all with ValueError."""
+    if isinstance(x, float):
+        raise ValueError(f"inexact number {x!r}: give an int, a Fraction or a string like '1/10'")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 def integer_row(values):

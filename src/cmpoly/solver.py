@@ -22,7 +22,7 @@ from math import gcd
 from .facet_family import generate_family
 from .graph_core import GraphError, mask_bits
 from .matchings import is_connected_matching
-from .rational_la import integer_row
+from .rational_la import exact_number, integer_row
 from .msi import lazy_cut_for_disconnected, separate_fractional, vertex_row
 
 
@@ -57,7 +57,7 @@ def build_base_lp(g, w, config=None):
     """Degree rows, which with x >= 0 imply x_e <= 1 (so no bound rows);
     family rows appended a priori when enabled."""
     config = config or SolveConfig()
-    w = tuple(Fraction(x) for x in w)
+    w = tuple(exact_number(x) for x in w)
     if len(w) != g.m:
         raise GraphError(f"expected {g.m} weights, got {len(w)}")
     rows = [vertex_row(g, 1 << v, 0, "degree", f"v={v}")

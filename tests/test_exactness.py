@@ -1,12 +1,21 @@
 """No float arithmetic in src/cmpoly: every number it computes is an int or a
 Fraction.  The guard fails on a float literal, a true division (`/` or `/=`),
 a `float(...)` call, a `math.` attribute, or a name imported from math other
-than the integer functions in INTEGER_MATH, unless ALLOWED names the use."""
+than the integer functions in INTEGER_MATH, unless ALLOWED names the use.
+Every number that enters from outside goes through `exact_number`, which
+refuses a float."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from cmpoly.graph_core import Graph, generate
+from cmpoly.matchings import brute_force_max_weight_cm
+from cmpoly.msi import separate_fractional
+from cmpoly.rational_la import exact_number
+from cmpoly.solver import branch_and_cut, build_base_lp
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "cmpoly").glob("*.py"))
 
@@ -58,3 +67,41 @@ def test_src_has_no_float_arithmetic():
 ])
 def test_guard_finds_each_construct(code, what):
     assert float_constructs(ast.parse(f"def f(a, b):\n    {code}\n")) == [("f", what)]
+
+
+# each site where a number enters, as a function of one number x
+ENTRY_SITES = {
+    "Graph weights": lambda x: Graph(2, ((1, 2),), (x,)).weights,
+    "build_base_lp": lambda x: build_base_lp(generate("path:3"), [x, 1]).objective,
+    "branch_and_cut": lambda x: branch_and_cut(generate("path:3"), [x, "1/20"]).value,
+    "brute_force_max_weight_cm": lambda x: brute_force_max_weight_cm(generate("path:3"),
+                                                                      ["1/20", x]),
+    # two disjoint edges at (1, x): y_1 + y_3 > 1 gives the MSI x_1 + x_2 <= 1
+    "separate_fractional": lambda x: [q.format_line() for q in separate_fractional(
+        Graph(4, ((1, 2), (3, 4))), [1, x])],
+}
+
+
+@pytest.mark.parametrize("site", ENTRY_SITES)
+def test_entry_sites_take_exact_numbers_only(site):
+    f = ENTRY_SITES[site]
+    with pytest.raises(ValueError, match="inexact"):
+        f(0.1)
+    assert f(Fraction(1, 10)) == f("1/10")
+
+
+@pytest.mark.parametrize("x", ["1/0", "0.1.2", "x", "", "nan"])
+def test_bad_number_strings_raise_value_error(x):
+    with pytest.raises(ValueError):
+        exact_number(x)
+
+
+def test_bad_weight_is_a_value_error():
+    # a ZeroDivisionError would escape the CLI's error handler
+    with pytest.raises(ValueError, match="zero denominator"):
+        Graph(2, ((1, 2),), ("1/0",))
+
+
+def test_exact_numbers_pass_through():
+    assert [exact_number(x) for x in (3, Fraction(1, 10), "1/10", "0.1", "-7/14")] == [
+        3, Fraction(1, 10), Fraction(1, 10), Fraction(1, 10), Fraction(-1, 2)]

@@ -121,6 +121,14 @@ class TestPredicate:
             with pytest.raises(GraphError, match="out of range"):
                 is_connected_matching(g, M)
 
+    def test_incidence_vector_rejects_out_of_range_ids(self):
+        # x[e - 1] at e = 0 would mark the last edge
+        g = generate("path:3")
+        for M in ([0], [3], [-1], [1, 5]):
+            with pytest.raises(GraphError, match="out of range"):
+                incidence_vector(g, M)
+        assert incidence_vector(g, [2]) == (0, 1)
+
 
 class TestEnumerate:
     def test_path3(self):
@@ -224,6 +232,12 @@ class TestSuperset:
         with pytest.raises(GraphError):
             exists_cm_superset(generate("path:4"), [1, 2])
 
+    def test_forbidden_id_out_of_range_rejected(self):
+        g = generate("cycle:6")
+        for forbidden in ([99], [-1], [0], [2, 7]):
+            with pytest.raises(GraphError, match="out of range"):
+                exists_cm_superset(g, [1], forbidden=forbidden)
+
     def test_matches_enumeration(self):
         for seed in range(10):
             g = random_connected_graph(seed)
@@ -288,7 +302,7 @@ class TestSupersetAgainstReference:
 
     def test_repeated_id_is_one_edge(self):
         for g in (generate("cycle:6"), generate("path:4"), generate("petersen")):
-            for forbidden in ((), (1,), (3, 4)):
+            for forbidden in ((), (1,), (1, 3)):
                 assert (exists_cm_superset(g, [2, 2], forbidden)
                         == exists_cm_superset(g, [2], forbidden))
         assert not exists_cm_superset(generate("cycle:6"), [1, 4, 4])
