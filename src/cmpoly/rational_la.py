@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals, computed in integers.
 
 A number from outside enters through `exact_number`, and a rational row
-through `integer_row`, its primitive integer multiple.
-`bareiss_step` is the one fraction-free (Bareiss) row update.  `eliminate`,
-the first-fit elimination over integer rows, applies it; rank, affine
-dimension, basis selection and basis inverses are read off its output.
+through `integer_row`, its primitive integer multiple.  `eliminate` is the
+first-fit elimination over integer rows, with one row rule: against a pivot
+p = e[c], a row with entry f != 0 in column c becomes the primitive multiple
+of p*row - f*e, and a row with a zero there stays as it is (the rule
+`solver._simplex` applies inline).  Rank, affine dimension, basis selection
+and basis inverses are read off its output.
 """
 
 from __future__ import annotations
@@ -30,48 +32,39 @@ def integer_row(values):
 
     A row of ints (`type(x) is int`; a bool takes the general path) is only
     divided by the gcd of its entries.  Any other row is first scaled by the
-    lcm of the denominators.  An all-zero row stays zero.
+    lcm of the denominators; a float in it is refused by `exact_number`.  An
+    all-zero row stays zero.
     """
-    if {*map(type, values)} - {int}:
+    if (kinds := {*map(type, values)}) - {int}:
+        if any(issubclass(t, float) for t in kinds):
+            exact_number(next(x for x in values if isinstance(x, float)))
         scale = lcm(*[x.denominator for x in values])
         values = [x.numerator * (scale // x.denominator) for x in values]
     g = gcd(*values)
     return [x // g for x in values] if g > 1 else list(values)
 
 
-def bareiss_step(row, pivot_row, col, prev):
-    """`row` with its entry in column `col` eliminated against `pivot_row`.
-
-    With p = pivot_row[col] and f = row[col], returns (p*row - f*pivot_row)
-    divided by `prev`.  When both rows come from one fraction-free
-    elimination and prev is its pivot before p, each entry of the result is
-    a minor of the input (Sylvester's identity; Bareiss 1968), so every
-    division is exact.
-    """
-    p, f = pivot_row[col], row[col]
-    if f:
-        return [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
-    return [p * x // prev for x in row]
-
-
 def eliminate(rows):
-    """First-fit fraction-free elimination of integer rows.
+    """First-fit elimination of integer rows.
 
     Returns (indices, echelon): the indices of the rows that are independent
-    of the rows before them, and for each such row the pivot column and the
-    reduced row.  Reduced row k is zero on the pivot columns of rows 0..k-1,
-    and by Sylvester's identity (Bareiss 1968) each of its entries is a
-    (k+1)-minor of the chosen rows, so every division is exact.  Stops once
-    the chosen rows span all columns.
+    of the rows before them, and for each such row its pivot column (its
+    first nonzero entry) and the reduced row.  Each row is reduced against
+    the echelon rows before it in turn: with p = e[c] and f = row[c] != 0 it
+    becomes p*row - f*e divided by its gcd; with f = 0 it stays as it is.  So
+    reduced row k is zero on the pivot columns of rows 0..k-1, lies in the
+    span of the input rows, and is primitive when its input row is.  Stops
+    once the chosen rows span all columns.
     """
     ncols = len(rows[0]) if rows else 0
     indices, echelon = [], []
-    for i, row in enumerate(rows):
-        v = row
-        prev = 1
+    for i, v in enumerate(rows):
         for c, e in echelon:
-            v = bareiss_step(v, e, c, prev)
-            prev = e[c]
+            if f := v[c]:
+                p = e[c]
+                v = [p * x - f * y for x, y in zip(v, e)]
+                if (g := gcd(*v)) > 1:
+                    v = [x // g for x in v]
         lead = next((j for j, x in enumerate(v) if x), None)
         if lead is None:
             continue
@@ -96,21 +89,23 @@ def affine_dimension(points):
 
 def inverse_columns(B):
     """Primitive integer columns that are positive multiples of the columns
-    of the inverse of the nonsingular square integer matrix B.
+    of the inverse of the nonsingular square integer matrix B; ValueError if
+    B is not square or is singular.
 
-    Eliminates [B | I] and back-substitutes for B y = e_j.  The last pivot
-    d is +-det B, so d * y is integral (Cramer) and every division is exact.
+    Eliminates [B | I]; B is singular when a pivot lands in the I part.
+    Eliminating the echelon rows again in reverse order clears each pivot
+    column above its row, since the pivot columns are a permutation of
+    0..n-1.  Row k is then u [B | I] with u B = p e_c (p its pivot, c its
+    pivot column), so row c of the inverse is u / p and, with L the lcm of
+    the pivots, L times column j has entry e[n+j] * (L // p) in row c.
     """
     n = len(B)
+    if any(len(row) != n for row in B):
+        raise ValueError("inverse_columns needs a square matrix")
     _, echelon = eliminate([list(row) + [int(i == j) for j in range(n)]
                             for i, row in enumerate(B)])
-    d = echelon[-1][1][echelon[-1][0]]
-    cols = []
-    for j in range(n):
-        y = [0] * n
-        for k in reversed(range(n)):
-            c, e = echelon[k]
-            s = d * e[n + j] - sum(e[c2] * y[c2] for c2, _ in echelon[k + 1:])
-            y[c] = s // e[c]
-        cols.append(integer_row(y if d > 0 else [-x for x in y]))
-    return cols
+    if any(c >= n for c, _ in echelon):
+        raise ValueError("inverse_columns needs a nonsingular matrix")
+    echelon = sorted(eliminate([e for _, e in reversed(echelon)])[1])   # by pivot column
+    L = lcm(*(e[c] for c, e in echelon))
+    return [integer_row([e[n + j] * (L // e[c]) for c, e in echelon]) for j in range(n)]

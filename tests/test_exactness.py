@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 from cmpoly.graph_core import Graph, generate
+from cmpoly.inequality import Inequality
 from cmpoly.matchings import brute_force_max_weight_cm
 from cmpoly.msi import separate_fractional
-from cmpoly.rational_la import exact_number
+from cmpoly.polytope import VRep, hrep
+from cmpoly.rational_la import exact_number, rank
 from cmpoly.solver import branch_and_cut, build_base_lp
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "cmpoly").glob("*.py"))
@@ -88,6 +90,20 @@ def test_entry_sites_take_exact_numbers_only(site):
     with pytest.raises(ValueError, match="inexact"):
         f(0.1)
     assert f(Fraction(1, 10)) == f("1/10")
+
+
+# a float that reaches `integer_row` inside a row, not through exact_number
+FLOAT_ROW_SITES = {
+    "Inequality": lambda: Inequality((0.1, 1), 1),
+    "hrep": lambda: hrep(VRep(2, ((0, 0), (0.5, 0), (0, 1)))),
+    "rank": lambda: rank([[0.5, 1]]),
+}
+
+
+@pytest.mark.parametrize("site", FLOAT_ROW_SITES)
+def test_float_rows_refused(site):
+    with pytest.raises(ValueError, match="inexact"):
+        FLOAT_ROW_SITES[site]()
 
 
 @pytest.mark.parametrize("x", ["1/0", "0.1.2", "x", "", "nan"])

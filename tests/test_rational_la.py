@@ -6,6 +6,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmpoly.graph_core import generate
+from cmpoly.polytope import vrep
 from cmpoly.rational_la import (affine_dimension, eliminate, integer_row,
                                 inverse_columns, rank)
 
@@ -133,6 +135,28 @@ class TestEliminate:
                    for c, e in echelon)
 
     @settings(max_examples=40, deadline=None)
+    @given(small_matrix)
+    def test_echelon_rows_zero_on_earlier_pivot_columns(self, rows):
+        _, echelon = eliminate(_integer_matrix(rows))
+        for k, (c, e) in enumerate(echelon):
+            assert e[c] != 0 and not any(e[:c])
+            assert all(e[c2] == 0 for c2, _ in echelon[:k])
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_matrix)
+    def test_echelon_rows_primitive(self, rows):
+        """integer_row gives primitive rows, and the row rule keeps them so."""
+        _, echelon = eliminate(_integer_matrix(rows))
+        assert all(gcd(*e) == 1 for _, e in echelon)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_matrix)
+    def test_echelon_rows_in_span_of_input(self, rows):
+        _, echelon = eliminate(_integer_matrix(rows))
+        r = sympy.Matrix(rows).rank()
+        assert all(sympy.Matrix([*rows, e]).rank() == r for _, e in echelon)
+
+    @settings(max_examples=40, deadline=None)
     @given(nonsingular)
     def test_inverse_columns_match_sympy(self, B):
         inv = sympy.Matrix(B).inv()
@@ -146,6 +170,30 @@ class TestEliminate:
             ratio = col[k] / ref[k]
             assert ratio > 0
             assert [ratio * x for x in ref] == col
+
+    @pytest.mark.parametrize("name", ["j26", "petersen", "cube:3", "cycle:10"])
+    def test_inverse_columns_hrep_bases(self, name):
+        """On the basis hrep starts from, B times column j is a positive
+        multiple of e_j."""
+        cons = [integer_row((1, *p)) for p in vrep(generate(name)).points]
+        basis_idx, _ = eliminate(cons)
+        B = [cons[i] for i in basis_idx]
+        for j, col in enumerate(inverse_columns(B)):
+            image = [sum(a * y for a, y in zip(row, col)) for row in B]
+            assert image[j] > 0 and not any(image[:j] + image[j + 1:])
+
+    @pytest.mark.parametrize("B", [[[1, 1], [1, 1]], [[0, 0], [0, 1]], [[0]]])
+    def test_inverse_columns_singular_rejected(self, B):
+        with pytest.raises(ValueError, match="nonsingular"):
+            inverse_columns(B)
+
+    @pytest.mark.parametrize("B", [[[1, 2], [3, 4], [5, 6]], [[1, 2]], [[1, 0], [0]]])
+    def test_inverse_columns_not_square_rejected(self, B):
+        with pytest.raises(ValueError, match="square"):
+            inverse_columns(B)
+
+    def test_inverse_columns_empty(self):
+        assert inverse_columns([]) == []
 
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=12)

@@ -3,11 +3,13 @@ node LPs against the formulation they replaced.
 
 `common_denominator_simplex` is the earlier `solver._simplex` whose
 dictionary shared one denominator d, the last pivot, and pivoted every row
-with `rational_la.bareiss_step`, the rows with a zero in the entering column
-included.  The per-row scales of `_simplex` change no sign and no ratio
-within a row, so on every LP of the corpus below, b < 0 included, it must
-return the same (value, x, basis, pivots) tuple; every row of its dictionary
-must stay primitive with a positive scale after each pivot.
+with a fraction-free (Bareiss 1968) step, the rows with a zero in the
+entering column included.  It is a reference implementation, so it keeps
+that step, `_bareiss_step`, here rather than importing one.  The per-row
+scales of `_simplex` change no sign and no ratio within a row, so on every
+LP of the corpus below, b < 0 included, it must return the same (value, x,
+basis, pivots) tuple; every row of its dictionary must stay primitive with
+a positive scale after each pivot.
 
 `fraction_simplex` is an earlier `solver._simplex`, kept as the reference
 with one change, that its row operations skip zero entries (which leaves
@@ -42,7 +44,7 @@ import pytest
 from cmpoly import solver
 from cmpoly.graph_core import GraphError, generate, mask_bits
 from cmpoly.msi import minimal_separators, msi_row
-from cmpoly.rational_la import bareiss_step, integer_row
+from cmpoly.rational_la import integer_row
 from cmpoly.solver import SolveConfig, _simplex, branch_and_cut, build_base_lp, solve_lp_exact
 
 from conftest import BIG, random_connected_graph, root_gap_report, spread_weights
@@ -150,11 +152,23 @@ def fraction_simplex(c, A, b):
     return value, x, list(basis), pivots
 
 
+def _bareiss_step(row, pivot_row, col, prev):
+    """(p*row - f*pivot_row) // prev with p = pivot_row[col], f = row[col].
+
+    When both rows come from one fraction-free elimination and prev is its
+    pivot before p, each entry is a minor of the input (Sylvester's
+    identity), so every division is exact."""
+    p, f = pivot_row[col], row[col]
+    if f:
+        return [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+    return [p * x // prev for x in row]
+
+
 def common_denominator_simplex(c, A, b):
     """Dictionary simplex, Bland's rule, one common denominator d.
 
     Row i reads d*x_basis[i] + sum_j T[i][j]*x_cols[j] = T[i][-1], with d the
-    absolute value of the last pivot; a pivot is one `bareiss_step` per row.
+    absolute value of the last pivot; a pivot is one `_bareiss_step` per row.
     Otherwise as `solver._simplex`: a dual phase 1 on the zero objective, then
     the primal simplex on c.
     """
@@ -169,7 +183,7 @@ def common_denominator_simplex(c, A, b):
         e = T[leave]
         for i, r in enumerate(T):
             if r is not e:
-                T[i] = bareiss_step(r, e, enter, d)
+                T[i] = _bareiss_step(r, e, enter, d)
                 T[i][enter] = -r[enter]
         e[enter], d = d, e[enter]
         if d < 0:
