@@ -87,11 +87,12 @@ def hrep(V):
     step, since neighbouring pairs tend to share one; a hit proves the pair
     non-adjacent with one mask test.
 
-    A step's new rays enter the index only after its pair loop, so the
-    witnesses are exactly the rays present when the step began.  Adjacency
-    is a property of the cone before the step, and those rays are its
-    extreme rays; a new ray lies inside a two-dimensional face of that cone,
-    so it is not one of them.
+    The index changes only when a step's pair loop ends, so the witnesses
+    are exactly the rays present when the step began: then a new ray takes
+    the next slot and sets its bit in `alive` and in `tight_on[b]` for each
+    bit b of its tight mask.  Adjacency is a property of the cone before
+    the step, and those rays are its extreme rays; a new ray lies inside a
+    two-dimensional face of that cone, so it is not one of them.
     """
     m = V.m
     dim = m + 1
@@ -116,7 +117,7 @@ def hrep(V):
         nz = [(j, x) for j, x in enumerate(cons[ci]) if x]
         bit = 1 << len(tight_on)
         pos, neg = [], []
-        zero = dead = 0
+        zero = 0
         for k in mask_bits(alive):
             r = rays[k]
             v = sum(r[j] * x for j, x in nz)
@@ -127,7 +128,6 @@ def hrep(V):
                 tight[k] |= bit
             else:
                 neg.append((k, v, tight[k]))
-                dead |= 1 << k
         tight_on.append(zero)
         if not neg:
             continue
@@ -165,17 +165,14 @@ def hrep(V):
                             common | bit))
         for k, _, _ in neg:
             rays[k] = tight[k] = None
-        base = len(rays)
-        added = [0] * len(tight_on)
-        for i, (ray, t) in enumerate(new):
+            alive ^= 1 << k
+        for ray, t in new:
+            slot = 1 << len(rays)
             rays.append(ray)
             tight.append(t)
+            alive |= slot
             for b in mask_bits(t):
-                added[b] |= 1 << i
-        for b, slots in enumerate(added):
-            if slots:
-                tight_on[b] |= slots << base
-        alive = (alive ^ dead) | ((1 << len(new)) - 1) << base
+                tight_on[b] |= slot
 
     facets = [Inequality([-v for v in rays[k][1:]], rays[k][0]) for k in mask_bits(alive)]
     facets.sort(key=lambda q: (q.coeffs, q.rhs))

@@ -2,11 +2,14 @@
 hold on any graph without a stored answer, checked on a seeded corpus.
 
 - Relabelling the vertices and edges maps the hrep facets, the family rows,
-  the class histogram and the connected matchings across by the edge
-  permutation, and keeps the solve optimum, with and without family rows.
+  the msi rows, the class histogram and the connected matchings across by
+  the edge permutation, and keeps the solve optimum, with and without
+  family rows.
 - A disjoint union has |CM(G)| + |CM(H)| - 1 connected matchings (the empty
   one is counted once), and its optimum is max(opt G, opt H).
-- An added isolated vertex changes no hrep or family row.
+- An added isolated vertex changes no hrep or family row.  It keeps every
+  msi row and adds the degree row of each vertex with an edge: the vertex
+  and the new one have the empty separator.
 - Scaling the weights by lam > 0 scales the optimum by lam.
 """
 
@@ -19,6 +22,7 @@ import pytest
 from cmpoly.facet_family import generate_family
 from cmpoly.graph_core import Graph, generate
 from cmpoly.matchings import enumerate_cm_sets
+from cmpoly.msi import minimal_separators, msi_row, vertex_row
 from cmpoly.polytope import hrep, vrep
 from cmpoly.solver import SolveConfig, branch_and_cut
 
@@ -74,6 +78,17 @@ def row_set(rows):
     return {(q.coeffs, q.rhs) for q in rows}
 
 
+def msi_rows(g):
+    """The nonzero projected MSIs of every non-adjacent pair, as `cmpoly msi`
+    prints them."""
+    rows = []
+    for a in range(1, g.n + 1):
+        for b in range(a + 1, g.n + 1):
+            if not g.neighbor_masks[a] >> b & 1:
+                rows += [msi_row(g, a, b, C) for C in minimal_separators(g, a, b)]
+    return [q for q in rows if any(q.coeffs)]
+
+
 def optimum(g, w, config=CONFIGS[0]):
     return branch_and_cut(g, w, config).value
 
@@ -86,6 +101,7 @@ def test_relabelling_maps_rows_across(name):
     assert mapped_rows(facets(name).facets, pe) == row_set(H.facets)
     assert class_histogram(facets(name), g) == class_histogram(H, h)
     assert mapped_rows(generate_family(g), pe) == row_set(generate_family(h))
+    assert mapped_rows(msi_rows(g), pe) == row_set(msi_rows(h))
     assert ({tuple(sorted(pe[e] for e in M)) for M in enumerate_cm_sets(g)}
             == set(enumerate_cm_sets(h)))
 
@@ -118,6 +134,15 @@ def test_isolated_vertex_changes_no_row(name):
     g1 = Graph(g.n + 1, g.edges)
     assert hrep(vrep(g1)) == facets(name)
     assert generate_family(g1) == generate_family(g)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_isolated_vertex_adds_the_degree_rows_to_msi(name):
+    g = corpus_graph(name)
+    old, new = row_set(msi_rows(g)), row_set(msi_rows(Graph(g.n + 1, g.edges)))
+    degree = row_set(vertex_row(g, 1 << v, 0, "degree", "")
+                     for v in range(1, g.n + 1) if g.incident_masks[v])
+    assert old <= new and new - old == degree
 
 
 @pytest.mark.parametrize("name", CORPUS)

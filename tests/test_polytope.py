@@ -145,8 +145,8 @@ def distinct_small_graphs(count, m_cap=6):
 # Four points on the plane z = x + y in R^3: a square of dimension 2.
 PLANE_SQUARE = VRep(3, ((0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2)))
 
-DIFF_NAMED = (["j26", "cube:3", "petersen"] + ["cycle:%d" % k for k in range(7, 12)]
-              + ["path:%d" % k for k in range(7, 14)])
+DIFF_NAMED = (["j26", "cube:3", "petersen"] + ["cycle:%d" % k for k in range(7, 13)]
+              + ["path:%d" % k for k in range(7, 14)] + ["complete:5", "complete:6"])
 
 
 class TestDimension:

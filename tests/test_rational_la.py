@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmpoly.graph_core import generate
@@ -144,6 +144,7 @@ class TestEliminate:
 
     @settings(max_examples=40, deadline=None)
     @given(small_matrix)
+    @example([[Fraction(1), Fraction(0)], [Fraction(1), Fraction(2)]])   # reduces to (0, 2)
     def test_echelon_rows_primitive(self, rows):
         """integer_row gives primitive rows, and the row rule keeps them so."""
         _, echelon = eliminate(_integer_matrix(rows))
