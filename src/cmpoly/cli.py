@@ -77,7 +77,7 @@ def cmd_family(g, args):
         flag = args.certify and facet_hypothesis(g, pair, lam)
         certified += flag
         if args.tsv:
-            lines.append(q.format_line().split("#")[0].strip() + "\t"
+            lines.append(q.format_row() + "\t"
                          + f"pair=({pair[0]},{pair[1]})"
                          + (f"\tcertified={int(flag)}" if args.certify else ""))
         else:
@@ -94,7 +94,7 @@ def cmd_classify(g, args):
         fc = classify(q, g)
         detail = f" {fc.data}" if fc.data else ""
         sep = "\t" if args.tsv else "  ->  "
-        lines.append(q.format_line().split("#")[0].strip() + sep + fc.kind + detail)
+        lines.append(q.format_row() + sep + fc.kind + detail)
     return lines, 0
 
 

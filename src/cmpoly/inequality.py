@@ -48,10 +48,13 @@ class Inequality:
         """Integer form (coeff tuple, rhs) with overall gcd 1: the stored row."""
         return self.coeffs, self.rhs
 
+    def format_row(self):
+        """`<c1> ... <cm> <= <rhs>` in canonical form, with no comment."""
+        return " ".join([*map(str, self.coeffs), "<=", str(self.rhs)])
+
     def format_line(self):
-        """`<c1> ... <cm> <= <rhs>` in canonical form, plus provenance comment."""
-        ints, r = self.canonical()
-        line = " ".join(str(v) for v in ints) + f" <= {r}"
+        """`format_row` plus the provenance comment."""
+        line = self.format_row()
         comment = []
         if self.tag:
             comment.append(f"tag={self.tag}")

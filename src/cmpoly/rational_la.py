@@ -5,8 +5,8 @@ through `integer_row`, its primitive integer multiple.  `eliminate` is the
 first-fit elimination over integer rows, with one row rule: against a pivot
 p = e[c], a row with entry f != 0 in column c becomes the primitive multiple
 of p*row - f*e, and a row with a zero there stays as it is (the rule
-`solver._simplex` applies inline).  Rank, affine dimension, basis selection
-and basis inverses are read off its output.
+`solver.Dictionary.pivot` applies inline).  Rank, affine dimension, basis
+selection and basis inverses are read off its output.
 """
 
 from __future__ import annotations

@@ -93,38 +93,30 @@ def solve_lp_exact(model, fixed0=0, fixed1=0):
     return value + sum(c[j] for j in ones), x, pivots
 
 
-def _simplex(c, A, b):
-    """Dictionary simplex, Bland's rule, integer pivoting.
+class Dictionary:
+    """Dictionary simplex, Bland's rule, integer pivoting, for  max c.x  s.t.
+    A x <= b, x >= 0.  Labels: structurals 0..n-1, then the k slacks, whose
+    basis is the start.  T is a dictionary (Chvatal 1983) over the nonbasic
+    variables `cols` and the rhs: A's rows, then the objective row (the
+    scaled reduced costs), each primitive and with its own scale s > 0
+    (Azulay & Pique 2001): row i reads s[i]*x_basis[i] +
+    sum_j T[i][j]*x_cols[j] = T[i][-1].  `pivots` counts the pivots made."""
 
-    Maximizes c.x subject to A x <= b, x >= 0; returns (value, x, basis,
-    pivots), with value, x and basis None when the LP is infeasible.  Labels:
-    structurals 0..n-1, then the k slacks, whose basis is the start.  T is a
-    dictionary (Chvatal 1983) over the nonbasic variables `cols` and the rhs:
-    A's rows, then the objective row, each primitive and with its own scale
-    s > 0 (Azulay & Pique 2001): row i reads s[i]*x_basis[i] +
-    sum_j T[i][j]*x_cols[j] = T[i][-1].  A pivot on the leaving row e, with
-    p = e[enter] > 0 (else e and s[leave] are negated first), skips each row
-    with a zero in the entering column and takes any other r, f = r[enter], to
-    p*r - f*e with -f*s[leave] in that column and scale p*s[i], then divides
-    row and scale by their gcd; e takes scale p.  Bland's rule reads only
-    signs and ratios within rows, so no scale changes a choice.
+    def __init__(self, c, A, b):
+        n, k = len(c), len(A)
+        self.T = [integer_row([*a, bi]) for a, bi in zip(A, b)] + [integer_row([*c, 0])]
+        self.basis, self.cols = list(range(n, n + k)), list(range(n))
+        self.scale, self.pivots = [1] * (k + 1), 0
 
-    Phase 1 is the dual simplex on the zero objective, for which every basis
-    is dual feasible (Lemke 1954).  Under Bland's rule, finite here too (Bland
-    1977), the row with a negative rhs whose basic variable has the least label
-    leaves, and the nonbasic variable of least label with a negative entry in
-    it enters; if there is none, its row says a nonnegative sum is negative:
-    infeasible.  Phase 2 is the primal simplex on c, whose objective row (the
-    scaled reduced costs) is pivoted with the others from the start.
-    """
-    n, k = len(c), len(A)
-    T = [integer_row([*a, bi]) for a, bi in zip(A, b)] + [integer_row([*c, 0])]
-    basis, cols = list(range(n, n + k)), list(range(n))
-    scale, pivots = [1] * (k + 1), 0
-
-    def pivot(leave, enter):
-        nonlocal pivots
-        pivots += 1
+    def pivot(self, leave, enter):
+        """On the leaving row e, with p = e[enter] > 0 (else e and s[leave]
+        are negated first), skip each row with a zero in the entering column
+        and take any other r, f = r[enter], to p*r - f*e with -f*s[leave] in
+        that column and scale p*s[i], then divide row and scale by their gcd;
+        e takes scale p.  Bland's rule reads only signs and ratios within
+        rows, so no scale changes a choice."""
+        T, scale = self.T, self.scale
+        self.pivots += 1
         e, s, p = T[leave], scale[leave], T[leave][enter]
         if p < 0:
             e, s, p = [-x for x in e], -s, -p
@@ -139,39 +131,67 @@ def _simplex(c, A, b):
                 T[i], scale[i] = r, si
         e[enter] = s
         T[leave], scale[leave] = e, p
-        basis[leave], cols[enter] = cols[enter], basis[leave]
+        self.basis[leave], self.cols[enter] = self.cols[enter], self.basis[leave]
 
-    def least(row, sign):   # Bland: least label with sign * row[j] > 0
-        return min((j for j in range(n) if sign * row[j] > 0),
-                   key=cols.__getitem__, default=None)
+    def least(self, row, sign):
+        """Bland: the column of least label with sign * row[j] > 0, or None."""
+        return min((j for j in range(len(self.cols)) if sign * row[j] > 0),
+                   key=self.cols.__getitem__, default=None)
 
-    while overdrawn := [i for i in range(k) if T[i][-1] < 0]:
-        leave = min(overdrawn, key=basis.__getitem__)
-        enter = least(T[leave], -1)
-        if enter is None:
-            return None, None, None, pivots
-        pivot(leave, enter)
+    def dual_phase(self):
+        """The dual simplex on the zero objective, for which every basis is
+        dual feasible (Lemke 1954).  Under Bland's rule, finite here too
+        (Bland 1977), the overdrawn row of least basic label leaves, and the
+        column of least label with a negative entry in it enters; False when
+        there is none: the row says a nonnegative sum is negative."""
+        T, basis, k = self.T, self.basis, len(self.basis)
+        while overdrawn := [i for i in range(k) if T[i][-1] < 0]:
+            leave = min(overdrawn, key=basis.__getitem__)
+            enter = self.least(T[leave], -1)
+            if enter is None:
+                return False
+            self.pivot(leave, enter)
+        return True
 
-    while (enter := least(T[k], 1)) is not None:
-        leave = None
-        for i in range(k):
-            a = T[i][enter]
-            if a > 0:
-                if leave is not None:
-                    # ratio T[i][-1]/a against T[leave][-1]/T[leave][enter]
-                    diff = T[i][-1] * T[leave][enter] - T[leave][-1] * a
-                    if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
-                        continue
-                leave = i
-        if leave is None:
-            raise GraphError("LP unbounded; missing variable bounds")
-        pivot(leave, enter)
-    x = [Fraction(0)] * n
-    for r, si, bi in zip(T, scale, basis):
-        if bi < n:
-            x[bi] = Fraction(r[-1], si)
+    def primal_phase(self):
+        """The primal simplex on c from a feasible basis; raises GraphError
+        when the LP is unbounded."""
+        T, basis, k = self.T, self.basis, len(self.basis)
+        while (enter := self.least(T[k], 1)) is not None:
+            leave = None
+            for i in range(k):
+                a = T[i][enter]
+                if a > 0:
+                    if leave is not None:
+                        # ratio T[i][-1]/a against T[leave][-1]/T[leave][enter]
+                        diff = T[i][-1] * T[leave][enter] - T[leave][-1] * a
+                        if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
+                            continue
+                    leave = i
+            if leave is None:
+                raise GraphError("LP unbounded; missing variable bounds")
+            self.pivot(leave, enter)
+
+    def solution(self):
+        """x at the current basis."""
+        n = len(self.cols)
+        x = [Fraction(0)] * n
+        for r, si, bi in zip(self.T, self.scale, self.basis):
+            if bi < n:
+                x[bi] = Fraction(r[-1], si)
+        return x
+
+
+def _simplex(c, A, b):
+    """max c.x s.t. A x <= b, x >= 0 on a `Dictionary`, dual phase first:
+    (value, x, basis, pivots), with value, x and basis None if infeasible."""
+    d = Dictionary(c, A, b)
+    if not d.dual_phase():
+        return None, None, None, d.pivots
+    d.primal_phase()
+    x = d.solution()
     value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
-    return value, x, basis, pivots
+    return value, x, d.basis, d.pivots
 
 
 def branch_and_cut(g, w, config=None):

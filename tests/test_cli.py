@@ -124,6 +124,12 @@ class TestHrep:
         assert code == 0
         assert "class\tnonnegativity\t6" in out
 
+    def test_bad_graph_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.g"
+        path.write_text("p 2 1\ne 1 x\n")
+        assert invoke(["hrep", "-g", str(path)], capsys) \
+            == (1, "", "error: line 2: non-integer endpoint\n")
+
     @pytest.mark.parametrize("text", ["p 1 0\n", "p 3 0\n"])
     def test_no_edges_no_facets(self, text, tmp_path, capsys):
         path = tmp_path / "empty.g"
@@ -312,9 +318,11 @@ class TestIneqInput:
         ("h 2 1 extra\n1 1 <= 1\n", "header 'h 2 1 extra' is not 'h <m> <count>'"),
         ("h -1 0\n", "header 'h -1 0' is not 'h <m> <count>'"),
         ("h 8 -1\n", "header 'h 8 -1' is not 'h <m> <count>'"),
+        ("h 2 2\n1 1 <= 1\n", "header declares 2 rows, found 1"),
+        ("h 2 1\n1 1 1 <= 1\n", "row has 3 coefficients, expected 2"),
     ], ids=["width-9", "width-2", "width-10", "zero-denominator", "zero-denominator-rhs",
             "header-short", "header-not-int", "header-long", "header-negative-width",
-            "header-negative-count"])
+            "header-negative-count", "missing-row", "row-wider-than-header"])
     def test_exits_one_with_error(self, command, rows, message, tmp_path, capsys):
         graph, ineq = tmp_path / "c8.g", tmp_path / "rows.ineq"
         graph.write_text(format_graph(generate("cycle:8")))

@@ -57,6 +57,24 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_graph("p 3 2\ne 1 2\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("p 2 1\np 2 1\ne 1 2\n", "line 2: duplicate header"),
+        ("p 2\n", "line 1: header must be 'p <n> <m>'"),
+        ("p two 1\n", "line 1: non-integer header field"),
+        ("e 1 2\np 2 1\n", "line 1: edge before header"),
+        ("p 3 1\ne 1 2 3\n", "line 2: bad edge record"),
+        ("p 2 1\ne 1 x\n", "line 2: non-integer endpoint"),
+        ("p 2 1\ne 1 2 w 1/0\n", "line 2: bad weight '1/0'"),
+        ("p 2 1\nq 1 2\n", "line 2: unknown record 'q'"),
+        ("# only a comment\n", "missing 'p' header"),
+    ], ids=["duplicate-header", "short-header", "non-integer-header", "edge-before-header",
+            "long-edge", "non-integer-endpoint", "zero-denominator-weight", "unknown-record",
+            "no-header"])
+    def test_bad_file_names_its_fault(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_graph(text)
+        assert str(exc.value) == message
+
     def test_comments_and_blanks(self):
         g = parse_graph("# a comment\np 2 1\n\ne 1 2  # trailing\n")
         assert g.m == 1

@@ -40,6 +40,8 @@ class TestParse:
     def test_line_gives_primitive_int_row(self):
         q = parse_inequality_line("1/2 -1 0 <= 3/4  # tag=family")
         assert (q.coeffs, q.rhs, q.tag) == ((2, -4, 0), 3, "family")
+        assert q.format_row() == "2 -4 0 <= 3"
+        assert q.format_line() == "2 -4 0 <= 3  # tag=family tag=family"
         assert_primitive_int_row(q)
 
     @pytest.mark.parametrize("line,token", [("1/0 1 <= 1", "1/0"), ("1 1 <= 2/0", "2/0"),

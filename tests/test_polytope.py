@@ -185,6 +185,17 @@ class TestHrep:
         V = vrep(g)
         assert {q.canonical() for q in hrep(V).facets} == oracle_hull_facets(V.points)
 
+    @pytest.mark.parametrize("name", ["j26", "cube:3", "cycle:7"])
+    def test_points_inside_the_hull_change_no_facet(self, name):
+        # the midpoint of two vertices and the centroid, once after the
+        # vertices and once before them, so the centroid enters the start basis
+        V = vrep(generate(name))
+        mid = tuple(Fraction(a + b, 2) for a, b in zip(V.points[1], V.points[2]))
+        centroid = tuple(Fraction(sum(col), len(V.points)) for col in zip(*V.points))
+        want = facet_rows(hrep(V))
+        for points in ((*V.points, mid, centroid), (centroid, mid, *V.points)):
+            assert facet_rows(hrep(VRep(V.m, points))) == want
+
     def test_facets_are_primitive_int(self):
         for name in ["j26", "cycle:7", "cube:3"]:
             V = vrep(generate(name))

@@ -8,8 +8,9 @@ entering column included.  It is a reference implementation, so it keeps
 that step, `_bareiss_step`, here rather than importing one.  The per-row
 scales of `_simplex` change no sign and no ratio within a row, so on every
 LP of the corpus below, b < 0 included, it must return the same (value, x,
-basis, pivots) tuple; every row of its dictionary must stay primitive with
-a positive scale after each pivot.
+basis, pivots) tuple.  `scaled_simplex` runs `_simplex` on a subclass of
+`solver.Dictionary` whose `pivot` checks, after every pivot, that each row
+of the dictionary is primitive with a positive scale.
 
 `fraction_simplex` is an earlier `solver._simplex`, kept as the reference
 with one change, that its row operations skip zero entries (which leaves
@@ -32,10 +33,15 @@ fix.  `old_formulation` rebuilds that LP; `solve_lp_exact`, which drops the
 bound rows and eliminates the fixed columns, must reach the same optimal
 value and report infeasibility in the same cases, and its x must satisfy
 every old row.
+
+`dictionary_verdict` runs the two phases of a `solver.Dictionary` by hand
+and reads each verdict off the state the phase ends in: a row that proves
+infeasibility, a column that proves unboundedness, or nonnegative rhs and
+no positive objective entry, which prove a feasible basis optimal.
 """
 
 import random
-import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -223,10 +229,6 @@ def common_denominator_simplex(c, A, b):
     return value, x, basis, pivots
 
 
-PIVOT_CODE = next(code for code in _simplex.__code__.co_consts
-                  if getattr(code, "co_name", None) == "pivot")
-
-
 def assert_rows_primitive(T, scale):
     assert len(T) == len(scale)
     for row, s in zip(T, scale):
@@ -235,28 +237,20 @@ def assert_rows_primitive(T, scale):
 
 
 def scaled_simplex(c, A, b):
-    """_simplex(c, A, b), with assert_rows_primitive run on its dictionary
-    (the closure variables T and scale of its inner `pivot`) after every
-    pivot, and required to equal common_denominator_simplex(c, A, b)."""
-    def on_call(frame, event, arg):
-        if frame.f_code is not PIVOT_CODE:
-            return None
-        frame.f_trace_lines = False
-        return on_return
-
-    def on_return(frame, event, arg):
-        if event == "return":
-            assert_rows_primitive(frame.f_locals["T"], frame.f_locals["scale"])
-            checked.append(event)
-        return on_return
-
+    """_simplex(c, A, b) on a `solver.Dictionary` whose `pivot` runs
+    assert_rows_primitive on the dictionary after every pivot, required to
+    equal common_denominator_simplex(c, A, b)."""
     checked = []
-    outer = sys.gettrace()
-    sys.settrace(on_call)
-    try:
+
+    class CheckedDictionary(solver.Dictionary):
+        def pivot(self, leave, enter):
+            super().pivot(leave, enter)
+            assert_rows_primitive(self.T, self.scale)
+            checked.append(enter)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "Dictionary", CheckedDictionary)
         got = _simplex(c, A, b)
-    finally:
-        sys.settrace(outer)
     assert len(checked) == got[3]
     assert got == common_denominator_simplex(c, A, b), (c, A, b)
     return got
@@ -449,6 +443,16 @@ def test_root_gap_report_with_huge_weights():
         assert any(v.denominator > 10 ** 20 for v in want)
 
 
+def random_lp(rng, ns, ks, bs):
+    """(c, A, b) not drawn from a graph: n in the range ns of columns, k in
+    ks of rows, integer entries in [-3, 3], rhs in bs and rational c."""
+    n, k = rng.randint(*ns), rng.randint(*ks)
+    c = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+    A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+    b = [rng.randint(*bs) for _ in range(k)]
+    return c, A, b
+
+
 def test_random_lps_match_fraction_simplex():
     # LPs not drawn from graphs, integer entries in [-3, 3] and rational c,
     # in two regimes: small ones, n = 1-4 columns, k = 1-6 rows and rhs in
@@ -462,10 +466,8 @@ def test_random_lps_match_fraction_simplex():
     for count, ns, ks, bs in ((400, (1, 4), (1, 6), (-3, 3)),
                               (200, (2, 6), (8, 24), (0, 4))):
         for _ in range(count):
-            n, k = rng.randint(*ns), rng.randint(*ks)
-            c = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
-            A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
-            b = [rng.randint(*bs) for _ in range(k)]
+            c, A, b = random_lp(rng, ns, ks, bs)
+            k = len(A)
             lps += 1
             negative += any(bi < 0 for bi in b)
             try:
@@ -505,3 +507,61 @@ def test_duplicate_rows_stay_basic_at_zero():
     got = _simplex(c, A, b)
     assert got[:2] == fraction_simplex(c, A, b)[:2] == (2, [1])
     assert got[2:] == ([2, 0, 3, 4], 2)
+
+
+def dictionary_verdict(c, A, b):
+    """Run both phases on a `solver.Dictionary` by hand and check that the
+    state each phase ends in proves its verdict, which it returns:
+    - "infeasible": some row has a negative rhs and no negative entry, so a
+      sum of nonnegative variables would be negative;
+    - "unbounded": the entering column has no positive entry in any
+      constraint row, so the entering variable grows without bound;
+    - "optimal": every rhs is nonnegative after the dual phase, and no
+      objective entry is positive after the primal phase.
+    Every scale stays positive, each solution() is a point of the LP, and
+    the final state reads as _simplex(c, A, b)."""
+    d = solver.Dictionary(c, A, b)
+    n, k = len(c), len(A)
+    feasible = d.dual_phase()
+    assert all(s > 0 for s in d.scale)
+    if not feasible:
+        assert any(r[-1] < 0 and all(x >= 0 for x in r[:n]) for r in d.T[:k])
+        assert _simplex(c, A, b)[0] is None
+        return "infeasible"
+    assert all(r[-1] >= 0 for r in d.T[:k])
+    x = d.solution()
+    assert_optimal_point(c, A, b, sum(cj * xj for cj, xj in zip(c, x)), x)
+    try:
+        d.primal_phase()
+    except GraphError:
+        enter = d.least(d.T[k], 1)
+        assert all(r[enter] <= 0 for r in d.T[:k])
+        return "unbounded"
+    assert all(s > 0 for s in d.scale)
+    assert all(v <= 0 for v in d.T[k][:n])
+    x = d.solution()
+    value = sum(cj * xj for cj, xj in zip(c, x))
+    assert_optimal_point(c, A, b, value, x)
+    assert _simplex(c, A, b) == (value, x, d.basis, d.pivots)
+    return "optimal"
+
+
+def test_dictionary_end_state_is_a_certificate(monkeypatch):
+    # on every LP the corpus hands to _simplex, and on small random LPs
+    lps = []
+    simplex = solver._simplex
+
+    def recorded(c, A, b):
+        lps.append((c, A, b))
+        return simplex(c, A, b)
+
+    monkeypatch.setattr(solver, "_simplex", recorded)
+    for seed in range(60):
+        for model, fixed0, fixed1 in corpus_lps(seed):
+            solve_lp_exact(model, fixed0, fixed1)
+    corpus = Counter(dictionary_verdict(c, A, b) for c, A, b in lps)
+    assert corpus["optimal"] >= 300 and corpus["infeasible"] >= 100
+    rng = random.Random(7)
+    drawn = Counter(dictionary_verdict(*random_lp(rng, (1, 4), (1, 6), (-3, 3)))
+                    for _ in range(400))
+    assert min(drawn[v] for v in ("optimal", "infeasible", "unbounded")) >= 80
