@@ -38,6 +38,8 @@ class Graph:
     endpoint_masks: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise GraphError(f"non-integer vertex count {self.n!r}")
         if self.n < 0:
             raise GraphError(f"negative vertex count {self.n}")
         seen = set()
@@ -108,9 +110,11 @@ class Graph:
 def _check_edge(n, u, v, seen):
     """Normalised key (min, max) of edge {u,v} of an n-vertex graph.
 
-    Rejects loops, out-of-range endpoints and keys already in `seen`, then
-    adds the key to `seen`.
+    Rejects endpoints that are not ints (a bool too), loops, out-of-range
+    endpoints and keys already in `seen`, then adds the key to `seen`.
     """
+    if type(u) is not int or type(v) is not int:
+        raise GraphError(f"non-integer endpoint in edge ({u!r},{v!r})")
     if u == v:
         raise GraphError(f"loop at vertex {u}")
     if not (1 <= u <= n and 1 <= v <= n):

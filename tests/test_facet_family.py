@@ -86,8 +86,10 @@ class TestLambdaSet:
                     assert lambda_set(g, e1, e2) == expect
 
     def test_same_edge_rejected(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="lambda set needs two distinct edges"):
             lambda_set(generate("path:6"), 2, 2)
+        with pytest.raises(GraphError, match="pair needs two distinct edges"):
+            is_disconnected_pair(generate("path:6"), 2, 2)
 
     def test_matches_set_based_reference(self, random_suite):
         for g in differential_corpus(random_suite):

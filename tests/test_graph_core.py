@@ -116,6 +116,8 @@ class TestGenerate:
     def test_unknown_name(self):
         with pytest.raises(GraphError):
             generate("moebius:5")
+        with pytest.raises(GraphError, match="generator 'cycle:x' needs an integer argument"):
+            generate("cycle:x")
 
     def test_below_minimum(self):
         with pytest.raises(GraphError):
@@ -380,3 +382,17 @@ class TestGraphInvariants:
     def test_weight_length_checked(self):
         with pytest.raises(GraphError):
             Graph(3, ((1, 2), (2, 3)), (Fraction(1),))
+
+    @pytest.mark.parametrize("n,edges,message", [
+        (3, ((1.0, 2),), r"non-integer endpoint in edge \(1.0,2\)"),
+        (3, ((Fraction(1), 2),), r"non-integer endpoint in edge \(Fraction\(1, 1\),2\)"),
+        (3, ((True, 2), (2, 3)), r"non-integer endpoint in edge \(True,2\)"),
+        (3.0, ((1, 2),), "non-integer vertex count 3.0"),
+        (True, (), "non-integer vertex count True"),
+    ], ids=["float-endpoint", "fraction-endpoint", "bool-endpoint", "float-count",
+            "bool-count"])
+    def test_non_int_rejected(self, n, edges, message):
+        # a float or Fraction cannot index the mask tables, and a bool would
+        # be written as `e True 2`, which parse_graph refuses
+        with pytest.raises(GraphError, match=message):
+            Graph(n, edges)

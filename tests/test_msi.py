@@ -368,6 +368,8 @@ class TestDominates:
         p = Inequality([2, 2], 2)
         q = Inequality([1, 1], 1)
         assert dominates(p, q) and dominates(q, p)
+        # no negative entry and rhs 0: every rho > 0 scales p above q
+        assert dominates(Inequality([1, 1], 0), Inequality([1, 0], 0))
 
     def test_exact_ratio_on_huge_rhs(self):
         # (10**20 - 1) / 10**20 is 1.0 in floating point
@@ -469,6 +471,8 @@ class TestSeparateFractional:
             separate_fractional(g, [2, 0, 0, 0, 0, 0])
         with pytest.raises(GraphError):
             separate_fractional(g, [1, 1, 0, 0, 0, 0])
+        with pytest.raises(GraphError, match="xstar dimension mismatch"):
+            separate_fractional(g, [0] * 5)
 
     @given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=60), max_size=8))
     @example([Fraction(0)] * 6)

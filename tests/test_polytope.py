@@ -537,8 +537,12 @@ class TestExport:
     def test_zero_dimensional(self):
         V = VRep(0, ((),))
         assert export_vrep_interop(V) == "POINTS\n1\n"
+        with pytest.raises(ValueError, match="empty V-description"):
+            export_vrep_interop(VRep(2, ()))
 
 
 def test_vrep_rejects_duplicates():
     with pytest.raises(ValueError):
         VRep(2, ((0, 0), (0, 0)))
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        VRep(2, ((0, 0), (1,)))

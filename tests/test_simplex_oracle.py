@@ -509,6 +509,30 @@ def test_duplicate_rows_stay_basic_at_zero():
     assert got[2:] == ([2, 0, 3, 4], 2)
 
 
+@pytest.mark.parametrize("c,A,b,value,x,pivots", [
+    # Beale (1955): max 3/4 x1 - 150 x2 + 1/50 x3 - 6 x4
+    ([Fraction(3, 4), Fraction(-150), Fraction(1, 50), Fraction(-6)],
+     [[Fraction(1, 4), Fraction(-60), Fraction(-1, 25), Fraction(9)],
+      [Fraction(1, 2), Fraction(-90), Fraction(-1, 50), Fraction(3)],
+      [Fraction(0), Fraction(0), Fraction(1), Fraction(0)]],
+     [Fraction(0), Fraction(0), Fraction(1)],
+     Fraction(1, 20), [Fraction(1, 25), 0, 1, 0], 6),
+    # Chvatal, Linear Programming (1983), ch. 3: max 10 x1 - 57 x2 - 9 x3 - 24 x4
+    ([Fraction(10), Fraction(-57), Fraction(-9), Fraction(-24)],
+     [[Fraction(1, 2), Fraction(-11, 2), Fraction(-5, 2), Fraction(9)],
+      [Fraction(1, 2), Fraction(-3, 2), Fraction(-1, 2), Fraction(1)],
+      [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]],
+     [Fraction(0), Fraction(0), Fraction(1)],
+     Fraction(1), [1, 0, 1, 0], 7),
+], ids=["beale", "chvatal"])
+def test_blands_rule_leaves_textbook_cycles(c, A, b, value, x, pivots):
+    # both LPs cycle under the largest-coefficient rule on their degenerate
+    # rows 1 and 2; Bland's rule must leave the cycle and reach the optimum
+    got = scaled_simplex(c, A, b)
+    assert_matches_fraction_simplex(c, A, b, got, fraction_simplex(c, A, b))
+    assert (got[0], got[1], got[3]) == (value, x, pivots)
+
+
 def dictionary_verdict(c, A, b):
     """Run both phases on a `solver.Dictionary` by hand and check that the
     state each phase ends in proves its verdict, which it returns:
