@@ -1,10 +1,13 @@
 """Exact branch-and-cut for maximum-weight connected matching.
 
 The LP relaxation at a node is the model's own rows (degree rows, optional a
-priori family rows, the cut pool) over the edges the node has not fixed.  A
-simplex with Bland's rule solves it (a dual phase 1 when a fix overdraws a
-row, then the primal simplex on the weights); it keeps an integer dictionary
-of the nonbasic columns, each row primitive with its own positive scale, so
+priori family rows, the cut pool) over the edges the node has not fixed; a
+branch that fixes x_e = 1 also fixes to 0 every edge touching e, which e's
+degree rows force to 0.  A simplex solves it: a dual phase 1 under Bland's
+rule when a fix overdraws a row, then the primal simplex on the weights,
+which enters the column of largest reduced cost (Dantzig) and falls back to
+Bland's rule during long degenerate runs.  It keeps an integer dictionary of
+the nonbasic columns, each row primitive with its own positive scale, so
 every bound and optimality claim is exact.
 Fractional points are attacked with projected minimal separator cuts;
 integral but disconnected matchings trigger lazy connectivity cuts;
@@ -28,6 +31,8 @@ from .msi import lazy_cut_for_disconnected, separate_fractional, vertex_row
 
 # MSI separation rounds per node before it branches
 CUT_ROUNDS = 5
+# degenerate pivots in a row after which primal_phase prices by Bland's rule
+DEGENERATE_RUN = 50
 
 
 @dataclass
@@ -71,20 +76,25 @@ def solve_lp_exact(model, fixed0=0, fixed1=0):
     """Exact optimum of  max c.x  s.t. rows, x >= 0, x_e = 0 for each bit e
     of the edge mask fixed0 and x_e = 1 for each bit e of fixed1, by
     `_simplex`: a dual phase 1 from the slack basis when a fix overdraws a
-    row, then the primal simplex (Bland's rule in both).
+    row, then the primal simplex (see `Dictionary`).
 
     A fixed edge leaves the LP: its column is dropped, after it is subtracted
-    from every rhs when fixed to 1.  Returns (value, xstar, pivots) with xstar
-    over all m edges; (None, None, pivots) when the LP is infeasible.
+    from every rhs when fixed to 1.  A row left all zero over the free
+    columns leaves too when its rhs is >= 0, since it holds at every x; one
+    with a negative rhs stays, so an inconsistent fix is reported
+    infeasible.  Returns (value, xstar, pivots) with xstar over all m edges;
+    (None, None, pivots) when the LP is infeasible.
     """
-    rows = model.rows + model.cut_pool
     c = model.objective
     free = [j for j in range(len(c)) if not (fixed0 | fixed1) >> (j + 1) & 1]
     ones = [e - 1 for e in mask_bits(fixed1)]
-    value, xfree, _basis, pivots = _simplex(
-        [c[j] for j in free],
-        [[q.coeffs[j] for j in free] for q in rows],
-        [q.rhs - sum(q.coeffs[j] for j in ones) for q in rows])
+    A, b = [], []
+    for q in model.rows + model.cut_pool:
+        a, bi = [q.coeffs[j] for j in free], q.rhs - sum(q.coeffs[j] for j in ones)
+        if bi < 0 or any(a):
+            A.append(a)
+            b.append(bi)
+    value, xfree, _basis, pivots = _simplex([c[j] for j in free], A, b)
     if value is None:
         return None, None, pivots
     x = [Fraction(fixed1 >> e & 1) for e in range(1, len(c) + 1)]
@@ -94,27 +104,33 @@ def solve_lp_exact(model, fixed0=0, fixed1=0):
 
 
 class Dictionary:
-    """Dictionary simplex, Bland's rule, integer pivoting, for  max c.x  s.t.
-    A x <= b, x >= 0.  Labels: structurals 0..n-1, then the k slacks, whose
-    basis is the start.  T is a dictionary (Chvatal 1983) over the nonbasic
-    variables `cols` and the rhs: A's rows, then the objective row (the
-    scaled reduced costs), each primitive and with its own scale s > 0
-    (Azulay & Pique 2001): row i reads s[i]*x_basis[i] +
-    sum_j T[i][j]*x_cols[j] = T[i][-1].  `pivots` counts the pivots made."""
+    """Dictionary simplex, integer pivoting, for  max c.x  s.t. A x <= b,
+    x >= 0.  Labels: structurals 0..n-1, then the k slacks, whose basis is
+    the start.  T is a dictionary (Chvatal 1983) over the nonbasic variables
+    `cols` and the rhs: A's rows, then the objective row (the scaled reduced
+    costs), each primitive and with its own scale s > 0 (Azulay & Pique
+    2001): row i reads s[i]*x_basis[i] + sum_j T[i][j]*x_cols[j] = T[i][-1].
+    Row i starts as (A_i, b_i) times the lcm of its denominators, which is
+    its scale, so its slack is the LP's own and the objective row holds the
+    reduced costs of the LP as posed, all times one scale.  `dual_phase`
+    prices by Bland's rule, `primal_phase` by Dantzig's with a fallback to
+    Bland's.  `pivots` counts the pivots made."""
 
     def __init__(self, c, A, b):
         n, k = len(c), len(A)
-        self.T = [integer_row([*a, bi]) for a, bi in zip(A, b)] + [integer_row([*c, 0])]
+        rows = [integer_row([*a, bi, 1]) for a, bi in zip(A, b)]
+        self.T = [r[:-1] for r in rows] + [integer_row([*c, 0])]
         self.basis, self.cols = list(range(n, n + k)), list(range(n))
-        self.scale, self.pivots = [1] * (k + 1), 0
+        self.scale, self.pivots = [r[-1] for r in rows] + [1], 0
 
     def pivot(self, leave, enter):
         """On the leaving row e, with p = e[enter] > 0 (else e and s[leave]
         are negated first), skip each row with a zero in the entering column
         and take any other r, f = r[enter], to p*r - f*e with -f*s[leave] in
         that column and scale p*s[i], then divide row and scale by their gcd;
-        e takes scale p.  Bland's rule reads only signs and ratios within
-        rows, so no scale changes a choice."""
+        e takes scale p.  Both pricing rules and the ratio test read only
+        signs, ratios within a row and the order of the entries of one row,
+        so no scale changes a choice."""
         T, scale = self.T, self.scale
         self.pivots += 1
         e, s, p = T[leave], scale[leave], T[leave][enter]
@@ -138,6 +154,15 @@ class Dictionary:
         return min((j for j in range(len(self.cols)) if sign * row[j] > 0),
                    key=self.cols.__getitem__, default=None)
 
+    def largest(self, row):
+        """Dantzig: the column with the largest positive row[j], the least
+        label among ties, or None."""
+        n = len(self.cols)
+        top = max(row[:n], default=0)
+        if top <= 0:
+            return None
+        return min((j for j in range(n) if row[j] == top), key=self.cols.__getitem__)
+
     def dual_phase(self):
         """The dual simplex on the zero objective, for which every basis is
         dual feasible (Lemke 1954).  Under Bland's rule, finite here too
@@ -155,9 +180,17 @@ class Dictionary:
 
     def primal_phase(self):
         """The primal simplex on c from a feasible basis; raises GraphError
-        when the LP is unbounded."""
+        when the LP is unbounded.  The column with the largest objective
+        entry enters (`largest`), except after DEGENERATE_RUN degenerate
+        pivots in a row (a leaving row with rhs 0), from when `least` prices
+        until the next nondegenerate pivot.  Finite: the objective rises
+        strictly on each nondegenerate pivot, so no basis comes back across
+        one, and each degenerate run ends, as Bland's rule cannot cycle
+        (Bland 1977)."""
         T, basis, k = self.T, self.basis, len(self.basis)
-        while (enter := self.least(T[k], 1)) is not None:
+        run = 0
+        while (enter := self.least(T[k], 1) if run >= DEGENERATE_RUN
+               else self.largest(T[k])) is not None:
             leave = None
             for i in range(k):
                 a = T[i][enter]
@@ -170,6 +203,7 @@ class Dictionary:
                     leave = i
             if leave is None:
                 raise GraphError("LP unbounded; missing variable bounds")
+            run = run + 1 if T[leave][-1] == 0 else 0
             self.pivot(leave, enter)
 
     def solution(self):
@@ -199,7 +233,8 @@ def branch_and_cut(g, w, config=None):
 
     Per node: solve the LP; separate MSI cuts while fractional (bounded
     rounds); lazy connectivity cuts repair integral disconnected matchings;
-    otherwise branch on the most fractional variable, =1 child first.
+    otherwise branch on the most fractional variable, =1 child first, which
+    also fixes to 0 every edge that touches the branching edge.
     """
     config = config or SolveConfig()
     if config.node_limit < 1:
@@ -260,7 +295,9 @@ def branch_and_cut(g, w, config=None):
                 continue
             note(value, "frac")
             bvar = min(frac, key=lambda e: (abs(xstar[e - 1] - half), e))
-            heapq.heappush(open_nodes, (-value, next_id, fixed0, fixed1 | 1 << bvar))
+            u, v = g.edges[bvar - 1]
+            touching = (g.incident_masks[u] | g.incident_masks[v]) ^ 1 << bvar
+            heapq.heappush(open_nodes, (-value, next_id, fixed0 | touching, fixed1 | 1 << bvar))
             heapq.heappush(open_nodes, (-value, next_id + 1, fixed0 | 1 << bvar, fixed1))
             next_id += 2
             break

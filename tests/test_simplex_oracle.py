@@ -5,18 +5,20 @@ node LPs against the formulation they replaced.
 dictionary shared one denominator d, the last pivot, and pivoted every row
 with a fraction-free (Bareiss 1968) step, the rows with a zero in the
 entering column included.  It is a reference implementation, so it keeps
-that step, `_bareiss_step`, here rather than importing one.  The per-row
-scales of `_simplex` change no sign and no ratio within a row, so on every
-LP of the corpus below, b < 0 included, it must return the same (value, x,
-basis, pivots) tuple.  `scaled_simplex` runs `_simplex` on a subclass of
-`solver.Dictionary` whose `pivot` checks, after every pivot, that each row
-of the dictionary is primitive with a positive scale.
+that step, `_bareiss_step`, here rather than importing one, and it
+prices as `solver.Dictionary` does.  The per-row scales of `_simplex`
+change no sign, no ratio within a row and no order within the objective
+row, so on every LP of the corpus below, b < 0 included, it must return the
+same (value, x, basis, pivots) tuple.  `scaled_simplex` runs `_simplex` on
+a subclass of `solver.Dictionary` whose `pivot` checks, after every pivot,
+that each row of the dictionary is primitive with a positive scale.
 
 `fraction_simplex` is an earlier `solver._simplex`, kept as the reference
-with one change, that its row operations skip zero entries (which leaves
-every Fraction as it was and only saves time): a phase 1 on artificial
-variables with their drive-out, then the primal simplex on c, Bland's rule
-throughout, every entry a Fraction.  It is run on every LP that
+with two changes: its row operations skip zero entries (which leaves every
+Fraction as it was and only saves time), and its phase 2 prices as
+`Dictionary.primal_phase` does.  It runs a phase 1 on artificial variables
+under Bland's rule with their drive-out, then the primal simplex on c, every
+entry a Fraction.  It is run on every LP that
 `solve_lp_exact` hands to `_simplex` (base rows,
 branching fixes, MSI and lazy cut pools, weights from small rationals up to
 30-digit numerators and denominators) and on random LPs not drawn from graphs:
@@ -30,9 +32,9 @@ branching fixes, MSI and lazy cut pools, weights from small rationals up to
 
 The node LPs once carried one x_e <= 1 row per edge and one row per branching
 fix.  `old_formulation` rebuilds that LP; `solve_lp_exact`, which drops the
-bound rows and eliminates the fixed columns, must reach the same optimal
-value and report infeasibility in the same cases, and its x must satisfy
-every old row.
+bound rows, eliminates the fixed columns and drops the rows they leave all
+zero with rhs >= 0, must reach the same optimal value and report
+infeasibility in the same cases, and its x must satisfy every old row.
 
 `dictionary_verdict` runs the two phases of a `solver.Dictionary` by hand
 and reads each verdict off the state the phase ends in: a row that proves
@@ -57,7 +59,11 @@ from conftest import BIG, random_connected_graph, root_gap_report, spread_weight
 
 
 def fraction_simplex(c, A, b):
-    """Two-phase full-tableau simplex, Bland's rule, all-Fraction arithmetic.
+    """Two-phase full-tableau simplex, all-Fraction arithmetic: Bland's rule
+    in phase 1, and in phase 2 the largest reduced cost enters, the least
+    label among ties, except after solver.DEGENERATE_RUN degenerate pivots
+    in a row, from when Bland's rule prices until the next nondegenerate
+    pivot.
 
     Maximizes c.x subject to A x <= b, x >= 0.  Columns: n structural vars,
     k slacks, then artificials for rows with negative rhs.
@@ -99,7 +105,7 @@ def fraction_simplex(c, A, b):
                 T[i] = [x - f * y if y else x for x, y in zip(T[i], T[leave])]
         basis[leave] = enter
 
-    def run_phase(obj, allowed):
+    def run_phase(obj, allowed, dantzig):
         # reduced costs z and objective value at the current basic solution
         z = list(obj)
         val = zero
@@ -109,12 +115,14 @@ def fraction_simplex(c, A, b):
                 z = [x - f * y if y else x for x, y in zip(z, T[i][:-1])]
                 val += f * T[i][-1]
         in_basis = set(basis)
+        run = 0
         while True:
             enter = None
             for j in range(allowed):
                 if z[j] > 0 and j not in in_basis:
-                    enter = j
-                    break
+                    if enter is None or (dantzig and run < solver.DEGENERATE_RUN
+                                         and z[j] > z[enter]):
+                        enter = j
             if enter is None:
                 return val
             leave = None
@@ -130,6 +138,7 @@ def fraction_simplex(c, A, b):
                 raise GraphError("LP unbounded; missing variable bounds")
             in_basis.discard(basis[leave])
             in_basis.add(enter)
+            run = run + 1 if T[leave][-1] == 0 else 0
             pivot(leave, enter)
             f = z[enter]
             z = [x - f * y if y else x for x, y in zip(z, T[leave][:-1])]
@@ -137,7 +146,7 @@ def fraction_simplex(c, A, b):
 
     if ncols > real:
         obj1 = [zero] * real + [Fraction(-1)] * (ncols - real)
-        if run_phase(obj1, ncols) < 0:
+        if run_phase(obj1, ncols, False) < 0:
             return None, None, None, pivots
         # drive basic artificials (all at zero) out, dropping redundant rows
         for i in reversed(range(len(T))):
@@ -150,7 +159,7 @@ def fraction_simplex(c, A, b):
                     pivot(i, enter)
 
     obj2 = [Fraction(x) for x in c] + [zero] * (ncols - n)
-    value = run_phase(obj2, real)
+    value = run_phase(obj2, real, True)
     x = [zero] * n
     for i, bi in enumerate(basis):
         if bi < n:
@@ -171,15 +180,19 @@ def _bareiss_step(row, pivot_row, col, prev):
 
 
 def common_denominator_simplex(c, A, b):
-    """Dictionary simplex, Bland's rule, one common denominator d.
+    """Dictionary simplex, one common denominator d.
 
     Row i reads d*x_basis[i] + sum_j T[i][j]*x_cols[j] = T[i][-1], with d the
     absolute value of the last pivot; a pivot is one `_bareiss_step` per row.
-    Otherwise as `solver._simplex`: a dual phase 1 on the zero objective, then
-    the primal simplex on c.
+    Row i starts as (A_i, b_i) times the lcm of its denominators with d = 1,
+    which scales its slack by that lcm: the LP and x stay the same, and the
+    slacks are those of `solver.Dictionary` when A and b are integer.
+    Otherwise as `solver._simplex`: a dual phase 1 on the zero objective
+    under Bland's rule, then the primal simplex on c under the largest
+    coefficient rule with its fallback to Bland's.
     """
     n, k = len(c), len(A)
-    T = [integer_row([*a, bi]) for a, bi in zip(A, b)] + [integer_row([*c, 0])]
+    T = [integer_row([*a, bi, 1])[:-1] for a, bi in zip(A, b)] + [integer_row([*c, 0])]
     basis, cols = list(range(n, n + k)), list(range(n))
     d, pivots = 1, 0
 
@@ -201,6 +214,11 @@ def common_denominator_simplex(c, A, b):
         return min((j for j in range(n) if sign * row[j] > 0),
                    key=cols.__getitem__, default=None)
 
+    def largest(row):   # Dantzig: largest positive row[j], least label on ties
+        top = max(row[:n], default=0)
+        return min((j for j in range(n) if row[j] == top),
+                   key=cols.__getitem__) if top > 0 else None
+
     while overdrawn := [i for i in range(k) if T[i][-1] < 0]:
         leave = min(overdrawn, key=basis.__getitem__)
         enter = least(T[leave], -1)
@@ -208,7 +226,9 @@ def common_denominator_simplex(c, A, b):
             return None, None, None, pivots
         pivot(leave, enter)
 
-    while (enter := least(T[k], 1)) is not None:
+    run = 0
+    while (enter := least(T[k], 1) if run >= solver.DEGENERATE_RUN
+           else largest(T[k])) is not None:
         leave = None
         for i in range(k):
             a = T[i][enter]
@@ -220,6 +240,7 @@ def common_denominator_simplex(c, A, b):
                 leave = i
         if leave is None:
             raise GraphError("LP unbounded; missing variable bounds")
+        run = run + 1 if T[leave][-1] == 0 else 0
         pivot(leave, enter)
     x = [Fraction(0)] * n
     for r, bi in zip(T, basis):
@@ -330,6 +351,12 @@ def corpus_weights(rng, g, huge):
     return [Fraction(rng.randint(-4, 20), rng.randint(1, 4)) for _ in range(g.m)]
 
 
+def touching(g, e):
+    """Mask of the edges other than e that share an endpoint with e."""
+    u, v = g.edges[e - 1]
+    return (g.incident_masks[u] | g.incident_masks[v]) ^ 1 << e
+
+
 def corpus_lps(seed):
     """(model, fixed0, fixed1) triples for one seeded graph and weight draw,
     the fixes as edge masks.
@@ -337,14 +364,18 @@ def corpus_lps(seed):
     The root LP; the projected MSIs of every minimal separator of one
     non-adjacent pair (a, b) (coefficients down to -2); then, on that cut
     pool:
-    - an x_e=1 fix, and a mixed x_e=0/x_f=1 fix;
+    - an x_e=1 fix, alone and, as branch_and_cut fixes it, with every edge
+      that touches e fixed to 0, which leaves the degree rows of e's
+      endpoints zero over the free columns with rhs 0;
+    - a mixed x_e=0/x_f=1 fix;
     - an edge at a and an edge at b fixed to 1, which overdraws the rhs of
       the separator rows that count both;
     - both edges of a disconnected pair fixed to 1, which overdraws the
       pair's family row, so phase 1 must raise x(Λ) to 1;
     - two edges sharing a vertex fixed to 1 (infeasible), once with that
-      vertex's other edges free and once with them fixed to 0, so the
-      vertex's degree row reads 0 <= -1;
+      vertex's other edges free, once with them fixed to 0, so the vertex's
+      degree row reads 0 <= -1, and once with every edge that touches
+      either fixed to 0;
     - one edge fixed to 1 and every other edge fixed to 0, so no column is
       left.
     """
@@ -363,6 +394,7 @@ def corpus_lps(seed):
         yield model, 0, 1 << ea | 1 << eb
     e, f = rng.sample(mask_bits(g.all_edges), 2)
     yield model, 0, 1 << e
+    yield model, touching(g, e), 1 << e
     yield model, 1 << e, 1 << f
     for q in model.rows:
         if q.tag == "family":
@@ -372,19 +404,22 @@ def corpus_lps(seed):
     two = sum(1 << e for e in g.incident_edges(v)[:2])
     yield model, 0, two
     yield model, g.incident_masks[v] ^ two, two
+    e1, e2 = mask_bits(two)
+    yield model, (touching(g, e1) | touching(g, e2)) ^ two, two
     yield model, g.all_edges ^ 1 << e, 1 << e
 
 
 def test_integer_simplex_matches_fraction_simplex(monkeypatch):
     seen = pin_simplex(monkeypatch)
-    lps = phase1 = infeasible = minus2 = empty = 0
+    lps = phase1 = infeasible = minus2 = empty = dropped = 0
     dual_pivots = reference_pivots = 0
     for seed in range(60):
         for model, fixed0, fixed1 in corpus_lps(seed):
             got = solve_lp_exact(model, fixed0, fixed1)
             assert_solves_old_formulation(model, fixed0, fixed1, got)
-            c, _, b, pivots, reference = seen[-1]
+            c, A, b, pivots, reference = seen[-1]
             lps += 1
+            dropped += len(A) < len(model.rows) + len(model.cut_pool)
             if any(bi < 0 for bi in b):
                 phase1 += 1
                 dual_pivots += pivots
@@ -394,7 +429,7 @@ def test_integer_simplex_matches_fraction_simplex(monkeypatch):
             empty += not c
     assert len(seen) == lps
     assert lps >= 250 and phase1 >= 150 and infeasible >= 50 and minus2 >= 50
-    assert empty >= 50
+    assert empty >= 50 and dropped >= 150
     assert dual_pivots <= reference_pivots
 
 
@@ -459,8 +494,8 @@ def test_random_lps_match_fraction_simplex():
     # [-3, 3]; and tall ones, n = 2-6, k = 8-24 and rhs in [0, 4], whose
     # (value, x, basis, pivots) is pinned exactly.  The tall LPs pivot often
     # enough that a nonbasic variable's label and its column position part,
-    # which Bland's rule must not confuse.  Both sides give the same verdict,
-    # and unbounded LPs raise on both
+    # which neither pricing rule may confuse.  Both sides give the same
+    # verdict, and unbounded LPs raise on both
     rng = random.Random(11)
     lps = negative = infeasible = unbounded = tall = 0
     for count, ns, ks, bs in ((400, (1, 4), (1, 6), (-3, 3)),
@@ -509,28 +544,46 @@ def test_duplicate_rows_stay_basic_at_zero():
     assert got[2:] == ([2, 0, 3, 4], 2)
 
 
-@pytest.mark.parametrize("c,A,b,value,x,pivots", [
-    # Beale (1955): max 3/4 x1 - 150 x2 + 1/50 x3 - 6 x4
-    ([Fraction(3, 4), Fraction(-150), Fraction(1, 50), Fraction(-6)],
-     [[Fraction(1, 4), Fraction(-60), Fraction(-1, 25), Fraction(9)],
-      [Fraction(1, 2), Fraction(-90), Fraction(-1, 50), Fraction(3)],
-      [Fraction(0), Fraction(0), Fraction(1), Fraction(0)]],
-     [Fraction(0), Fraction(0), Fraction(1)],
-     Fraction(1, 20), [Fraction(1, 25), 0, 1, 0], 6),
-    # Chvatal, Linear Programming (1983), ch. 3: max 10 x1 - 57 x2 - 9 x3 - 24 x4
-    ([Fraction(10), Fraction(-57), Fraction(-9), Fraction(-24)],
-     [[Fraction(1, 2), Fraction(-11, 2), Fraction(-5, 2), Fraction(9)],
-      [Fraction(1, 2), Fraction(-3, 2), Fraction(-1, 2), Fraction(1)],
-      [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]],
-     [Fraction(0), Fraction(0), Fraction(1)],
-     Fraction(1), [1, 0, 1, 0], 7),
+# Beale (1955): max 3/4 x1 - 150 x2 + 1/50 x3 - 6 x4
+BEALE = ([Fraction(3, 4), Fraction(-150), Fraction(1, 50), Fraction(-6)],
+         [[Fraction(1, 4), Fraction(-60), Fraction(-1, 25), Fraction(9)],
+          [Fraction(1, 2), Fraction(-90), Fraction(-1, 50), Fraction(3)],
+          [Fraction(0), Fraction(0), Fraction(1), Fraction(0)]],
+         [Fraction(0), Fraction(0), Fraction(1)])
+# Chvatal, Linear Programming (1983), ch. 3: max 10 x1 - 57 x2 - 9 x3 - 24 x4
+CHVATAL = ([Fraction(10), Fraction(-57), Fraction(-9), Fraction(-24)],
+           [[Fraction(1, 2), Fraction(-11, 2), Fraction(-5, 2), Fraction(9)],
+            [Fraction(1, 2), Fraction(-3, 2), Fraction(-1, 2), Fraction(1)],
+            [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]],
+           [Fraction(0), Fraction(0), Fraction(1)])
+
+
+@pytest.mark.parametrize("lp,value,x,pivots", [
+    (BEALE, Fraction(1, 20), [Fraction(1, 25), 0, 1, 0], 6),
+    (CHVATAL, Fraction(1), [1, 0, 1, 0], 7),
 ], ids=["beale", "chvatal"])
-def test_blands_rule_leaves_textbook_cycles(c, A, b, value, x, pivots):
+def test_blands_rule_leaves_textbook_cycles(lp, value, x, pivots, monkeypatch):
     # both LPs cycle under the largest-coefficient rule on their degenerate
-    # rows 1 and 2; Bland's rule must leave the cycle and reach the optimum
-    got = scaled_simplex(c, A, b)
-    assert_matches_fraction_simplex(c, A, b, got, fraction_simplex(c, A, b))
+    # rows 1 and 2; Bland's rule alone (`Dictionary.least` from the first
+    # pivot, a fallback after no degenerate pivot) must leave the cycle and
+    # reach the optimum
+    monkeypatch.setattr(solver, "DEGENERATE_RUN", 0)
+    got = scaled_simplex(*lp)
+    assert_matches_fraction_simplex(*lp, got, fraction_simplex(*lp))
     assert (got[0], got[1], got[3]) == (value, x, pivots)
+
+
+@pytest.mark.parametrize("lp,value,x,pivots", [
+    (BEALE, Fraction(1, 20), [Fraction(1, 25), 0, 1, 0], 54),
+    (CHVATAL, Fraction(1), [1, 0, 1, 0], 55),
+], ids=["beale", "chvatal"])
+def test_largest_coefficient_rule_falls_back_to_bland(lp, value, x, pivots):
+    # the largest coefficient enters until DEGENERATE_RUN degenerate pivots
+    # in a row; then Bland's rule leaves the cycle, in a few more pivots
+    got = _simplex(*lp)
+    assert got == fraction_simplex(*lp)
+    assert (got[0], got[1], got[3]) == (value, x, pivots)
+    assert pivots > solver.DEGENERATE_RUN
 
 
 def dictionary_verdict(c, A, b):
@@ -538,8 +591,9 @@ def dictionary_verdict(c, A, b):
     state each phase ends in proves its verdict, which it returns:
     - "infeasible": some row has a negative rhs and no negative entry, so a
       sum of nonnegative variables would be negative;
-    - "unbounded": the entering column has no positive entry in any
-      constraint row, so the entering variable grows without bound;
+    - "unbounded": a column with a positive objective entry has no
+      positive entry in any constraint row, so its variable grows without
+      bound;
     - "optimal": every rhs is nonnegative after the dual phase, and no
       objective entry is positive after the primal phase.
     Every scale stays positive, each solution() is a point of the LP, and
@@ -558,8 +612,7 @@ def dictionary_verdict(c, A, b):
     try:
         d.primal_phase()
     except GraphError:
-        enter = d.least(d.T[k], 1)
-        assert all(r[enter] <= 0 for r in d.T[:k])
+        assert any(d.T[k][j] > 0 and all(r[j] <= 0 for r in d.T[:k]) for j in range(n))
         return "unbounded"
     assert all(s > 0 for s in d.scale)
     assert all(v <= 0 for v in d.T[k][:n])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cmpoly import solver
-from cmpoly.graph_core import Graph, GraphError, generate
+from cmpoly.graph_core import Graph, GraphError, generate, mask_bits
 from cmpoly.matchings import brute_force_max_weight_cm, enumerate_connected_matchings, is_connected_matching
 from cmpoly.solver import SolveConfig, branch_and_cut, build_base_lp, solve_lp_exact
 
@@ -205,6 +205,34 @@ class TestBranchAndCut:
             assert res.stats["cuts"]["msi"] == len(rows_out)
             total += len(rows_out)
         assert total >= 50
+
+    def test_one_fix_fixes_touching_edges_to_zero(self, monkeypatch):
+        # an x_e=1 child also fixes to 0 every edge that shares an endpoint
+        # with e, which e's degree rows force to 0, so no node LP keeps such
+        # an edge as a column; the optimum stays that of brute force
+        fixes = []
+        solve = solver.solve_lp_exact
+
+        def capture(model, fixed0=0, fixed1=0):
+            fixes.append((fixed0, fixed1))
+            return solve(model, fixed0, fixed1)
+
+        monkeypatch.setattr(solver, "solve_lp_exact", capture)
+        ones = 0
+        for seed in range(8):
+            g = generate(f"cycle:{8 + seed % 3}")
+            w = spread_weights(random.Random(seed), g, huge=False)
+            fixes.clear()
+            res = branch_and_cut(g, w, SolveConfig(use_family_cuts=False,
+                                                   use_msi_separation=seed % 2 == 0))
+            assert res.value == brute_force_max_weight_cm(g, w)[0]
+            for fixed0, fixed1 in fixes:
+                ones += fixed1 != 0
+                assert fixed0 & fixed1 == 0
+                for e in mask_bits(fixed1):
+                    u, v = g.edges[e - 1]
+                    assert (g.incident_masks[u] | g.incident_masks[v]) & ~fixed0 == 1 << e
+        assert ones >= 15
 
     def test_determinism(self):
         g = random_connected_graph(7)
