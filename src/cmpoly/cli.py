@@ -6,7 +6,6 @@ import argparse
 import functools
 import sys
 from collections import Counter
-from dataclasses import replace
 
 from .facet_family import facet_hypothesis, family_pair, generate_family
 from .graph_core import GraphError, format_graph, generate, parse_graph
@@ -59,8 +58,7 @@ def cmd_enumerate(g, args):
 def cmd_hrep(g, args):
     H = hrep(vrep(g, limit=args.count_limit))
     classes = [classify(q, g) for q in H.facets]
-    tagged = [replace(q, tag=fc.kind) for q, fc in zip(H.facets, classes)]
-    out = format_hrep_file(tagged, g.m)
+    out = format_hrep_file([q.with_tag(fc.kind) for q, fc in zip(H.facets, classes)], g.m)
     hist = Counter(fc.key for fc in classes)
     if args.tsv:
         out += "".join(f"class\t{k}\t{v}\n" for k, v in sorted(hist.items()))

@@ -72,14 +72,18 @@ def family_pair(g, q):
     """(pair, lambda) when q is the family row of a disconnected pair of g --
     rhs 1, +1 on the two pair edges, -1 on exactly their lambda set, 0
     elsewhere -- else None.  Rows are stored primitive, so a positive
-    multiple of a family row reads as the row."""
-    if q.rhs != 1 or q.m != g.m or not set(q.coeffs) <= {-1, 0, 1}:
+    multiple of a family row reads as the row.  The row is read as its
+    `Inequality.sign_masks`: plus must hold two edges and other none."""
+    if q.rhs != 1 or q.m != g.m:
         return None
-    pair = tuple(j + 1 for j, c in enumerate(q.coeffs) if c == 1)
-    lam = tuple(j + 1 for j, c in enumerate(q.coeffs) if c == -1)
-    if len(pair) == 2 and is_disconnected_pair(g, *pair) and lam == lambda_set(g, *pair):
-        return pair, lam
-    return None
+    plus, minus, other = q.sign_masks
+    if other or plus.bit_count() != 2:
+        return None
+    pair = tuple(mask_bits(plus))
+    if not is_disconnected_pair(g, *pair):
+        return None
+    lam = lambda_set(g, *pair)
+    return (pair, lam) if lam == tuple(mask_bits(minus)) else None
 
 
 def check_validity_hypothesis(g, e1, e2):

@@ -40,6 +40,29 @@ class Inequality:
     def _support(self):   # nonzero (index, coefficient) pairs, on first use
         return tuple((j, c) for j, c in enumerate(self.coeffs) if c)
 
+    @cached_property
+    def sign_masks(self):
+        """(plus, minus, other): int masks of the coefficients equal to 1,
+        equal to -1 and the other nonzero ones.  Coefficient j is bit j + 1,
+        the bit of edge id j + 1 in `graph_core`'s edge masks."""
+        plus = minus = other = 0
+        for j, c in enumerate(self.coeffs, start=1):
+            if c == 1:
+                plus |= 1 << j
+            elif c == -1:
+                minus |= 1 << j
+            elif c:
+                other |= 1 << j
+        return plus, minus, other
+
+    def with_tag(self, tag):
+        """This row with its tag set to `tag`.  The stored row is primitive
+        already, so it is copied as it stands; `dataclasses.replace` would
+        run `__post_init__` and reduce it again."""
+        q = object.__new__(type(self))
+        q.__dict__.update(self.__dict__, tag=tag)
+        return q
+
     def evaluate(self, x):
         """coeffs . x, summed over the nonzero (index, coefficient) pairs."""
         return sum([c * x[j] for j, c in self._support])

@@ -4,6 +4,7 @@ facet verification and classification, and interop export."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, itemgetter
 
 from .facet_family import family_pair
 from .graph_core import GraphError, mask_bits, union_over
@@ -57,6 +58,27 @@ def polytope_dimension(V):
     return affine_dimension(V.points)
 
 
+def _products(a, rows):
+    """The products a.r for each r in rows, as a list.
+
+    The nonzero entries of a are grouped by value: a group with value x on
+    the indices J adds x * sum(r[j] for j in J), and one itemgetter over J
+    with map(sum, ...) runs that sum for every row in builtins.  A 0/1 row
+    is a single group."""
+    groups = {}
+    for j, x in enumerate(a):
+        if x:
+            groups.setdefault(x, []).append(j)
+    out = None
+    for x, js in groups.items():
+        get = itemgetter(*js)   # a value for one index, a tuple for several
+        part = map(get, rows) if len(js) == 1 else map(sum, map(get, rows))
+        if x != 1:
+            part = map(x.__mul__, part)
+        out = list(part) if out is None else list(map(add, out, part))
+    return out
+
+
 def hrep(V):
     """Minimal facet description of a full-dimensional polytope given by its
     vertices, via the double description method on the polar of the
@@ -68,14 +90,17 @@ def hrep(V):
     lexicographic matching enumeration, which keeps intermediate ray counts
     small; aggressive reorderings (for example most-violated-first) were
     observed to inflate intermediates by two orders of magnitude on dense
-    inputs.  Each step computes the products y.(1,p) from the nonzero entries
-    of (1,p) only.
+    inputs.  Each step computes the products y.(1,p) over the live rays in
+    builtins (`_products`): the nonzero entries of (1,p) are grouped by
+    value, and each group is one `operator.itemgetter`, summed over all the
+    rays at once by `map(sum, ...)`.  A 0/1 point gives a single group.
 
     Adjacency is read from a per-constraint ray index (Fukuda & Prodon,
     *Double description method revisited*, 1996, as cddlib keeps it).  Each
     ray keeps a fixed slot for its whole life; the int mask `alive` marks
     the slots in use, and a removed ray only clears its bit there.  A step
-    walks the rays in slot order, the set bits of `alive`.  Bit b of
+    walks the rays in slot order, the list `slots` of the set bits of
+    `alive`, which is rebuilt only in a step that removes rays.  Bit b of
     a ray's tight mask is the b-th processed constraint, and `tight_on[b]`
     masks the slots of the rays tight on it.  A positive and a negative ray
     whose tight masks meet in `common` (at least m - 1 constraints) are
@@ -92,7 +117,8 @@ def hrep(V):
     the next slot and sets its bit in `alive` and in `tight_on[b]` for each
     bit b of its tight mask.  Adjacency is a property of the cone before
     the step, and those rays are its extreme rays; a new ray lies inside a
-    two-dimensional face of that cone, so it is not one of them.
+    two-dimensional face of that cone, so it is not one of them.  New slots
+    are the highest, so appending them keeps `slots` ascending.
     """
     m = V.m
     dim = m + 1
@@ -108,19 +134,17 @@ def hrep(V):
     tight = [(1 << dim) - 1 - (1 << i) for i in range(dim)]
     alive = (1 << dim) - 1
     tight_on = [alive ^ (1 << b) for b in range(dim)]
+    slots = list(range(dim))   # the set bits of alive, ascending
 
     need = m - 1   # adjacent rays share at least m - 1 tight constraints
     chosen = set(basis_idx)
     rest = [i for i in range(len(cons)) if i not in chosen]
 
     for ci in rest:
-        nz = [(j, x) for j, x in enumerate(cons[ci]) if x]
         bit = 1 << len(tight_on)
         pos, neg = [], []
         zero = 0
-        for k in mask_bits(alive):
-            r = rays[k]
-            v = sum(r[j] * x for j, x in nz)
+        for k, v in zip(slots, _products(cons[ci], [rays[k] for k in slots])):
             if v > 0:
                 pos.append((k, v))
             elif v == 0:
@@ -166,7 +190,9 @@ def hrep(V):
         for k, _, _ in neg:
             rays[k] = tight[k] = None
             alive ^= 1 << k
+        slots = [k for k in slots if rays[k] is not None]
         for ray, t in new:
+            slots.append(len(rays))
             slot = 1 << len(rays)
             rays.append(ray)
             tight.append(t)
@@ -174,7 +200,7 @@ def hrep(V):
             for b in mask_bits(t):
                 tight_on[b] |= slot
 
-    facets = [Inequality([-v for v in rays[k][1:]], rays[k][0]) for k in mask_bits(alive)]
+    facets = [Inequality([-v for v in rays[k][1:]], rays[k][0]) for k in slots]
     facets.sort(key=lambda q: (q.coeffs, q.rhs))
     return HRep(tuple(facets))
 
@@ -218,27 +244,26 @@ def face_dimension(q, V):
 def classify(q, g):
     """Exclusive classification of a canonical facet row against its graph.
 
-    Precedence: nonnegativity, degree, blossom, family, other.
+    Precedence: nonnegativity, degree, blossom, family, other.  The row is
+    read once, into the edge-id masks of its +1, -1 and other coefficients
+    (`Inequality.sign_masks`), and each class is a few tests on them.
     """
     _check_width(q, g.m)
-    ints, rhs = q.canonical()
-    support = [i + 1 for i, c in enumerate(ints) if c != 0]
-    sup = sum(1 << e for e in support)   # edge-id mask
+    _, rhs = q.canonical()
+    plus, minus, other = q.sign_masks
 
-    if rhs == 0 and len(support) == 1 and ints[support[0] - 1] == -1:
-        return FacetClass("nonnegativity", (support[0],))
+    if rhs == 0 and not plus | other and minus.bit_count() == 1:
+        return FacetClass("nonnegativity", (minus.bit_length() - 1,))
 
-    if rhs == 1 and sup and all(c in (0, 1) for c in ints):
-        for v in range(1, g.n + 1):
-            if g.incident_masks[v] == sup:
-                return FacetClass("degree", (v,))
-
-    if all(c in (0, 1) for c in ints):
-        H = g.cover_mask(support)
+    if not minus | other:   # a 0/1 row, with support plus
+        # entry 0 of incident_masks is 0, so a nonzero plus is found at a vertex
+        if rhs == 1 and plus and plus in g.incident_masks:
+            return FacetClass("degree", (g.incident_masks.index(plus),))
+        H = union_over(g.endpoint_masks, plus)
         size = H.bit_count()
         if size >= 3 and size % 2 == 1 and rhs == (size - 1) // 2:
             outside = union_over(g.incident_masks, g.all_vertices & ~H)
-            if sup == union_over(g.incident_masks, H) & ~outside:
+            if plus == union_over(g.incident_masks, H) & ~outside:
                 return FacetClass("blossom", (tuple(mask_bits(H)),))
 
     fam = family_pair(g, q)

@@ -35,6 +35,22 @@ class TestInequality:
         assert (q.evaluate(x) <= q.rhs) == (lhs <= rhs)
         assert (q.evaluate(x) == q.rhs) == (lhs == rhs)
 
+    @given(st.lists(st.integers(-3, 3), max_size=8), st.integers(-2, 2))
+    def test_sign_masks_split_the_stored_row(self, coeffs, rhs):
+        q = Inequality(coeffs, rhs)
+        plus, minus, other = q.sign_masks
+        for mask, keep in ((plus, lambda c: c == 1), (minus, lambda c: c == -1),
+                           (other, lambda c: c not in (-1, 0, 1))):
+            assert mask == sum(1 << j for j, c in enumerate(q.coeffs, start=1) if keep(c))
+
+    def test_with_tag_changes_only_the_tag(self):
+        q = Inequality([2, -4, 0], 6, provenance="pair=(1,2)")
+        masks = q.sign_masks   # cached on q, so the copy carries it
+        t = q.with_tag("other")
+        assert (t.coeffs, t.rhs, t.tag, t.provenance) == ((1, -2, 0), 3, "other", "pair=(1,2)")
+        assert t.sign_masks == masks and q.tag == ""
+        assert t == Inequality([1, -2, 0], 3, tag="other", provenance="pair=(1,2)")
+
 
 class TestParse:
     def test_line_gives_primitive_int_row(self):

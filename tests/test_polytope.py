@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from cmpoly import polytope
-from cmpoly.facet_family import family_inequality
+from cmpoly.facet_family import family_inequality, is_disconnected_pair, lambda_set
 from cmpoly.graph_core import Graph, GraphError, generate
 from cmpoly.inequality import Inequality
 from cmpoly.matchings import enumerate_connected_matchings
@@ -127,6 +127,16 @@ def random_int_vrep(rng):
     d = rng.randint(1, 5)
     pts = {tuple(rng.randint(-3, 3) for _ in range(d))
            for _ in range(rng.randint(d + 1, d + 12))}
+    return VRep(d, tuple(sorted(pts)))
+
+
+def random_rational_vrep(rng):
+    """Up to d + 10 distinct points with d <= 5 and coordinates k/q for k in
+    [-6, 6] and q in 1..4, so that a point row (1, p), scaled to integers,
+    leads with the lcm of its denominators and carries several values."""
+    d = rng.randint(1, 5)
+    pts = {tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d))
+           for _ in range(rng.randint(d + 1, d + 10))}
     return VRep(d, tuple(sorted(pts)))
 
 
@@ -269,6 +279,32 @@ class TestHrepAgainstScan:
             assert facet_rows(hrep(V)) == facet_rows(reference_hrep(V)), V
             full += 1
         assert full >= 250 and flat >= 1
+
+    def test_rational_vreps(self):
+        """Point rows that lead with an entry other than 1 and hold several
+        values, each value a group of `_products`."""
+        rng = random.Random(23)
+        full = led = several = 0
+        for _ in range(150):
+            V = random_rational_vrep(rng)
+            if affine_dimension(V.points) < V.m:
+                continue
+            assert facet_rows(hrep(V)) == facet_rows(reference_hrep(V)), V
+            full += 1
+            rows = [integer_row((1, *p)) for p in V.points]
+            led += any(row[0] != 1 for row in rows)
+            several += any(len(set(row) - {0}) >= 3 for row in rows)
+        assert full >= 140 and led >= 140 and several >= 100
+
+    def test_products_match_the_plain_sum(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            a = [rng.choice((0, 0, 1, -1, 2, 3, -5)) for _ in range(n)]
+            a[rng.randrange(n)] = rng.randint(1, 4)   # at least one nonzero entry
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randint(0, 6))]
+            assert polytope._products(a, rows) == [sum(x * y for x, y in zip(a, r))
+                                                   for r in rows], (a, rows)
 
 
 class TestVerifyValid:
@@ -483,6 +519,22 @@ class TestClassify:
                 kinds.add(got.kind)
         assert kinds == {"nonnegativity", "degree", "blossom", "family", "other"}
 
+    def test_matches_reference_off_facets(self):
+        """Rows that need not be facets, as `cmpoly classify --ineq` reads
+        them: random rows with entries in -2..2 and rhs in 0..3, and each
+        class row of the graph next to its near misses."""
+        rng = random.Random(31)
+        kinds = set()
+        for name in CLASSIFY_NAMED:
+            g = generate(name)
+            rows = [Inequality([rng.randint(-2, 2) for _ in range(g.m)], rng.randint(0, 3))
+                    for _ in range(30)]
+            for q in [*rows, *class_rows_and_near_misses(g, rng)]:
+                got = classify(q, g)
+                assert got == reference_classify(q, g), (name, q.format_line())
+                kinds.add(got.kind)
+        assert kinds == {"nonnegativity", "degree", "blossom", "family", "other"}
+
 
 def reference_classify(q, g):
     """The set-based classification: degree rows against incident-edge sets,
@@ -521,6 +573,39 @@ def reference_classify(q, g):
 
 CLASSIFY_NAMED = (["path:%d" % k for k in range(2, 8)] + ["cycle:%d" % k for k in range(3, 8)]
                   + ["cube:3", "petersen", "j26"])
+
+
+def class_rows_and_near_misses(g, rng):
+    """Rows of each class of g, each with rows one change away: -x_e <= 0
+    with rhs 1; a degree row plus one edge; a blossom row over the induced
+    edges of a random odd vertex set, with its rhs one off either way; a
+    family row with a 2 on a pair edge or on an edge off the row, and one
+    missing a lambda edge."""
+    def row(ones=(), minus=(), twos=(), rhs=1):
+        coeffs = [0] * g.m
+        for edges, c in ((ones, 1), (minus, -1), (twos, 2)):
+            for e in edges:
+                coeffs[e - 1] = c
+        return Inequality(coeffs, rhs)
+
+    edges = range(1, g.m + 1)
+    rows = [row(minus=(e,), rhs=r) for e in edges for r in (0, 1)]
+    for v in range(1, g.n + 1):
+        inc = g.incident_edges(v)
+        rest = [e for e in edges if e not in inc]
+        rows += [row(inc)] + ([row([*inc, rng.choice(rest)])] if rest else [])
+    for _ in range(8 if g.n >= 3 else 0):
+        H = rng.sample(range(1, g.n + 1), rng.choice([k for k in (3, 5, 7) if k <= g.n]))
+        induced = [e for e, (u, v) in enumerate(g.edges, start=1) if u in H and v in H]
+        rows += [row(induced, rhs=(len(H) - 1) // 2 + d) for d in (-1, 0, 1)]
+    for e1, e2 in combinations(edges, 2):
+        if is_disconnected_pair(g, e1, e2):
+            lam = lambda_set(g, e1, e2)
+            off = [e for e in edges if e not in (e1, e2, *lam)]
+            rows += [row((e1, e2), lam), row((e1,), lam, twos=(e2,))]
+            rows += [row((e1, e2), lam, twos=(rng.choice(off),))] if off else []
+            rows += [row((e1, e2), lam[:i] + lam[i + 1:]) for i in range(len(lam))]
+    return rows
 
 
 class TestExport:
