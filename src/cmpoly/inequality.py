@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .rational_la import exact_number, integer_row
+from .rational_la import exact_number, integer_row, products
 
 _INT_TOKEN = re.compile(r"[-+]?[0-9]+").fullmatch
 
@@ -35,10 +35,6 @@ class Inequality:
     @property
     def m(self):
         return len(self.coeffs)
-
-    @cached_property
-    def _support(self):   # nonzero (index, coefficient) pairs, on first use
-        return tuple((j, c) for j, c in enumerate(self.coeffs) if c)
 
     @cached_property
     def sign_masks(self):
@@ -64,8 +60,8 @@ class Inequality:
         return q
 
     def evaluate(self, x):
-        """coeffs . x, summed over the nonzero (index, coefficient) pairs."""
-        return sum([c * x[j] for j, c in self._support])
+        """coeffs . x, by `rational_la.products`."""
+        return products(self.coeffs, [x])[0]
 
     def canonical(self):
         """Integer form (coeff tuple, rhs) with overall gcd 1: the stored row."""

@@ -4,13 +4,14 @@ facet verification and classification, and interop export."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, itemgetter
+from itertools import chain
 
 from .facet_family import family_pair
 from .graph_core import GraphError, mask_bits, union_over
 from .inequality import Inequality
 from .matchings import DEFAULT_ENUM_LIMIT, enumerate_connected_matchings
-from .rational_la import affine_dimension, eliminate, integer_row, inverse_columns
+from .rational_la import (affine_dimension, eliminate, exact_number, integer_row,
+                          inverse_columns, products)
 
 
 @dataclass(frozen=True)
@@ -20,6 +21,8 @@ class VRep:
 
     def __post_init__(self):
         pts = tuple(map(tuple, self.points))
+        if any(issubclass(t, float) for t in {*map(type, chain.from_iterable(pts))}):
+            exact_number(next(x for x in chain.from_iterable(pts) if isinstance(x, float)))
         if len(set(pts)) != len(pts):
             raise ValueError("V-description points must be distinct")
         for p in pts:
@@ -58,27 +61,6 @@ def polytope_dimension(V):
     return affine_dimension(V.points)
 
 
-def _products(a, rows):
-    """The products a.r for each r in rows, as a list.
-
-    The nonzero entries of a are grouped by value: a group with value x on
-    the indices J adds x * sum(r[j] for j in J), and one itemgetter over J
-    with map(sum, ...) runs that sum for every row in builtins.  A 0/1 row
-    is a single group."""
-    groups = {}
-    for j, x in enumerate(a):
-        if x:
-            groups.setdefault(x, []).append(j)
-    out = None
-    for x, js in groups.items():
-        get = itemgetter(*js)   # a value for one index, a tuple for several
-        part = map(get, rows) if len(js) == 1 else map(sum, map(get, rows))
-        if x != 1:
-            part = map(x.__mul__, part)
-        out = list(part) if out is None else list(map(add, out, part))
-    return out
-
-
 def hrep(V):
     """Minimal facet description of a full-dimensional polytope given by its
     vertices, via the double description method on the polar of the
@@ -91,7 +73,7 @@ def hrep(V):
     small; aggressive reorderings (for example most-violated-first) were
     observed to inflate intermediates by two orders of magnitude on dense
     inputs.  Each step computes the products y.(1,p) over the live rays in
-    builtins (`_products`): the nonzero entries of (1,p) are grouped by
+    builtins (`products`): the nonzero entries of (1,p) are grouped by
     value, and each group is one `operator.itemgetter`, summed over all the
     rays at once by `map(sum, ...)`.  A 0/1 point gives a single group.
 
@@ -144,7 +126,7 @@ def hrep(V):
         bit = 1 << len(tight_on)
         pos, neg = [], []
         zero = 0
-        for k, v in zip(slots, _products(cons[ci], [rays[k] for k in slots])):
+        for k, v in zip(slots, products(cons[ci], [rays[k] for k in slots])):
             if v > 0:
                 pos.append((k, v))
             elif v == 0:
@@ -215,24 +197,21 @@ def _check_width(q, m):
 def verify_valid(q, V):
     """Points of V violating q (empty list means q is valid)."""
     _check_width(q, V.m)
-    return [p for p in V.points if q.evaluate(p) > q.rhs]
+    return [p for p, v in zip(V.points, products(q.coeffs, V.points)) if v > q.rhs]
 
 
 def face_dimension(q, V):
     """Affine dimension of the tight vertex set; -1 for an empty face.
 
-    One pass evaluates each point once, raises on a violated one and keeps
-    the tight ones.  Column j with q_j != 0 is dropped: on q.p = rhs it is an
-    affine combination of the constant column and the others, so the rank of
-    the rows (1, *p) is kept and `eliminate` ends a facet at rank m."""
+    One `products` call evaluates each point once; a violated one raises, and
+    the tight ones are kept.  Column j with q_j != 0 is dropped: on q.p = rhs
+    it is an affine combination of the constant column and the others, so the
+    rank of the rows (1, *p) is kept and `eliminate` ends a facet at rank m."""
     _check_width(q, V.m)
-    tight = []
-    for p in V.points:
-        v = q.evaluate(p)
-        if v > q.rhs:
-            raise GraphError("inequality is not valid on the V-description")
-        if v == q.rhs:
-            tight.append(p)
+    values = products(q.coeffs, V.points)
+    if max(values, default=q.rhs) > q.rhs:
+        raise GraphError("inequality is not valid on the V-description")
+    tight = [p for p, v in zip(V.points, values) if v == q.rhs]
     if not tight:
         return -1
     j = next((j for j, c in enumerate(q.coeffs) if c), None)

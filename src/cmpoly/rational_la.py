@@ -1,18 +1,21 @@
 """Exact linear algebra over the rationals, computed in integers.
 
 A number from outside enters through `exact_number`, and a rational row
-through `integer_row`, its primitive integer multiple.  `eliminate` is the
-first-fit elimination over integer rows, with one row rule: against a pivot
-p = e[c], a row with entry f != 0 in column c becomes the primitive multiple
-of p*row - f*e, and a row with a zero there stays as it is (the rule
-`solver.Dictionary.pivot` applies inline).  Rank, affine dimension, basis
-selection and basis inverses are read off its output.
+through `integer_row`, its primitive integer multiple; `products` multiplies
+a row by a list of points.  `eliminate` is the first-fit elimination over
+integer rows, with one row rule: against a pivot p = e[c], a row with entry
+f != 0 in column c becomes the primitive multiple of p*row - f*e, and a row
+with a zero there stays as it is (the rule `solver.Dictionary.pivot` applies
+inline).  Rank, affine dimension, basis selection and basis inverses are
+read off its output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
+from operator import add, itemgetter, mul
 
 
 def exact_number(x):
@@ -42,6 +45,27 @@ def integer_row(values):
         values = [x.numerator * (scale // x.denominator) for x in values]
     g = gcd(*values)
     return [x // g for x in values] if g > 1 else list(values)
+
+
+def products(a, rows):
+    """The products a.r for each r in rows, as a list; zeros when a is zero.
+    Entries may be ints and Fractions, mixed.
+
+    The nonzero entries of a are grouped by value: a group with value x on
+    the indices J adds x * sum(r[j] for j in J), and one itemgetter over J
+    with map(sum, ...) runs that sum for every row in builtins."""
+    groups = {}
+    for j, x in enumerate(a):
+        if x:
+            groups.setdefault(x, []).append(j)
+    out = None
+    for x, js in groups.items():
+        get = itemgetter(*js)   # a value for one index, a tuple for several
+        part = map(get, rows) if len(js) == 1 else map(sum, map(get, rows))
+        if x != 1:
+            part = map(partial(mul, x), part)
+        out = list(part) if out is None else list(map(add, out, part))
+    return [0] * len(rows) if out is None else out
 
 
 def eliminate(rows):

@@ -26,6 +26,13 @@ def random_connected_graph(seed, n_lo=4, n_hi=8, max_extra=4, m_cap=12):
     return Graph(n, tuple(sorted(edges)))
 
 
+def random_weights(seed, m):
+    """Seeded weights in [-5, 5], each a ratio with denominator at most 4."""
+    rng = random.Random(seed)
+    return [max(min(Fraction(rng.randint(-20, 20), rng.randint(1, 4)),
+                    Fraction(5)), Fraction(-5)) for _ in range(m)]
+
+
 BIG = 10 ** 30
 
 

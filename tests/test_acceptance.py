@@ -19,7 +19,7 @@ from cmpoly.polytope import (VRep, classify, face_dimension, hrep, polytope_dime
 from cmpoly.rational_la import affine_dimension
 from cmpoly.solver import branch_and_cut
 
-from conftest import class_histogram, random_connected_graph, root_gap_report
+from conftest import class_histogram, random_connected_graph, random_weights, root_gap_report
 
 
 NAMED_CORPUS = (["path:%d" % k for k in range(2, 8)]
@@ -60,13 +60,6 @@ def report(capsys, num, name, ok, extra=""):
         print("[criterion %d] %s: %s%s"
               % (num, name, verdict, " (%s)" % extra if extra else ""))
     assert ok, "criterion %d (%s) failed" % (num, name)
-
-
-def random_weights(seed, m):
-    import random
-    rng = random.Random(seed)
-    return [max(min(Fraction(rng.randint(-20, 20), rng.randint(1, 4)),
-                    Fraction(5)), Fraction(-5)) for _ in range(m)]
 
 
 def test_criterion_1_j26_census(capsys):

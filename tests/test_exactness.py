@@ -92,10 +92,12 @@ def test_entry_sites_take_exact_numbers_only(site):
     assert f(Fraction(1, 10)) == f("1/10")
 
 
-# a float that reaches `integer_row` inside a row, not through exact_number
+# a float inside a row or a point, which the caller did not pass through
+# exact_number
 FLOAT_ROW_SITES = {
     "Inequality": lambda: Inequality((0.1, 1), 1),
     "hrep": lambda: hrep(VRep(2, ((0, 0), (0.5, 0), (0, 1)))),
+    "VRep": lambda: VRep(2, [(0, 0), (0.1, 0), (0, 1)]),
     "rank": lambda: rank([[0.5, 1]]),
 }
 

@@ -15,7 +15,7 @@ from cmpoly.matchings import enumerate_connected_matchings
 from cmpoly.polytope import (FacetClass, HRep, VRep, classify, export_vrep_interop,
                              face_dimension, hrep, polytope_dimension, verify_valid, vrep)
 from cmpoly.rational_la import (affine_dimension, eliminate, integer_row, inverse_columns,
-                                rank)
+                                products, rank)
 
 from conftest import (assert_primitive_int_row, class_histogram, random_connected_graph,
                       set_bfs_components, to_networkx)
@@ -282,7 +282,7 @@ class TestHrepAgainstScan:
 
     def test_rational_vreps(self):
         """Point rows that lead with an entry other than 1 and hold several
-        values, each value a group of `_products`."""
+        values, each value a group of `rational_la.products`."""
         rng = random.Random(23)
         full = led = several = 0
         for _ in range(150):
@@ -295,16 +295,6 @@ class TestHrepAgainstScan:
             led += any(row[0] != 1 for row in rows)
             several += any(len(set(row) - {0}) >= 3 for row in rows)
         assert full >= 140 and led >= 140 and several >= 100
-
-    def test_products_match_the_plain_sum(self):
-        rng = random.Random(29)
-        for _ in range(200):
-            n = rng.randint(1, 7)
-            a = [rng.choice((0, 0, 1, -1, 2, 3, -5)) for _ in range(n)]
-            a[rng.randrange(n)] = rng.randint(1, 4)   # at least one nonzero entry
-            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randint(0, 6))]
-            assert polytope._products(a, rows) == [sum(x * y for x, y in zip(a, r))
-                                                   for r in rows], (a, rows)
 
 
 class TestVerifyValid:
@@ -385,7 +375,7 @@ class TestFaceDimension:
 def reference_face_dimension(q, V):
     """face_dimension's former body: a validity pass, then a pass for the
     tight points, then the affine dimension over all m columns.  Rows are
-    evaluated by a zip over every coefficient, not by `Inequality.evaluate`."""
+    evaluated by a zip over every coefficient, not by `rational_la.products`."""
     if q.m != V.m:
         raise GraphError(f"row has {q.m} coefficients, the graph has {V.m} edges")
     values = [sum(c * x for c, x in zip(q.coeffs, p)) for p in V.points]
@@ -440,21 +430,21 @@ class TestFaceDimensionAgainstReference:
             self.assert_agree(random_int_vrep(rng), rng)
 
     def test_one_pass_and_one_column_fewer(self, monkeypatch):
-        """Each point is evaluated once, verify_valid is not called, and a
-        row with a nonzero coefficient leaves m - 1 columns to the rank."""
+        """Each point is evaluated once, by one call of the product kernel,
+        verify_valid is not called, and a row with a nonzero coefficient
+        leaves m - 1 columns to the rank."""
         V = vrep(generate("cycle:6"))
         calls, widths = [], []
-        evaluate = Inequality.evaluate
-        monkeypatch.setattr(Inequality, "evaluate",
-                            lambda q, x: calls.append(x) or evaluate(q, x))
+        monkeypatch.setattr(polytope, "products",
+                            lambda a, rows: calls.append(list(rows)) or products(a, rows))
         monkeypatch.setattr(polytope, "verify_valid", None)
         monkeypatch.setattr(polytope, "affine_dimension",
                             lambda pts: widths.append(len(pts[0])) or affine_dimension(pts))
         assert face_dimension(family_inequality(generate("cycle:6"), 1, 4), V) == 5
-        assert sorted(calls) == sorted(V.points) and widths == [5]
+        assert calls == [list(V.points)] and widths == [5]
         calls.clear()
         assert face_dimension(Inequality([0] * 6, 0), V) == 6
-        assert len(calls) == len(V.points) and widths == [5, 6]
+        assert calls == [list(V.points)] and widths == [5, 6]
 
     def test_wrong_width_raises_before_reading_a_point(self):
         class Unread:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from cmpoly.graph_core import generate
 from cmpoly.polytope import vrep
 from cmpoly.rational_la import (affine_dimension, eliminate, integer_row,
-                                inverse_columns, rank)
+                                inverse_columns, products, rank)
 
 
 small_matrix = st.lists(
@@ -222,6 +223,29 @@ class TestIntegerRow:
 
     def test_zero_row(self):
         assert integer_row([0, Fraction(0)]) == [0, 0]
+
+
+class TestProducts:
+    def test_match_the_plain_sum(self):
+        """Int and Fraction entries, mixed, in the row and in the points; an
+        all-zero row, and no points at all."""
+        rng = random.Random(29)
+        entries = (0, 0, 1, -1, 2, 3, -5, Fraction(1, 2), Fraction(-2, 3))
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            a = [rng.choice(entries) for _ in range(n)]
+            rows = [[rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 4)))
+                     for _ in range(n)] for _ in range(rng.randint(0, 6))]
+            assert products(a, rows) == [sum(x * y for x, y in zip(a, r)) for r in rows], (a, rows)
+
+    def test_int_row_by_fraction_points(self):
+        """int.__mul__ does not take a Fraction; the kernel multiplies anyway."""
+        assert products([2, 0, -1], [[Fraction(1, 2), 5, Fraction(1, 3)]]) == [Fraction(2, 3)]
+        assert products([3, 3], [[Fraction(1, 3), Fraction(1, 2)]]) == [Fraction(5, 2)]
+
+    def test_zero_row(self):
+        assert products([0, 0, 0], [[1, 2, 3], [Fraction(1, 2), 0, 4]]) == [0, 0]
+        assert products([0, 0], []) == [] and products([], [(), ()]) == [0, 0]
 
 
 def test_exactness_two_routes():

@@ -8,14 +8,8 @@ from cmpoly.graph_core import Graph, GraphError, generate, mask_bits
 from cmpoly.matchings import brute_force_max_weight_cm, enumerate_connected_matchings, is_connected_matching
 from cmpoly.solver import SolveConfig, branch_and_cut, build_base_lp, solve_lp_exact
 
-from conftest import (assert_primitive_int_row, random_connected_graph, root_gap_report,
-                      spread_weights)
-
-
-def random_weights(seed, m):
-    rng = random.Random(seed)
-    return [max(min(Fraction(rng.randint(-20, 20), rng.randint(1, 4)),
-                    Fraction(5)), Fraction(-5)) for _ in range(m)]
+from conftest import (assert_primitive_int_row, random_connected_graph, random_weights,
+                      root_gap_report, spread_weights)
 
 
 class TestBuildBaseLp:
