@@ -15,7 +15,9 @@ from functools import cached_property
 
 from .rational_la import exact_number, integer_row, products
 
-_INT_TOKEN = re.compile(r"[-+]?[0-9]+").fullmatch
+_INT = r"[-+]?[0-9]+"   # an ASCII integer token
+_INT_TOKEN = re.compile(_INT).fullmatch
+_INT_TOKENS = re.compile(rf"{_INT}(?: {_INT})*").fullmatch   # tokens joined by " "
 
 
 @dataclass(frozen=True)
@@ -92,13 +94,26 @@ def parse_entry(t, line):
         raise ValueError(f"bad inequality entry {t!r} in line {line!r}") from None
 
 
+def _read_tokens(tokens, line):
+    """The tokens of a row, each read as `parse_entry` reads it.  When every
+    token is an ASCII integer, one fullmatch over the joined tokens says so
+    and they are read by `map(int, ...)`; a line with any other token, or an
+    integer past int()'s digit limit, is read token by token."""
+    if _INT_TOKENS(" ".join(tokens)):
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
+    return [parse_entry(t, line) for t in tokens]
+
+
 def parse_inequality_line(line):
     """Parse one `<c1> ... <cm> <= <rhs>` row of `parse_entry` tokens; # comment is the tag."""
     body, _, comment = line.partition("#")
     lhs, sense, rhs = body.rpartition("<=")
     if not sense or len(rhs.split()) != 1:
         raise ValueError(f"bad inequality line: {line!r}")
-    *coeffs, rhs = [parse_entry(t, line) for t in [*lhs.split(), rhs.strip()]]
+    *coeffs, rhs = _read_tokens([*lhs.split(), rhs.strip()], line)
     tag = ""
     tm = re.search(r"tag=(\S+)", comment)
     if tm:

@@ -4,6 +4,7 @@ facet verification and classification, and interop export."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 from .facet_family import family_pair
@@ -16,6 +17,9 @@ from .rational_la import (affine_dimension, eliminate, exact_number, integer_row
 
 @dataclass(frozen=True)
 class VRep:
+    """The points of a polytope in R^m, distinct, as tuples, and their
+    homogenized integer rows, `rows`."""
+
     m: int
     points: tuple
 
@@ -29,6 +33,13 @@ class VRep:
             if len(p) != self.m:
                 raise ValueError("point dimension mismatch")
         object.__setattr__(self, "points", pts)
+
+    @cached_property
+    def rows(self):
+        """Each point's row (1, *p) as a primitive integer tuple, built on
+        first use and kept: `hrep` and every `face_dimension` call on this V
+        read them, so a point is scaled to integers once."""
+        return tuple(tuple(integer_row((1, *p))) for p in self.points)
 
 
 @dataclass(frozen=True)
@@ -104,7 +115,7 @@ def hrep(V):
     """
     m = V.m
     dim = m + 1
-    cons = [integer_row((1, *p)) for p in V.points]
+    cons = V.rows
     basis_idx, _ = eliminate(cons)
     if len(basis_idx) != dim:
         raise GraphError("hrep requires a full-dimensional V-description")
@@ -204,20 +215,21 @@ def face_dimension(q, V):
     """Affine dimension of the tight vertex set; -1 for an empty face.
 
     One `products` call evaluates each point once; a violated one raises, and
-    the tight ones are kept.  Column j with q_j != 0 is dropped: on q.p = rhs
-    it is an affine combination of the constant column and the others, so the
-    rank of the rows (1, *p) is kept and `eliminate` ends a facet at rank m."""
+    the rows of the tight ones are taken from `V.rows`.  The column of the
+    first nonzero coefficient is dropped: on q.p = rhs it is an affine
+    combination of the constant column and the others, so the rank of the
+    rows is kept and `eliminate` ends a facet at rank m."""
     _check_width(q, V.m)
     values = products(q.coeffs, V.points)
     if max(values, default=q.rhs) > q.rhs:
         raise GraphError("inequality is not valid on the V-description")
-    tight = [p for p, v in zip(V.points, values) if v == q.rhs]
+    tight = [r for r, v in zip(V.rows, values) if v == q.rhs]
     if not tight:
         return -1
-    j = next((j for j, c in enumerate(q.coeffs) if c), None)
+    j = next((j for j, c in enumerate(q.coeffs, start=1) if c), None)
     if j is not None:
-        tight = [p[:j] + p[j + 1:] for p in tight]
-    return affine_dimension(tight)
+        tight = [r[:j] + r[j + 1:] for r in tight]
+    return len(eliminate(tight)[0]) - 1
 
 
 def classify(q, g):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cmpoly import inequality
 from cmpoly.inequality import Inequality, parse_entry, parse_inequality_line
 
 from conftest import assert_primitive_int_row
@@ -13,6 +14,25 @@ fracs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 rows_and_points = st.integers(1, 5).flatmap(
     lambda m: st.tuples(st.lists(fracs, min_size=m, max_size=m),
                         st.lists(fracs, min_size=m, max_size=m)))
+
+
+def reference_parse_line(line):
+    """`parse_inequality_line` with `parse_entry` applied to every token."""
+    body, _, comment = line.partition("#")
+    lhs, sense, rhs = body.rpartition("<=")
+    if not sense or len(rhs.split()) != 1:
+        raise ValueError(f"bad inequality line: {line!r}")
+    *coeffs, rhs = [parse_entry(t, line) for t in [*lhs.split(), rhs.strip()]]
+    tag = re.search(r"tag=(\S+)", comment)
+    return Inequality(coeffs, rhs, tag=tag[1] if tag else "", provenance=comment.strip())
+
+
+def parsed_or_error(parse, line):
+    try:
+        q = parse(line)
+    except ValueError as e:
+        return "ValueError", str(e)
+    return q.coeffs, q.rhs, q.tag, q.provenance
 
 
 class TestInequality:
@@ -92,3 +112,31 @@ class TestParse:
     def test_line_without_one_rhs_token_is_bad(self, line):
         with pytest.raises(ValueError, match=re.escape(f"bad inequality line: {line!r}")):
             parse_inequality_line(line)
+
+    # Tokens int() reads that the ASCII-integer rule refuses (an underscore,
+    # an Arabic-Indic and a fullwidth digit); signed ASCII integers; a
+    # rational and a decimal; and an ASCII integer past int()'s digit limit.
+    @pytest.mark.parametrize("t", ["1_0", "\u0663", "\uff11", "+1", "-0", "1/2", "1.5",
+                                   "1" * 5000],
+                             ids=["underscore", "arabic-indic", "fullwidth", "plus", "minus-zero",
+                                  "rational", "decimal", "past-digit-limit"])
+    @pytest.mark.parametrize("where", ["coefficient", "rhs"])
+    def test_row_reads_as_token_by_token(self, t, where, monkeypatch):
+        """A line gives the row and provenance, or the error, that reading
+        each token with `parse_entry` gives on this Python; and only a line
+        of ASCII integers that int() takes skips `parse_entry`."""
+        line = (f"{t} -1 0 <= 1  # tag=x pair=(1,2)" if where == "coefficient"
+                else f"2 -1 0 <= {t}  # tag=x pair=(1,2)")
+        want = parsed_or_error(reference_parse_line, line)
+        seen = []
+        monkeypatch.setattr(inequality, "parse_entry",
+                            lambda token, line: seen.append(token) or parse_entry(token, line))
+        assert parsed_or_error(parse_inequality_line, line) == want
+        whole_line = bool(re.fullmatch(r"[-+]?[0-9]+", t))
+        if whole_line:
+            try:
+                int(t)
+            except ValueError:   # past int()'s digit limit
+                whole_line = False
+        assert (seen == []) == whole_line
+        assert whole_line or t in seen

@@ -429,22 +429,62 @@ class TestFaceDimensionAgainstReference:
         for _ in range(60):
             self.assert_agree(random_int_vrep(rng), rng)
 
+    def test_rational(self):
+        """Fraction coordinates, so that `V.rows` comes from `integer_row`'s
+        lcm path and a row leads with an entry other than 1."""
+        rng = random.Random(19)
+        led = 0
+        for _ in range(60):
+            V = random_rational_vrep(rng)
+            self.assert_agree(V, rng)
+            led += any(row[0] != 1 for row in V.rows)
+        assert led >= 55
+
+    def test_zero_dimensional(self):
+        """The one point of R^0: the empty row is tight on it (dimension 0),
+        slack with rhs 1 (-1) and violated with rhs -1."""
+        V = VRep(0, ((),))
+        assert V.rows == ((1,),)
+        self.assert_agree(V, random.Random(0))
+        assert [face_dimension_or_error(Inequality([], b), V, face_dimension)
+                for b in (0, 1, -1)] == [0, -1, "GraphError"]
+
+    def test_rows_are_read_not_changed(self):
+        """`V.rows` is built once, holds the primitive integer row (1, *p)
+        of each point as a tuple, and neither it nor `V.points` changes
+        under `hrep` and several `face_dimension` calls on the same V."""
+        rng = random.Random(29)
+        V = random_rational_vrep(rng)
+        while affine_dimension(V.points) < V.m:
+            V = random_rational_vrep(rng)
+        points = V.points
+        rows = V.rows
+        assert rows == tuple(tuple(integer_row((1, *p))) for p in points)
+        assert all(type(row) is tuple for row in rows)
+        facets = hrep(V).facets
+        for q in [*facets, *face_rows(V, rng)]:
+            face_dimension_or_error(q, V, face_dimension)
+        assert all(face_dimension(q, V) == V.m - 1 for q in facets)
+        assert V.rows is rows and V.points is points
+        with pytest.raises(AttributeError):
+            V.rows = ()
+
     def test_one_pass_and_one_column_fewer(self, monkeypatch):
         """Each point is evaluated once, by one call of the product kernel,
         verify_valid is not called, and a row with a nonzero coefficient
-        leaves m - 1 columns to the rank."""
+        leaves m of the m + 1 columns of `V.rows` to the elimination."""
         V = vrep(generate("cycle:6"))
         calls, widths = [], []
         monkeypatch.setattr(polytope, "products",
                             lambda a, rows: calls.append(list(rows)) or products(a, rows))
         monkeypatch.setattr(polytope, "verify_valid", None)
-        monkeypatch.setattr(polytope, "affine_dimension",
-                            lambda pts: widths.append(len(pts[0])) or affine_dimension(pts))
+        monkeypatch.setattr(polytope, "eliminate",
+                            lambda rows: widths.append(len(rows[0])) or eliminate(rows))
         assert face_dimension(family_inequality(generate("cycle:6"), 1, 4), V) == 5
-        assert calls == [list(V.points)] and widths == [5]
+        assert calls == [list(V.points)] and widths == [6]
         calls.clear()
         assert face_dimension(Inequality([0] * 6, 0), V) == 6
-        assert calls == [list(V.points)] and widths == [5, 6]
+        assert calls == [list(V.points)] and widths == [6, 7]
 
     def test_wrong_width_raises_before_reading_a_point(self):
         class Unread:
