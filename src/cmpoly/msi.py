@@ -20,7 +20,7 @@ be violated.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -129,27 +129,32 @@ def _min_vertex_cut(net, a, b, bound):
 
     One network serves every pair: no augmenting path enters the source or
     leaves the sink, so the arcs of a and b never carry flow and their
-    capacities never matter.  The cut is the set the source reaches in the
-    final residual graph, which is the same for every maximum flow; the
-    last, failed augmenting search visits exactly that set."""
+    capacities never matter.  Each augmenting path is a shortest one, found
+    breadth first (Edmonds & Karp 1972) with a parent arc per node, -1 while
+    unseen.  The cut is the set the source reaches in the final residual
+    graph, which is the same for every maximum flow; the last, failed
+    search visits exactly that set."""
     head, cap, out = net
     cap = cap[:]
     src, snk = 2 * a + 1, 2 * b
     flow = 0
     while flow < bound:
-        parent = {src: None}
-        queue = deque([src])
-        while queue and snk not in parent:
-            for i in out[queue.popleft()]:
-                v = head[i]
-                if cap[i] and v not in parent:
+        parent = [-1] * len(out)
+        parent[src] = len(head)   # seen, and no arc
+        queue = [src]
+        for u in queue:
+            for i in out[u]:
+                if cap[i] and parent[v := head[i]] < 0:
                     parent[v] = i
                     queue.append(v)
-        if snk not in parent:
-            return flow, vertex_mask(u >> 1 for u in parent if not u & 1 and u + 1 not in parent)
+            if parent[snk] >= 0:
+                break
+        else:
+            return flow, vertex_mask(u >> 1 for u in queue if not u & 1 and parent[u + 1] < 0)
         path = []
         v = snk
-        while (i := parent[v]) is not None:
+        while v != src:
+            i = parent[v]
             path.append(i)
             v = head[i ^ 1]
         aug = min(cap[i] for i in path)
@@ -168,6 +173,13 @@ def separate_fractional(g, xstar):
     violation are minimalized, deduplicated, and returned in canonical order.
     Minimalizing keeps the violation: the row evaluates to y_a + y_b - y(C')
     with C' inside the cut, and y(cut) is the flow.
+
+    A pair is settled without a max-flow when b is reachable from a through
+    vertices v with y_v >= y_a + y_b - D: every separator holds one of them,
+    so no cut is below that bound, which is what `_min_vertex_cut` reports
+    with None.  Those vertices are a prefix of the vertices sorted by y, so
+    each bound reads its mask off the prefix masks; the network is built
+    only for the first pair that needs a max-flow.
     """
     xstar = [exact_number(x) for x in xstar]
     if len(xstar) != g.m:
@@ -185,13 +197,24 @@ def separate_fractional(g, xstar):
         if y[v] > D:
             raise GraphError(f"degree sum at vertex {v} exceeds 1")
     nbr = g.neighbor_masks
-    net = _split_network(g, y)
+    # the vertices with y_v >= t are prefix[bisect_right(key, -t)]
+    order = sorted(range(1, g.n + 1), key=y.__getitem__, reverse=True)
+    key, prefix = [-y[v] for v in order], [0]
+    for v in order:
+        prefix.append(prefix[-1] | 1 << v)
+    net = None
     cuts = {}
     for a in range(1, g.n + 1):
         for b in range(a + 1, g.n + 1):
             if nbr[a] >> b & 1 or y[a] + y[b] <= D:
                 continue
-            _flow, cut = _min_vertex_cut(net, a, b, y[a] + y[b] - D)
+            bound = y[a] + y[b] - D
+            room = prefix[bisect_right(key, -bound)] | 1 << a | 1 << b
+            if reach_within(nbr, room, 1 << a) >> b & 1:
+                continue
+            if net is None:
+                net = _split_network(g, y)
+            _flow, cut = _min_vertex_cut(net, a, b, bound)
             if cut is not None:
                 row = msi_row(g, a, b, _minimal(g, a, b, cut))
                 cuts.setdefault(row.canonical(), row)

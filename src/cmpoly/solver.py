@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
 from .facet_family import generate_family
 from .graph_core import GraphError, mask_bits
@@ -33,6 +34,8 @@ from .msi import lazy_cut_for_disconnected, separate_fractional, vertex_row
 CUT_ROUNDS = 5
 # degenerate pivots in a row after which primal_phase prices by Bland's rule
 DEGENERATE_RUN = 50
+# shared, as a Fraction is immutable: most entries of an LP point are 0 or 1
+ZERO, ONE = Fraction(0), Fraction(1)
 
 
 @dataclass
@@ -72,32 +75,52 @@ def build_base_lp(g, w, config=None):
     return Model(objective=w, rows=rows)
 
 
+def _picker(idx):
+    """The function taking a tuple to the tuple of its entries at the
+    indices idx, for any number of indices (itemgetter alone returns a bare
+    entry for one index and refuses none)."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return (lambda t: (t[idx[0]],)) if idx else (lambda t: ())
+
+
 def solve_lp_exact(model, fixed0=0, fixed1=0):
     """Exact optimum of  max c.x  s.t. rows, x >= 0, x_e = 0 for each bit e
     of the edge mask fixed0 and x_e = 1 for each bit e of fixed1, by
     `_simplex`: a dual phase 1 from the slack basis when a fix overdraws a
-    row, then the primal simplex (see `Dictionary`).
+    row, then the primal simplex (see `Dictionary`).  A mask with a bit
+    outside the edges 1..m, or an edge in both masks, raises GraphError.
 
     A fixed edge leaves the LP: its column is dropped, after it is subtracted
     from every rhs when fixed to 1.  A row left all zero over the free
     columns leaves too when its rhs is >= 0, since it holds at every x; one
     with a negative rhs stays, so an inconsistent fix is reported
-    infeasible.  Returns (value, xstar, pivots) with xstar over all m edges;
+    infeasible.  The rows are the model's int tuples, picked over the free
+    columns when some edge is fixed, so `Dictionary` takes them as they
+    stand.  Returns (value, xstar, pivots) with xstar over all m edges;
     (None, None, pivots) when the LP is infeasible.
     """
     c = model.objective
-    free = [j for j in range(len(c)) if not (fixed0 | fixed1) >> (j + 1) & 1]
+    m, fixed = len(c), fixed0 | fixed1
+    if fixed & ~((1 << m + 1) - 2):
+        raise GraphError(f"a fix mask names an edge outside 1..{m}")
+    if fixed0 & fixed1:
+        raise GraphError(f"edges {set(mask_bits(fixed0 & fixed1))} fixed to both 0 and 1")
+    free = [j for j in range(m) if not fixed >> (j + 1) & 1]
     ones = [e - 1 for e in mask_bits(fixed1)]
+    pick, shift = _picker(free), _picker(ones)
     A, b = [], []
     for q in model.rows + model.cut_pool:
-        a, bi = [q.coeffs[j] for j in free], q.rhs - sum(q.coeffs[j] for j in ones)
+        a, bi = q.coeffs, q.rhs
+        if fixed:
+            a, bi = pick(a), bi - sum(shift(a))
         if bi < 0 or any(a):
             A.append(a)
             b.append(bi)
     value, xfree, _basis, pivots = _simplex([c[j] for j in free], A, b)
     if value is None:
         return None, None, pivots
-    x = [Fraction(fixed1 >> e & 1) for e in range(1, len(c) + 1)]
+    x = [ONE if fixed1 >> e & 1 else ZERO for e in range(1, m + 1)]
     for j, xj in zip(free, xfree):
         x[j] = xj
     return value + sum(c[j] for j in ones), x, pivots
@@ -112,16 +135,28 @@ class Dictionary:
     2001): row i reads s[i]*x_basis[i] + sum_j T[i][j]*x_cols[j] = T[i][-1].
     Row i starts as (A_i, b_i) times the lcm of its denominators, which is
     its scale, so its slack is the LP's own and the objective row holds the
-    reduced costs of the LP as posed, all times one scale.  `dual_phase`
-    prices by Bland's rule, `primal_phase` by Dantzig's with a fallback to
-    Bland's.  `pivots` counts the pivots made."""
+    reduced costs of the LP as posed, all times one scale.  A row of ints
+    (`type(x) is int`) is taken as it stands with scale 1, which is what
+    `integer_row` gives it, as the gcd of the row and its scale 1 is 1; any
+    other row goes through `integer_row`.  `dual_phase` prices by Bland's
+    rule, `primal_phase` by Dantzig's with a fallback to Bland's.  `pivots`
+    counts the pivots made."""
 
     def __init__(self, c, A, b):
         n, k = len(c), len(A)
-        rows = [integer_row([*a, bi, 1]) for a, bi in zip(A, b)]
-        self.T = [r[:-1] for r in rows] + [integer_row([*c, 0])]
+        self.T, self.scale = [], []
+        for a, bi in zip(A, b):
+            r = [*a, bi]
+            if {*map(type, r)} == {int}:
+                s = 1
+            else:
+                *r, s = integer_row([*r, 1])
+            self.T.append(r)
+            self.scale.append(s)
+        self.T.append(integer_row([*c, 0]))
+        self.scale.append(1)
         self.basis, self.cols = list(range(n, n + k)), list(range(n))
-        self.scale, self.pivots = [r[-1] for r in rows] + [1], 0
+        self.pivots = 0
 
     def pivot(self, leave, enter):
         """On the leaving row e, with p = e[enter] > 0 (else e and s[leave]
@@ -207,12 +242,12 @@ class Dictionary:
             self.pivot(leave, enter)
 
     def solution(self):
-        """x at the current basis."""
+        """x at the current basis; its zeros and ones are ZERO and ONE."""
         n = len(self.cols)
-        x = [Fraction(0)] * n
+        x = [ZERO] * n
         for r, si, bi in zip(self.T, self.scale, self.basis):
-            if bi < n:
-                x[bi] = Fraction(r[-1], si)
+            if bi < n and (v := r[-1]):
+                x[bi] = ONE if v == si else Fraction(v, si)
         return x
 
 
@@ -224,7 +259,7 @@ def _simplex(c, A, b):
         return None, None, None, d.pivots
     d.primal_phase()
     x = d.solution()
-    value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
+    value = sum((ci * xi for ci, xi in zip(c, x) if xi), ZERO)
     return value, x, d.basis, d.pivots
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cmpoly import solver
+from cmpoly import msi, solver
 from cmpoly.graph_core import Graph, GraphError, generate
 from cmpoly.inequality import Inequality
 from cmpoly.matchings import enumerate_cm_sets, enumerate_connected_matchings, incidence_vector
@@ -482,6 +482,78 @@ class TestSeparateFractional:
         D = lcm(*[x.denominator for x in xstar])
         assert integer_row([*xstar, 1]) == [x.numerator * (D // x.denominator)
                                              for x in xstar] + [D]
+
+
+def spy_min_vertex_cut(monkeypatch):
+    """Record the (a, b) of every _min_vertex_cut call separate_fractional
+    makes, in order."""
+    calls = []
+    flow = msi._min_vertex_cut
+
+    def spied(net, a, b, bound):
+        calls.append((a, b))
+        return flow(net, a, b, bound)
+
+    monkeypatch.setattr(msi, "_min_vertex_cut", spied)
+    return calls
+
+
+def flow_pairs(g, xstar):
+    """The pairs separate_fractional must settle: non-adjacent, with
+    y_a + y_b > D."""
+    D = lcm(*[Fraction(x).denominator for x in xstar])
+    y = {v: sum((Fraction(xstar[e - 1]) for e in g.incident_edges(v)), Fraction(0)) * D
+         for v in range(1, g.n + 1)}
+    return [(a, b) for a, b in nonadjacent_pairs(g) if y[a] + y[b] > D]
+
+
+class TestBottleneckPretest:
+    # path:6, edges e_i = (i, i+1), D = 4; the pair (2, 5) has bound
+    # y_2 + y_5 - D and its one path has the inner vertices 3 and 4
+    def test_inner_capacities_at_the_bound_settle_the_pair(self, monkeypatch):
+        # X = (2, 1, 1, 1, 2): y_2 = y_5 = 3, bound 2, y_3 = y_4 = 2; every
+        # other pair with y_a + y_b > D has bound 1 and a path through
+        # vertices with y >= 1, so no max-flow runs at all
+        g = generate("path:6")
+        xstar = [Fraction(x, 4) for x in (2, 1, 1, 1, 2)]
+        calls = spy_min_vertex_cut(monkeypatch)
+        assert separate_fractional(g, xstar) == full_flow_separate_fractional(g, xstar) == []
+        assert calls == [] and (2, 5) in flow_pairs(g, xstar)
+
+    def test_inner_capacity_one_below_the_bound_runs_the_flow(self, monkeypatch):
+        # X = (2, 1, 1, 2, 2): y_2 = 3, y_5 = 4, bound 3, y_3 = 2 and
+        # y_4 = 3; the flow stops at 2 < 3 and the cut {3} gives the row
+        # y_2 + y_5 - y_3 <= 1, which reads 5/4 at xstar
+        g = generate("path:6")
+        xstar = [Fraction(x, 4) for x in (2, 1, 1, 2, 2)]
+        calls = spy_min_vertex_cut(monkeypatch)
+        got = separate_fractional(g, xstar)
+        assert got == full_flow_separate_fractional(g, xstar)
+        assert calls == [(2, 5)]
+        assert [q.provenance for q in got] == ["msi a=2 b=5 C={3}"]
+        assert got[0].evaluate(xstar) == Fraction(5, 4)
+
+    def test_settled_pairs_on_solver_points(self, monkeypatch):
+        # the cycles 8-13 corpus of test_matches_full_flow_reference_on_solver_points:
+        # of the 2,576 pairs that once each ran a max-flow the pre-test
+        # settles 1,533, and every row is the full-flow reference's
+        calls = spy_min_vertex_cut(monkeypatch)
+        pairs = []
+
+        def checked(g, xstar):
+            pairs.extend(flow_pairs(g, xstar))
+            got = separate_fractional(g, xstar)
+            assert got == full_flow_separate_fractional(g, xstar)
+            return got
+
+        monkeypatch.setattr(solver, "separate_fractional", checked)
+        config = SolveConfig(use_family_cuts=False)
+        for n in range(8, 14):
+            for draw in range(4):
+                g = generate(f"cycle:{n}")
+                w = spread_weights(random.Random(f"{n}-{draw}"), g, huge=False)
+                solver.branch_and_cut(g, w, config)
+        assert (len(pairs), len(pairs) - len(calls)) == (2576, 1533)
 
 
 def full_min_vertex_cut(net, a, b):

@@ -642,3 +642,74 @@ def test_dictionary_end_state_is_a_certificate(monkeypatch):
     drawn = Counter(dictionary_verdict(*random_lp(rng, (1, 4), (1, 6), (-3, 3)))
                     for _ in range(400))
     assert min(drawn[v] for v in ("optimal", "infeasible", "unbounded")) >= 80
+
+
+class IntegerRowDictionary(solver.Dictionary):
+    """`solver.Dictionary` with every row built by `integer_row`, as it was
+    before int rows were taken as they stand."""
+
+    def __init__(self, c, A, b):
+        n, k = len(c), len(A)
+        rows = [integer_row([*a, bi, 1]) for a, bi in zip(A, b)]
+        self.T = [r[:-1] for r in rows] + [integer_row([*c, 0])]
+        self.basis, self.cols = list(range(n, n + k)), list(range(n))
+        self.scale, self.pivots = [r[-1] for r in rows] + [1], 0
+
+
+def dictionary_state(d):
+    return d.T, d.scale, d.basis, d.cols, d.pivots
+
+
+def test_int_rows_build_the_integer_row_dictionary(monkeypatch):
+    # every LP the corpus hands to _simplex has int rows; the dictionary
+    # built from them as they stand is the integer_row one, entry for entry,
+    # and so is every state after it, through both phases
+    lps = []
+    simplex = solver._simplex
+
+    def recorded(c, A, b):
+        lps.append((c, A, b))
+        return simplex(c, A, b)
+
+    monkeypatch.setattr(solver, "_simplex", recorded)
+    for seed in range(60):
+        for model, fixed0, fixed1 in corpus_lps(seed):
+            solve_lp_exact(model, fixed0, fixed1)
+    infeasible = pivoted = 0
+    for c, A, b in lps:
+        assert all(type(x) is int for a, bi in zip(A, b) for x in (*a, bi))
+        got, want = solver.Dictionary(c, A, b), IntegerRowDictionary(c, A, b)
+        assert dictionary_state(got) == dictionary_state(want)
+        assert all(s == 1 for s in got.scale)
+        feasible = got.dual_phase()
+        assert feasible == want.dual_phase()
+        if feasible:
+            got.primal_phase()
+            want.primal_phase()
+            assert got.solution() == want.solution()
+        assert dictionary_state(got) == dictionary_state(want)
+        infeasible += not feasible
+        pivoted += got.pivots > 0
+    assert len(lps) >= 300 and infeasible >= 100 and pivoted >= 300
+
+
+def test_fraction_and_bool_rows_take_integer_row(monkeypatch):
+    # a row with a Fraction or a bool in it, rhs included, is scaled by
+    # integer_row; an int row is not, and only the objective row joins it
+    calls = []
+
+    def spied(values):
+        calls.append(list(values))
+        return integer_row(values)
+
+    monkeypatch.setattr(solver, "integer_row", spied)
+    c = [Fraction(1), Fraction(1, 2)]
+    A = [[Fraction(1, 2), 1], [True, 0], [2, 4], [1, 1]]
+    b = [1, 1, Fraction(6), 3]
+    d = solver.Dictionary(c, A, b)
+    assert calls == [[Fraction(1, 2), 1, 1, 1], [True, 0, 1, 1],
+                     [2, 4, Fraction(6), 1], [Fraction(1), Fraction(1, 2), 0]]
+    assert d.T == [[1, 2, 2], [1, 0, 1], [2, 4, 6], [1, 1, 3], [2, 1, 0]]
+    assert d.scale == [2, 1, 1, 1, 1]
+    assert all(type(x) is int for r in d.T for x in r)
+    assert dictionary_state(d) == dictionary_state(IntegerRowDictionary(c, A, b))

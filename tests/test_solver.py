@@ -101,6 +101,27 @@ class TestLpExact:
         value, x, pivots = solve_lp_exact(model, fixed0=1 << 2, fixed1=1 << 1 | 1 << 3)
         assert (value, x, pivots) == (10, [1, 0, 1], 0)
 
+    @pytest.mark.parametrize("fixed0,fixed1", [
+        (0, 1),                # bit 0 names no edge; once read as x1 = 1
+        (1, 0),
+        (0, 1 << 4),           # path:4 has edges 1..3; once an IndexError
+        (1 << 5 | 1 << 2, 0),
+        (-2, 0),               # a negative mask has every high bit set
+        (1 << 2, 1 << 2),      # edge 2 in both masks; once counted as 1
+        (1 << 1 | 1 << 3, 1 << 3),
+    ])
+    def test_bad_fix_masks_rejected(self, fixed0, fixed1):
+        # path:4 with weights (1, 1, 5): fixed1=1 once returned value 6 at
+        # x = (1, 0, 0), whose weight is 1
+        model = build_base_lp(generate("path:4"), [1, 1, 5])
+        with pytest.raises(GraphError, match="fix"):
+            solve_lp_exact(model, fixed0, fixed1)
+
+    def test_largest_fix_masks_accepted(self):
+        # every edge bit 1..m is a fix: edges 1 and 3 to 1, edge 2 to 0
+        model = build_base_lp(generate("path:4"), [1, 1, 5])
+        assert solve_lp_exact(model, 1 << 2, 1 << 1 | 1 << 3) == (6, [1, 0, 1], 0)
+
 
 class TestBranchAndCut:
     def test_all_negative(self):
