@@ -180,8 +180,13 @@ def separate_fractional(g, xstar):
     with None.  Those vertices are a prefix of the vertices sorted by y, so
     each bound reads its mask off the prefix masks; the network is built
     only for the first pair that needs a max-flow.
+
+    A point of ints and Fractions is read as it stands; any other goes
+    through `exact_number` entry by entry, which takes a string such as
+    "1/2" and refuses a float.
     """
-    xstar = [exact_number(x) for x in xstar]
+    if not {*map(type, xstar)} <= {int, Fraction}:
+        xstar = [exact_number(x) for x in xstar]
     if len(xstar) != g.m:
         raise GraphError("xstar dimension mismatch")
     for x in xstar:

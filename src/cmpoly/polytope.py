@@ -12,13 +12,13 @@ from .graph_core import GraphError, mask_bits, union_over
 from .inequality import Inequality
 from .matchings import DEFAULT_ENUM_LIMIT, enumerate_connected_matchings
 from .rational_la import (affine_dimension, eliminate, exact_number, integer_row,
-                          inverse_columns, products)
+                          inverse_columns, parity_rank, products)
 
 
 @dataclass(frozen=True)
 class VRep:
-    """The points of a polytope in R^m, distinct, as tuples, and their
-    homogenized integer rows, `rows`."""
+    """The points of a polytope in R^m, distinct, as tuples, their
+    homogenized integer rows, `rows`, and those rows mod 2, `parities`."""
 
     m: int
     points: tuple
@@ -37,9 +37,16 @@ class VRep:
     @cached_property
     def rows(self):
         """Each point's row (1, *p) as a primitive integer tuple, built on
-        first use and kept: `hrep` and every `face_dimension` call on this V
-        read them, so a point is scaled to integers once."""
+        first use and kept: `hrep`, `parities` and the `face_dimension`
+        calls that parity cannot settle read them, so a point is scaled to
+        integers once."""
         return tuple(tuple(integer_row((1, *p))) for p in self.points)
+
+    @cached_property
+    def parities(self):
+        """Each row of `rows` mod 2 as an int mask, bit i for entry i, built
+        on first use and kept for `face_dimension`."""
+        return tuple(sum(1 << i for i, x in enumerate(row) if x & 1) for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -214,21 +221,29 @@ def verify_valid(q, V):
 def face_dimension(q, V):
     """Affine dimension of the tight vertex set; -1 for an empty face.
 
-    One `products` call evaluates each point once; a violated one raises, and
-    the rows of the tight ones are taken from `V.rows`.  The column of the
-    first nonzero coefficient is dropped: on q.p = rhs it is an affine
-    combination of the constant column and the others, so the rank of the
-    rows is kept and `eliminate` ends a facet at rank m."""
+    One `products` call evaluates each point once; a violated one raises.
+    On q.p = rhs the column of the first nonzero coefficient is an affine
+    combination of the constant column and the others, so the tight rows
+    have rank at most m.  The rank mod 2 of their `V.parities` bounds the
+    rank from below and is the rank when it reaches that cap or the row
+    count.  Otherwise `eliminate` runs on the tight rows of `V.rows` with
+    that column dropped, so it stops at rank m."""
     _check_width(q, V.m)
     values = products(q.coeffs, V.points)
-    if max(values, default=q.rhs) > q.rhs:
+    rhs = q.rhs
+    if max(values, default=rhs) > rhs:
         raise GraphError("inequality is not valid on the V-description")
-    tight = [r for r, v in zip(V.rows, values) if v == q.rhs]
-    if not tight:
+    masks = [b for b, v in zip(V.parities, values) if v == rhs]
+    if not masks:
         return -1
     j = next((j for j, c in enumerate(q.coeffs, start=1) if c), None)
+    cap = V.m + 1 if j is None else V.m
+    r = parity_rank(masks, cap)
+    if r == cap or r == len(masks):
+        return r - 1
+    tight = [row for row, v in zip(V.rows, values) if v == rhs]
     if j is not None:
-        tight = [r[:j] + r[j + 1:] for r in tight]
+        tight = [row[:j] + row[j + 1:] for row in tight]
     return len(eliminate(tight)[0]) - 1
 
 

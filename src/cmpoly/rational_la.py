@@ -7,7 +7,9 @@ integer rows, with one row rule: against a pivot p = e[c], a row with entry
 f != 0 in column c becomes the primitive multiple of p*row - f*e, and a row
 with a zero there stays as it is (the rule `solver.Dictionary.pivot` applies
 inline).  Rank, affine dimension, basis selection and basis inverses are
-read off its output.
+read off its output.  `parity_rank` eliminates the same rows mod 2, as
+bitmasks; it only bounds the rank from below, and proves it when the bound
+reaches the row or column count.
 """
 
 from __future__ import annotations
@@ -97,6 +99,30 @@ def eliminate(rows):
         if len(indices) == ncols:
             break
     return indices, echelon
+
+
+def parity_rank(masks, cap):
+    """Rank over GF(2) of rows given as int masks (bit i for entry i), or
+    `cap` once it reaches that: no row after the one that reaches it is read.
+
+    XOR elimination keyed by the highest set bit.  Of integer rows reduced
+    mod 2 this is a lower bound on their rank over the rationals: a
+    rational dependency scaled to coprime integers has an odd coefficient,
+    so it reduces to a dependency mod 2.  It is the rank when it equals the
+    number of rows or of columns."""
+    if cap <= 0:
+        return 0
+    pivots = {}
+    for v in masks:
+        while v:
+            h = v.bit_length()
+            if (p := pivots.get(h)) is None:
+                pivots[h] = v
+                if len(pivots) == cap:
+                    return cap
+                break
+            v ^= p
+    return len(pivots)
 
 
 def rank(rows):

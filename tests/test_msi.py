@@ -483,6 +483,33 @@ class TestSeparateFractional:
         assert integer_row([*xstar, 1]) == [x.numerator * (D // x.denominator)
                                              for x in xstar] + [D]
 
+    def test_exact_number_only_for_other_types(self, monkeypatch):
+        """A point of ints and Fractions is read as it stands; a str or
+        bool entry sends the point through `exact_number`, with the same
+        rows as its Fraction form, and a float entry is refused there."""
+        calls = []
+        exact = msi.exact_number
+        monkeypatch.setattr(msi, "exact_number", lambda x: calls.append(x) or exact(x))
+        g = generate("cycle:6")
+        x = Fraction(3, 4)
+        want = separate_fractional(g, [x, 0, 0, x, 0, 0])
+        assert want and calls == []
+        assert separate_fractional(g, [1, 0, 0, 1, 0, 0]) and calls == []
+        assert separate_fractional(g, ["3/4", 0, 0, "3/4", 0, 0]) == want
+        assert len(calls) == 6
+        calls.clear()
+        assert separate_fractional(g, [True, False, False, True, False, False]) == \
+            separate_fractional(g, [1, 0, 0, 1, 0, 0])
+        assert calls == [True, False, False, True, False, False]
+        calls.clear()
+        with pytest.raises(ValueError, match="inexact number 0.5"):
+            separate_fractional(g, [0.5, 0, 0, x, 0, 0])
+        assert calls == [0.5]
+        with pytest.raises(GraphError, match="unit box"):
+            separate_fractional(g, ["3/2", 0, 0, 0, 0, 0])
+        with pytest.raises(GraphError, match="unit box"):
+            separate_fractional(g, [Fraction(3, 2), 0, 0, 0, 0, 0])
+
 
 def spy_min_vertex_cut(monkeypatch):
     """Record the (a, b) of every _min_vertex_cut call separate_fractional

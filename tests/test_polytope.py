@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -15,7 +16,7 @@ from cmpoly.matchings import enumerate_connected_matchings
 from cmpoly.polytope import (FacetClass, HRep, VRep, classify, export_vrep_interop,
                              face_dimension, hrep, polytope_dimension, verify_valid, vrep)
 from cmpoly.rational_la import (affine_dimension, eliminate, integer_row, inverse_columns,
-                                products, rank)
+                                parity_rank, products, rank)
 
 from conftest import (assert_primitive_int_row, class_histogram, random_connected_graph,
                       set_bfs_components, to_networkx)
@@ -403,33 +404,77 @@ def face_dimension_or_error(q, V, f):
         return "GraphError"
 
 
+# A face whose tight rows (1, 2, 0) and (1, 0, 2) agree mod 2: parity gives
+# rank 1 of 2, so face_dimension must eliminate over the integers.
+PARITY_SHORT = VRep(2, ((0, 0), (2, 0), (0, 2)))
+PARITY_SHORT_ROW = Inequality([1, 1], 2)
+
+# face_dimension's three ways to its rank
+BRANCHES = {"parity full rank", "parity row count", "eliminate"}
+
+
+@pytest.fixture
+def branches(monkeypatch):
+    """Count the way face_dimension reaches each rank: the parity rank
+    reaches its cap (m, or m + 1 for the zero row), or the tight row count,
+    or neither and `eliminate` runs."""
+    seen = Counter()
+    parity, elim = polytope.parity_rank, polytope.eliminate
+
+    def spied_parity(masks, cap):
+        r = parity(masks, cap)
+        seen["parity full rank" if r == cap else
+             "parity row count" if r == len(masks) else "eliminate"] += 1
+        return r
+
+    def spied_eliminate(rows):
+        seen["eliminate calls"] += 1
+        return elim(rows)
+
+    monkeypatch.setattr(polytope, "parity_rank", spied_parity)
+    monkeypatch.setattr(polytope, "eliminate", spied_eliminate)
+    return seen
+
+
 class TestFaceDimensionAgainstReference:
-    """face_dimension (one pass, one column fewer) against
-    `reference_face_dimension`: the same dimension, or GraphError from both."""
+    """face_dimension (one pass, one column fewer, parity first) against
+    `reference_face_dimension`: the same dimension, or GraphError from both.
+    Each corpus reaches a rank in all three ways, and `eliminate` runs
+    exactly when parity cannot decide."""
 
     def assert_agree(self, V, rng, extra=()):
         for q in [*face_rows(V, rng), *extra]:
             assert face_dimension_or_error(q, V, face_dimension) == \
                 face_dimension_or_error(q, V, reference_face_dimension), (V.points, q)
 
-    def test_random_suite(self, random_suite):
+    @staticmethod
+    def assert_every_branch(seen):
+        assert BRANCHES <= set(seen), seen
+        assert seen["eliminate calls"] == seen["eliminate"]
+
+    def test_random_suite(self, random_suite, branches):
         rng = random.Random(13)
         for g in random_suite:
             self.assert_agree(vrep(g), rng)
+        self.assert_every_branch(branches)
 
     @pytest.mark.parametrize("name", ["j26", "cube:3"])
-    def test_named(self, name):
+    def test_named(self, name, branches):
         """Seeded rows, and every facet, where the rank stops early."""
         V = vrep(generate(name))
-        self.assert_agree(V, random.Random(name), hrep(V).facets)
+        facets = hrep(V).facets
+        branches.clear()
+        self.assert_agree(V, random.Random(name), facets)
+        self.assert_every_branch(branches)
 
-    def test_not_zero_one(self):
+    def test_not_zero_one(self, branches):
         rng = random.Random(17)
         self.assert_agree(PLANE_SQUARE, rng)
         for _ in range(60):
             self.assert_agree(random_int_vrep(rng), rng)
+        self.assert_every_branch(branches)
 
-    def test_rational(self):
+    def test_rational(self, branches):
         """Fraction coordinates, so that `V.rows` comes from `integer_row`'s
         lcm path and a row leads with an entry other than 1."""
         rng = random.Random(19)
@@ -439,6 +484,17 @@ class TestFaceDimensionAgainstReference:
             self.assert_agree(V, rng)
             led += any(row[0] != 1 for row in V.rows)
         assert led >= 55
+        self.assert_every_branch(branches)
+
+    def test_parity_falls_short(self, branches):
+        """The hand-built face: rank 1 mod 2, so only the integer
+        elimination finds the edge between (2, 0) and (0, 2)."""
+        V = PARITY_SHORT
+        assert V.rows == ((1, 0, 0), (1, 2, 0), (1, 0, 2)) and V.parities == (1, 1, 1)
+        assert face_dimension(PARITY_SHORT_ROW, V) == \
+            reference_face_dimension(PARITY_SHORT_ROW, V) == 1
+        assert branches == {"eliminate": 1, "eliminate calls": 1}
+        self.assert_agree(V, random.Random(23), [Inequality([1, 0], 2)])
 
     def test_zero_dimensional(self):
         """The one point of R^0: the empty row is tight on it (dimension 0),
@@ -451,40 +507,54 @@ class TestFaceDimensionAgainstReference:
 
     def test_rows_are_read_not_changed(self):
         """`V.rows` is built once, holds the primitive integer row (1, *p)
-        of each point as a tuple, and neither it nor `V.points` changes
-        under `hrep` and several `face_dimension` calls on the same V."""
+        of each point as a tuple, `V.parities` holds each of those rows mod
+        2 as a mask, and none of them nor `V.points` changes under `hrep`
+        and several `face_dimension` calls on the same V."""
         rng = random.Random(29)
         V = random_rational_vrep(rng)
         while affine_dimension(V.points) < V.m:
             V = random_rational_vrep(rng)
         points = V.points
         rows = V.rows
+        parities = V.parities
         assert rows == tuple(tuple(integer_row((1, *p))) for p in points)
         assert all(type(row) is tuple for row in rows)
+        assert parities == tuple(int("".join(str(x % 2) for x in reversed(row)), 2)
+                                 for row in rows)
         facets = hrep(V).facets
         for q in [*facets, *face_rows(V, rng)]:
             face_dimension_or_error(q, V, face_dimension)
         assert all(face_dimension(q, V) == V.m - 1 for q in facets)
-        assert V.rows is rows and V.points is points
+        assert V.rows is rows and V.points is points and V.parities is parities
         with pytest.raises(AttributeError):
             V.rows = ()
+        with pytest.raises(AttributeError):
+            V.parities = ()
 
     def test_one_pass_and_one_column_fewer(self, monkeypatch):
         """Each point is evaluated once, by one call of the product kernel,
         verify_valid is not called, and a row with a nonzero coefficient
-        leaves m of the m + 1 columns of `V.rows` to the elimination."""
+        caps the rank at m, not m + 1: `parity_rank` stops at m and, on the
+        face where parity falls short, `eliminate` gets rows of m entries,
+        one column fewer than `V.rows`.  Parity settles the cycle:6 family
+        facet and the all-zero row with no `eliminate` call."""
         V = vrep(generate("cycle:6"))
-        calls, widths = [], []
+        calls, caps, widths = [], [], []
         monkeypatch.setattr(polytope, "products",
                             lambda a, rows: calls.append(list(rows)) or products(a, rows))
         monkeypatch.setattr(polytope, "verify_valid", None)
+        monkeypatch.setattr(polytope, "parity_rank",
+                            lambda masks, cap: caps.append(cap) or parity_rank(masks, cap))
         monkeypatch.setattr(polytope, "eliminate",
                             lambda rows: widths.append(len(rows[0])) or eliminate(rows))
         assert face_dimension(family_inequality(generate("cycle:6"), 1, 4), V) == 5
-        assert calls == [list(V.points)] and widths == [6]
+        assert calls == [list(V.points)] and caps == [6] and widths == []
         calls.clear()
         assert face_dimension(Inequality([0] * 6, 0), V) == 6
-        assert calls == [list(V.points)] and widths == [6, 7]
+        assert calls == [list(V.points)] and caps == [6, 7] and widths == []
+        calls.clear()
+        assert face_dimension(PARITY_SHORT_ROW, PARITY_SHORT) == 1
+        assert calls == [list(PARITY_SHORT.points)] and caps == [6, 7, 2] and widths == [2]
 
     def test_wrong_width_raises_before_reading_a_point(self):
         class Unread:

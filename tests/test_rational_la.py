@@ -4,13 +4,14 @@ from math import gcd
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmpoly.graph_core import generate
 from cmpoly.polytope import vrep
 from cmpoly.rational_la import (affine_dimension, eliminate, integer_row,
-                                inverse_columns, products, rank)
+                                inverse_columns, parity_rank, products, rank)
 
 
 small_matrix = st.lists(
@@ -196,6 +197,68 @@ class TestEliminate:
 
     def test_inverse_columns_empty(self):
         assert inverse_columns([]) == []
+
+
+def _parity_masks(rows):
+    """Each integer row mod 2 as an int mask, bit i for entry i."""
+    return [sum(1 << i for i, x in enumerate(row) if x % 2) for row in rows]
+
+
+int_matrix = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(min_value=-6, max_value=6),
+                                min_size=n, max_size=n),
+                       min_size=1, max_size=7))
+
+
+class TestParityRank:
+    def test_small(self):
+        assert parity_rank([], 3) == 0
+        assert parity_rank([0b11, 0b11, 0b01], 2) == 2
+        assert parity_rank([0b110, 0b011, 0b101], 3) == 2   # the rows sum to 0 mod 2
+
+    def test_matches_sympy_gf2(self):
+        """Seeded 0/1 matrices of every shape up to 8 x 8: the rank over
+        GF(2) that sympy's DomainMatrix gives."""
+        rng = random.Random(41)
+        F2 = sympy.GF(2)
+        short = 0
+        for _ in range(300):
+            n, m = rng.randint(1, 8), rng.randint(1, 8)
+            rows = [[int(rng.random() < 0.4) for _ in range(m)] for _ in range(n)]
+            want = DomainMatrix([[F2(x) for x in row] for row in rows], (n, m), F2).rank()
+            assert parity_rank(_parity_masks(rows), m) == want
+            assert parity_rank(_parity_masks(rows), n + m) == want
+            short += want < min(n, m)
+        assert short >= 50
+
+    @settings(max_examples=80, deadline=None)
+    @given(int_matrix)
+    @example([[2, 0], [0, 2]])   # rank 2, rank 0 mod 2
+    @example([[1, 1], [1, -1]])   # rank 2, rank 1 mod 2
+    def test_at_most_rank(self, rows):
+        """A lower bound on the rank over Q, and the rank itself when it
+        reaches the row or the column count."""
+        r = parity_rank(_parity_masks(rows), len(rows[0]))
+        assert r <= rank(rows)
+        if r in (len(rows), len(rows[0])):
+            assert r == rank(rows)
+
+    def test_cap_stops_early(self):
+        """At rank `cap` it returns without reading another row."""
+        read = []
+
+        def rows(masks):
+            for v in masks:
+                read.append(v)
+                yield v
+
+        unit = [1 << i for i in range(6)]
+        assert parity_rank(rows(unit), 3) == 3 and read == unit[:3]
+        read.clear()
+        assert parity_rank(rows([1, 1, 2, 2, 4]), 2) == 2 and read == [1, 1, 2]
+        read.clear()
+        assert parity_rank(rows(unit), 0) == 0 and read == []
+        assert parity_rank(unit, 6) == parity_rank(unit, 10) == 6
 
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
