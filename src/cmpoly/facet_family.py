@@ -17,19 +17,10 @@ from .inequality import Inequality
 from .matchings import _grow, exists_cm_superset
 
 
-def _edge_masks(g, e):
-    """(touch, nv, near) of edge id e: the edges that share an endpoint with
-    e, the vertices at or next to its endpoints, and the edges at those."""
-    u, v = g.endpoints(e)
-    at, nbr = g.incident_masks, g.neighbor_masks
-    nv = nbr[u] | nbr[v]   # holds u and v, each the other's neighbour
-    return at[u] | at[v], nv, union_over(at, nv)
-
-
-def _lambda_mask(a, b):
-    """Mask of the lambda set of two edges with _edge_masks a and b: edges at
-    a vertex next to each, at no endpoint of either."""
-    return a[2] & b[2] & ~(a[0] | b[0])
+def _near(g, e):
+    """Mask of the edges at line-graph distance at most 2 from edge id e."""
+    g.endpoints(e)   # range-checks e: line_masks[-1] is the last edge's
+    return union_over(g.line_masks, g.line_masks[e])
 
 
 def lambda_set(g, e1, e2):
@@ -40,15 +31,18 @@ def lambda_set(g, e1, e2):
     """
     if e1 == e2:
         raise GraphError("lambda set needs two distinct edges")
-    return tuple(mask_bits(_lambda_mask(_edge_masks(g, e1), _edge_masks(g, e2))))
+    line = g.line_masks
+    return tuple(mask_bits(_near(g, e1) & _near(g, e2) & ~(line[e1] | line[e2])))
 
 
 def is_disconnected_pair(g, e1, e2):
     """True iff e1,e2 are vertex-disjoint and their four endpoints induce a
-    disconnected subgraph: no endpoint of e2 is at or next to one of e1."""
+    disconnected subgraph: their line-graph distance is at least 3."""
     if e1 == e2:
         raise GraphError("pair needs two distinct edges")
-    return not _edge_masks(g, e1)[1] & g.cover_mask((e2,))
+    near = _near(g, e1)
+    g.endpoints(e2)
+    return not near >> e2 & 1
 
 
 def family_inequality(g, e1, e2):
@@ -104,14 +98,14 @@ def check_validity_hypothesis(g, e1, e2):
 
 def facet_hypothesis(g, pair, lam):
     """The module's facet hypothesis for the pair and its lambda set lam."""
-    if not lam:
+    pair_cover, clique = g.cover_mask(pair), 0
+    for f in lam:
+        g.endpoints(f)   # range-checks f: line_masks[-1] is the last edge's
+        clique |= 1 << f
+    line, ends = g.line_masks, g.endpoint_masks
+    # lam is a clique of the line graph when each f in it touches all of lam
+    if not lam or any(clique & ~line[f] for f in lam):
         return False
-    ends = g.endpoint_masks
-    for i, f in enumerate(lam):
-        for f2 in lam[i + 1:]:
-            if not ends[f] & ends[f2]:
-                return False
-    pair_cover = ends[pair[0]] | ends[pair[1]]
     return all(is_biconnected_mask(g, pair_cover | ends[f]) for f in lam)
 
 
@@ -119,22 +113,22 @@ def generate_family(g):
     """The family row of each unordered disconnected pair that passes the
     validity hypothesis, ordered by (min id, max id).
 
-    The _edge_masks of every edge are built once, so each pair costs one
-    mask test for disconnection and one for its lambda set, then one
+    Each edge's balls in the line graph, line[e] (distance at most 1) and
+    near[e] (at most 2), are built once, so each pair costs one mask test
+    for disconnection and one mask expression for its lambda set, then one
     validity search, entered with those masks.
     """
-    masks = [None] + [_edge_masks(g, e) for e in range(1, g.m + 1)]
-    ends, every = g.endpoint_masks, g.all_edges
+    line, ends, every = g.line_masks, g.endpoint_masks, g.all_edges
+    near = [union_over(line, ball) for ball in line]
     out = []
     for e1 in range(1, g.m + 1):
-        a = masks[e1]
         for e2 in range(e1 + 1, g.m + 1):
-            b = masks[e2]
-            if a[1] & ends[e2]:
+            if near[e1] >> e2 & 1:
                 continue
-            lam = _lambda_mask(a, b)
+            touch = line[e1] | line[e2]
+            lam = near[e1] & near[e2] & ~touch
             # exists_cm_superset(g, (e1, e2), lam) without its input checks
-            if _grow(g, ends[e1] | ends[e2], every & ~(a[0] | b[0] | lam)):
+            if _grow(g, ends[e1] | ends[e2], every & ~(touch | lam)):
                 continue
             out.append(_family_row(g, e1, e2, tuple(mask_bits(lam))))
     return out

@@ -25,9 +25,11 @@ class Graph:
     rational edge weights default to 1.
 
     Vertex and edge sets are int bitmasks: vertex v is bit v, edge id e is
-    bit e.  Three tables are built once: neighbor_masks[v] (the vertices
-    adjacent to v), incident_masks[v] (the edge ids at v) and
-    endpoint_masks[e] (the two endpoints of e); entry 0 is unused.
+    bit e.  Four tables are built once: neighbor_masks[v] (the vertices
+    adjacent to v), incident_masks[v] (the edge ids at v), endpoint_masks[e]
+    (the two endpoints of e) and line_masks[e] (the edge ids sharing an
+    endpoint with e, e included: its closed line-graph neighbourhood);
+    entry 0 is unused and 0.
     """
 
     n: int
@@ -36,6 +38,7 @@ class Graph:
     neighbor_masks: list = field(init=False, repr=False, compare=False)
     incident_masks: list = field(init=False, repr=False, compare=False)
     endpoint_masks: list = field(init=False, repr=False, compare=False)
+    line_masks: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.n) is not int:
@@ -57,6 +60,8 @@ class Graph:
             self.incident_masks[u] |= 1 << e
             self.incident_masks[v] |= 1 << e
             self.endpoint_masks.append(1 << u | 1 << v)
+        at = self.incident_masks
+        self.line_masks = [0] + [at[u] | at[v] for u, v in self.edges]
 
     @property
     def m(self):
@@ -252,7 +257,8 @@ def line_distance(g, e, f):
     """Shortest-path distance between edges e and f in the line graph.
 
     Returns math.inf when e and f lie in different components.  Breadth-first
-    over edge masks: the next layer is every edge at a vertex of this layer.
+    over edge masks: the next layer is every edge that shares an endpoint
+    with one of this layer.
     """
     g.endpoints(e)
     g.endpoints(f)
@@ -262,7 +268,7 @@ def line_distance(g, e, f):
     dist = 0
     while layer:
         dist += 1
-        layer = union_over(g.incident_masks, union_over(g.endpoint_masks, layer)) & ~seen
+        layer = union_over(g.line_masks, layer) & ~seen
         if layer >> f & 1:
             return dist
         seen |= layer
@@ -297,8 +303,8 @@ def mask_bits(mask):
 
 def union_over(table, mask):
     """OR of table[i] over the set bits i of mask: with the tables of Graph,
-    the neighbours of a vertex set, the edges at a vertex set or the
-    vertices covered by an edge set."""
+    the neighbours of a vertex set, the edges at a vertex set, the vertices
+    covered by an edge set or the edges touching an edge set."""
     out = 0
     while mask:
         low = mask & -mask

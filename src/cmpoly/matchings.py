@@ -49,7 +49,7 @@ def _grow(g, covered, options):
       then no option covers a vertex of N(K) outside the cover, so the reach
       starts empty.
     """
-    nbr, at, cover = g.neighbor_masks, g.incident_masks, g.endpoint_masks
+    nbr, at, cover, line = g.neighbor_masks, g.incident_masks, g.endpoint_masks, g.line_masks
     comp = reach_within(nbr, covered, covered & -covered)
     if comp == covered:
         return True
@@ -60,8 +60,7 @@ def _grow(g, covered, options):
         return False
     for f in mask_bits(options & union_over(at, border)):
         options &= ~(1 << f)
-        u, v = g.edges[f - 1]
-        if _grow(g, covered | cover[f], options & ~(at[u] | at[v])):
+        if _grow(g, covered | cover[f], options & ~line[f]):
             return True
     return False
 
@@ -75,7 +74,7 @@ def _grow_connected(g, M, near, reach, options, emit):
     the M' by their least edge in reach, each leaving out its earlier
     siblings.  A branch of a connected cover stays connected.
     """
-    nbr, at, edges = g.neighbor_masks, g.incident_masks, g.edges
+    nbr, at, line, edges = g.neighbor_masks, g.incident_masks, g.line_masks, g.edges
     for f in mask_bits(options & reach if M else options):
         options &= ~(1 << f)
         u, v = edges[f - 1]
@@ -83,7 +82,7 @@ def _grow_connected(g, M, near, reach, options, emit):
         grown = M + (f,)
         emit(grown)
         _grow_connected(g, grown, near | new, reach | union_over(at, new),
-                        options & ~(at[u] | at[v]), emit)
+                        options & ~line[f], emit)
 
 
 def enumerate_cm_sets(g, limit=DEFAULT_ENUM_LIMIT):

@@ -330,8 +330,7 @@ def branch_and_cut(g, w, config=None):
                 continue
             note(value, "frac")
             bvar = min(frac, key=lambda e: (abs(xstar[e - 1] - half), e))
-            u, v = g.edges[bvar - 1]
-            touching = (g.incident_masks[u] | g.incident_masks[v]) ^ 1 << bvar
+            touching = g.line_masks[bvar] ^ 1 << bvar
             heapq.heappush(open_nodes, (-value, next_id, fixed0 | touching, fixed1 | 1 << bvar))
             heapq.heappush(open_nodes, (-value, next_id + 1, fixed0 | 1 << bvar, fixed1))
             next_id += 2

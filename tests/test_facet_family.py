@@ -202,6 +202,15 @@ class TestFacetHypothesis:
                     seen.add(expect)
         assert seen == {True, False}
 
+    def test_out_of_range_edge_rejected(self):
+        # before any table read: line_masks[-1] is the last edge's, slot 0 unused
+        g = generate("cycle:6")
+        for bad in (0, -1, g.m + 1):
+            for pair, lam in (((bad, 4), (2,)), ((1, bad), ()), ((1, 4), (bad,)),
+                              ((1, 4), (2, bad))):
+                with pytest.raises(GraphError, match=f"edge id {bad} out of range"):
+                    facet_hypothesis(g, pair, lam)
+
     def test_positive_case(self):
         g = Graph(6, ((1, 2), (1, 3), (1, 4), (2, 5), (3, 4), (3, 6), (4, 5),
                       (4, 6)))

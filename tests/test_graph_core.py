@@ -6,6 +6,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
+from cmpoly.facet_family import is_disconnected_pair
 from cmpoly.graph_core import (Graph, GraphError, ParseError, format_graph, generate,
                                is_biconnected_mask, is_connected_induced, is_separator,
                                line_distance, parse_graph, reach_within, vertex_mask)
@@ -124,6 +125,35 @@ class TestGenerate:
             generate("cycle:2")
 
 
+def line_graph_corpus():
+    """Seeded graphs, kernel_corpus, and disconnected variants of the seeded
+    graphs: every third edge dropped."""
+    graphs = [random_connected_graph(seed) for seed in range(10)] + kernel_corpus()
+    return graphs + [Graph(g.n, tuple(uv for i, uv in enumerate(g.edges) if i % 3))
+                     for g in graphs[:10]]
+
+
+class TestLineMasks:
+    def test_closed_neighbourhood_in_networkx_line_graph(self):
+        # Graph(0, ()) has no edge; Graph(7, ...) has isolated vertices 4 and 7
+        graphs = line_graph_corpus() + [Graph(0, ()), Graph(7, ((1, 2), (2, 3), (5, 6)))]
+        for g in graphs:
+            L = nx.line_graph(to_networkx(g))
+            ids = {uv: e for e, uv in enumerate(g.edges, start=1)}
+            assert len(g.line_masks) == g.m + 1 and g.line_masks[0] == 0
+            for e, uv in enumerate(g.edges, start=1):
+                closed = [e] + [ids[tuple(sorted(h))] for h in L[uv]]
+                assert g.line_masks[e] == vertex_mask(closed), (g, e)
+
+    def test_disconnected_pair_is_line_distance_three(self, random_suite):
+        for g in random_suite:
+            for e1 in range(1, g.m + 1):
+                for e2 in range(1, g.m + 1):
+                    if e1 != e2:
+                        assert (is_disconnected_pair(g, e1, e2)
+                                == (line_distance(g, e1, e2) >= 3)), (e1, e2)
+
+
 class TestLineDistance:
     def test_same_edge(self):
         g = generate("path:4")
@@ -142,11 +172,7 @@ class TestLineDistance:
         assert line_distance(g, 1, 2) == math.inf
 
     def test_matches_networkx_line_graph(self):
-        graphs = [random_connected_graph(seed) for seed in range(10)] + kernel_corpus()
-        # disconnected inputs: every third edge of a connected graph dropped
-        graphs += [Graph(g.n, tuple(uv for i, uv in enumerate(g.edges) if i % 3))
-                   for g in graphs[:10]]
-        for g in graphs:
+        for g in line_graph_corpus():
             L = nx.line_graph(to_networkx(g))
             dist = dict(nx.all_pairs_shortest_path_length(L))
             for e in range(1, g.m + 1):
