@@ -18,8 +18,8 @@ from .matchings import _grow, exists_cm_superset
 
 
 def _near(g, e):
-    """Mask of the edges at line-graph distance at most 2 from edge id e."""
-    g.endpoints(e)   # range-checks e: line_masks[-1] is the last edge's
+    """Mask of the edges at line-graph distance at most 2 from edge id e,
+    which the caller has checked: line_masks[-1] is the last edge's."""
     return union_over(g.line_masks, g.line_masks[e])
 
 
@@ -29,20 +29,18 @@ def lambda_set(g, e1, e2):
     An edge f is at distance 2 from e exactly when f shares no endpoint with
     e but has an endpoint adjacent to one of e's endpoints.
     """
-    if e1 == e2:
+    pair = g.edge_mask((e1, e2))
+    if pair.bit_count() < 2:
         raise GraphError("lambda set needs two distinct edges")
-    line = g.line_masks
-    return tuple(mask_bits(_near(g, e1) & _near(g, e2) & ~(line[e1] | line[e2])))
+    return tuple(mask_bits(_near(g, e1) & _near(g, e2) & ~union_over(g.line_masks, pair)))
 
 
 def is_disconnected_pair(g, e1, e2):
     """True iff e1,e2 are vertex-disjoint and their four endpoints induce a
     disconnected subgraph: their line-graph distance is at least 3."""
-    if e1 == e2:
+    if g.edge_mask((e1, e2)).bit_count() < 2:
         raise GraphError("pair needs two distinct edges")
-    near = _near(g, e1)
-    g.endpoints(e2)
-    return not near >> e2 & 1
+    return not _near(g, e1) >> e2 & 1
 
 
 def family_inequality(g, e1, e2):
@@ -97,12 +95,12 @@ def check_validity_hypothesis(g, e1, e2):
 
 
 def facet_hypothesis(g, pair, lam):
-    """The module's facet hypothesis for the pair and its lambda set lam."""
-    pair_cover, clique = g.cover_mask(pair), 0
-    for f in lam:
-        g.endpoints(f)   # range-checks f: line_masks[-1] is the last edge's
-        clique |= 1 << f
+    """The module's facet hypothesis for a pair of edge ids and its lambda set lam."""
+    pair_mask, clique = g.edge_mask(pair), g.edge_mask(lam)
+    if len(pair) != 2 or pair_mask.bit_count() != 2:
+        raise GraphError("pair needs two distinct edges")
     line, ends = g.line_masks, g.endpoint_masks
+    pair_cover = union_over(ends, pair_mask)
     # lam is a clique of the line graph when each f in it touches all of lam
     if not lam or any(clique & ~line[f] for f in lam):
         return False

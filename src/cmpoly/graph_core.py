@@ -77,38 +77,56 @@ class Graph:
         """Mask of the edge ids 1..m."""
         return (1 << (self.m + 1)) - 2
 
+    def edge_mask(self, ids):
+        """Mask of the edge ids in ids; anything but an int in 1..m (a bool
+        too) raises.  Every edge id a caller gives is checked here."""
+        mask, m = 0, self.m
+        for e in ids:
+            if type(e) is not int or not 0 < e <= m:
+                raise GraphError(f"edge id {e!r} out of range 1..{m}")
+            mask |= 1 << e
+        return mask
+
+    def vertex_mask(self, vs):
+        """Mask of the vertices in vs; anything but an int in 1..n (a bool
+        too) raises.  Every vertex a caller gives is checked here."""
+        mask, n = 0, self.n
+        for v in vs:
+            if type(v) is not int or not 0 < v <= n:
+                raise GraphError(f"vertex {v!r} out of range")
+            mask |= 1 << v
+        return mask
+
     def endpoints(self, e):
         """Endpoints of edge id e (1-based)."""
-        if not (1 <= e <= self.m):
-            raise GraphError(f"edge id {e} out of range 1..{self.m}")
+        self.edge_mask((e,))
         return self.edges[e - 1]
 
     def cover_mask(self, edge_ids):
         """Mask of the vertices covered by the given edge ids."""
-        mask = 0
-        for e in edge_ids:
-            self.endpoints(e)
-            mask |= self.endpoint_masks[e]
-        return mask
+        return union_over(self.endpoint_masks, self.edge_mask(edge_ids))
 
     def weight(self, e):
         """Weight of edge id e (1 on an unweighted graph)."""
-        self.endpoints(e)
+        self.edge_mask((e,))
         return Fraction(1) if self.weights is None else self.weights[e - 1]
 
     def neighbors(self, v):
         """Neighbours of v, sorted."""
-        return mask_bits(self.neighbor_masks[_vertex(self, v)])
+        return mask_bits(union_over(self.neighbor_masks, self.vertex_mask((v,))))
 
     def incident_edges(self, v):
         """Edge ids of delta(v), sorted."""
-        return mask_bits(self.incident_masks[_vertex(self, v)])
+        return mask_bits(union_over(self.incident_masks, self.vertex_mask((v,))))
 
     def edge_id(self, u, v):
-        """Edge id of {u,v}, or None."""
-        if u == v or not (1 <= u <= self.n and 1 <= v <= self.n):
+        """Edge id of {u,v}, or None, also when u and v are not two distinct
+        vertices."""
+        try:
+            self.vertex_mask((u, v))
+        except GraphError:
             return None
-        common = self.incident_masks[u] & self.incident_masks[v]
+        common = self.incident_masks[u] & self.incident_masks[v] if u != v else 0
         return common.bit_length() - 1 if common else None
 
 
@@ -260,8 +278,7 @@ def line_distance(g, e, f):
     over edge masks: the next layer is every edge that shares an endpoint
     with one of this layer.
     """
-    g.endpoints(e)
-    g.endpoints(f)
+    g.edge_mask((e, f))
     if e == f:
         return 0
     seen = layer = 1 << e
@@ -273,22 +290,6 @@ def line_distance(g, e, f):
             return dist
         seen |= layer
     return math.inf
-
-
-def _vertex(g, v):
-    """v, once checked to be a vertex of g: a mask table read at a negative
-    index would silently return another vertex's mask."""
-    if not (1 <= v <= g.n):
-        raise GraphError(f"vertex {v} out of range")
-    return v
-
-
-def vertex_mask(S):
-    """Bitmask of a vertex collection: bit v is set iff v is in S."""
-    mask = 0
-    for v in S:
-        mask |= 1 << v
-    return mask
 
 
 def mask_bits(mask):
@@ -343,7 +344,7 @@ def is_biconnected_mask(g, mask):
 
 def is_connected_induced(g, S):
     """True iff G[S] is connected; empty and singleton sets count as connected."""
-    return is_connected_mask(g, vertex_mask(_vertex(g, v) for v in S))
+    return is_connected_mask(g, g.vertex_mask(S))
 
 
 def is_separator(g, a, b, C):
@@ -353,10 +354,9 @@ def is_separator(g, a, b, C):
     in range, neither a nor b in C, and {a,b} not an edge (an adjacent pair
     is not separable).
     """
+    ends, cut = g.vertex_mask((a, b)), g.vertex_mask(C)
     if a == b:
         raise GraphError("separator endpoints must differ")
-    ends = vertex_mask((_vertex(g, a), _vertex(g, b)))
-    cut = vertex_mask(_vertex(g, v) for v in C)
     if cut & ends:
         raise GraphError("separator must not contain its endpoints")
     if g.neighbor_masks[a] >> b & 1:

@@ -28,9 +28,9 @@ def is_connected_matching(g, M):
 
 
 def incidence_vector(g, M):
+    g.edge_mask(M)
     x = [0] * g.m
     for e in M:
-        g.endpoints(e)   # range-checks e: x[-1] is the last edge
         x[e - 1] = 1
     return tuple(x)
 
@@ -112,14 +112,11 @@ def exists_cm_superset(g, R, forbidden=()):
 
     Edges in forbidden may not be picked as matching edges, but they still
     belong to g and count toward the connectivity of the covered set."""
-    R = set(R)
+    R = mask_bits(g.edge_mask(R))
     if not is_matching(g, R):
         raise GraphError("R is not a matching")
     base = g.cover_mask(R)
-    free = g.all_edges & ~union_over(g.incident_masks, base)
-    for e in forbidden:
-        g.endpoints(e)   # range-checks e, as cover_mask does for R
-        free &= ~(1 << e)
+    free = g.all_edges & ~union_over(g.incident_masks, base) & ~g.edge_mask(forbidden)
     return _grow(g, base, free)
 
 

@@ -24,8 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph_core import (GraphError, is_separator, mask_bits, reach_within, union_over,
-                         vertex_mask)
+from .graph_core import GraphError, is_separator, mask_bits, reach_within, union_over
 from .inequality import Inequality
 from .matchings import is_matching
 from .rational_la import exact_number, integer_row
@@ -62,7 +61,7 @@ def _minimal(g, a, b, C):
 def minimalize(g, s):
     """`_minimal` on a Separator, whose C must separate a from b (GraphError)."""
     s.validate(g)
-    return Separator(s.a, s.b, tuple(mask_bits(_minimal(g, s.a, s.b, vertex_mask(s.C)))))
+    return Separator(s.a, s.b, tuple(mask_bits(_minimal(g, s.a, s.b, g.vertex_mask(s.C)))))
 
 
 def vertex_row(g, plus, minus, tag, provenance):
@@ -82,7 +81,7 @@ def msi_row(g, a, b, C):
 def project_msi(g, s):
     """The projected MSI of a Separator, whose C must separate a from b (GraphError)."""
     s.validate(g)
-    return msi_row(g, s.a, s.b, vertex_mask(s.C))
+    return msi_row(g, s.a, s.b, g.vertex_mask(s.C))
 
 
 def dominates(p, q):
@@ -150,7 +149,11 @@ def _min_vertex_cut(net, a, b, bound):
             if parent[snk] >= 0:
                 break
         else:
-            return flow, vertex_mask(u >> 1 for u in queue if not u & 1 and parent[u + 1] < 0)
+            cut = 0
+            for u in queue:   # in-copies reached whose out-copy was not
+                if not u & 1 and parent[u + 1] < 0:
+                    cut |= 1 << (u >> 1)
+            return flow, cut
         path = []
         v = snk
         while v != src:
@@ -229,7 +232,7 @@ def separate_fractional(g, xstar):
 def lazy_cut_for_disconnected(g, M):
     """Projected MSI separating the incidence vector of a disconnected
     matching M, built from a separator inside the uncovered vertices."""
-    M = sorted(set(M))
+    M = mask_bits(g.edge_mask(M))
     if not is_matching(g, M):
         raise GraphError("M is not a matching")
     covered = g.cover_mask(M)

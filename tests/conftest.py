@@ -60,6 +60,14 @@ def assert_primitive_int_row(q):
     assert gcd(*values) == 1, values
 
 
+def mask_of(ids):
+    """Bitmask with bit i set for each i in ids, unchecked."""
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    return mask
+
+
 def set_bfs_components(g, S):
     """Reference components of G[S]: set-based BFS from the least unseen vertex."""
     S = set(S)

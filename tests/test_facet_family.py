@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,20 @@ class TestFacetHypothesis:
                               ((1, 4), (2, bad))):
                 with pytest.raises(GraphError, match=f"edge id {bad} out of range"):
                     facet_hypothesis(g, pair, lam)
+
+    def test_pair_must_be_two_distinct_edges(self):
+        g = generate("cycle:8")
+        for pair in ((1, 5, 2), (1, 1), (5,), ()):
+            for lam in ((), (3,)):
+                with pytest.raises(GraphError, match="pair needs two distinct edges"):
+                    facet_hypothesis(g, pair, lam)
+        # three edges and one lambda edge once passed the clique and
+        # 2-connectivity tests on petersen
+        g = generate("petersen")
+        for pair in combinations(range(1, g.m + 1), 3):
+            for f in range(1, g.m + 1):
+                with pytest.raises(GraphError, match="pair needs two distinct edges"):
+                    facet_hypothesis(g, pair, (f,))
 
     def test_positive_case(self):
         g = Graph(6, ((1, 2), (1, 3), (1, 4), (2, 5), (3, 4), (3, 6), (4, 5),

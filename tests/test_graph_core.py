@@ -1,17 +1,22 @@
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
 import networkx as nx
 import pytest
 
-from cmpoly.facet_family import is_disconnected_pair
+from cmpoly.facet_family import (check_validity_hypothesis, facet_hypothesis,
+                                 family_inequality, is_disconnected_pair, lambda_set)
 from cmpoly.graph_core import (Graph, GraphError, ParseError, format_graph, generate,
                                is_biconnected_mask, is_connected_induced, is_separator,
-                               line_distance, parse_graph, reach_within, vertex_mask)
+                               line_distance, parse_graph, reach_within)
+from cmpoly.matchings import exists_cm_superset, incidence_vector, is_connected_matching
+from cmpoly.msi import (Separator, lazy_cut_for_disconnected, minimal_separators, minimalize,
+                        project_msi)
 
-from conftest import random_connected_graph, set_bfs_components, to_networkx
+from conftest import mask_of, random_connected_graph, set_bfs_components, to_networkx
 
 
 class TestParse:
@@ -143,7 +148,7 @@ class TestLineMasks:
             assert len(g.line_masks) == g.m + 1 and g.line_masks[0] == 0
             for e, uv in enumerate(g.edges, start=1):
                 closed = [e] + [ids[tuple(sorted(h))] for h in L[uv]]
-                assert g.line_masks[e] == vertex_mask(closed), (g, e)
+                assert g.line_masks[e] == mask_of(closed), (g, e)
 
     def test_disconnected_pair_is_line_distance_three(self, random_suite):
         for g in random_suite:
@@ -232,7 +237,7 @@ class TestMaskKernel:
             nbr = g.neighbor_masks
             assert nbr[0] == 0
             for v in range(1, g.n + 1):
-                assert nbr[v] == vertex_mask(g.neighbors(v))
+                assert nbr[v] == mask_of(g.neighbors(v))
 
     def test_cache_is_not_state(self):
         # the mask tables take no part in equality or repr
@@ -242,7 +247,7 @@ class TestMaskKernel:
 
     def test_mask_round_trip(self):
         for S in (set(), {1}, {2, 5, 9}, set(range(1, 40))):
-            mask = vertex_mask(S)
+            mask = Graph(39, ()).vertex_mask(S)
             assert {v for v in range(mask.bit_length()) if mask >> v & 1} == S
 
     def test_matches_set_bfs_on_random_subsets(self):
@@ -256,7 +261,7 @@ class TestMaskKernel:
                 assert is_connected_induced(g, S) == (len(expect) <= 1)
                 for comp in expect:
                     for v in comp:
-                        assert reach_within(nbr, vertex_mask(S), 1 << v) == vertex_mask(comp)
+                        assert reach_within(nbr, mask_of(S), 1 << v) == mask_of(comp)
 
 
 def scan_edge_id(g, u, v):
@@ -269,9 +274,9 @@ class TestMaskTables:
     def test_match_edge_scan(self):
         graphs = kernel_corpus() + [Graph(5, ((1, 2), (3, 4))), Graph(1, ()), Graph(0, ())]
         for g in graphs:
-            assert g.endpoint_masks == [0] + [vertex_mask(e) for e in g.edges]
-            assert g.all_vertices == vertex_mask(range(1, g.n + 1))
-            assert g.all_edges == vertex_mask(range(1, g.m + 1))
+            assert g.endpoint_masks == [0] + [mask_of(e) for e in g.edges]
+            assert g.all_vertices == mask_of(range(1, g.n + 1))
+            assert g.all_edges == mask_of(range(1, g.m + 1))
             for v in range(1, g.n + 1):
                 at_v = [i for i, e in enumerate(g.edges, start=1) if v in e]
                 assert g.incident_edges(v) == at_v
@@ -293,14 +298,14 @@ class TestMaskTables:
 
     def test_cover_mask_checks_edge_ids(self):
         g = generate("cycle:6")
-        assert g.cover_mask([1, 4]) == vertex_mask({1, 2, 4, 5})
+        assert g.cover_mask([1, 4]) == mask_of({1, 2, 4, 5})
         for e in (0, 7, -1):
             with pytest.raises(GraphError, match=f"edge id {e} out of range"):
                 g.cover_mask([1, e])
 
 
 def biconnected(g, S):
-    return is_biconnected_mask(g, vertex_mask(S))
+    return is_biconnected_mask(g, mask_of(S))
 
 
 class TestBiconnectedInduced:
@@ -422,3 +427,51 @@ class TestGraphInvariants:
         # be written as `e True 2`, which parse_graph refuses
         with pytest.raises(GraphError, match=message):
             Graph(n, edges)
+
+
+# Every public entry that takes caller-given ids, each with the id under test
+# as x, on cycle:8 (n = m = 8): the kind says how a bad x must be refused,
+# through Graph.edge_mask ("edge") or Graph.vertex_mask ("vertex"), or read
+# as no edge (None).  Each site takes x = 2.
+C8 = generate("cycle:8")
+ID_SITES = {
+    "Graph.endpoints": ("edge", lambda x: C8.endpoints(x)),
+    "Graph.cover_mask": ("edge", lambda x: C8.cover_mask([1, x])),
+    "Graph.weight": ("edge", lambda x: C8.weight(x)),
+    "Graph.neighbors": ("vertex", lambda x: C8.neighbors(x)),
+    "Graph.incident_edges": ("vertex", lambda x: C8.incident_edges(x)),
+    "Graph.edge_id": (None, lambda x: C8.edge_id(1, x)),
+    "Graph.edge_id first": (None, lambda x: C8.edge_id(x, 3)),
+    "line_distance": ("edge", lambda x: line_distance(C8, 1, x)),
+    "is_connected_induced": ("vertex", lambda x: is_connected_induced(C8, [1, x])),
+    "is_separator a": ("vertex", lambda x: is_separator(C8, x, 6, (4, 8))),
+    "is_separator C": ("vertex", lambda x: is_separator(C8, 1, 5, (3, x))),
+    "is_connected_matching": ("edge", lambda x: is_connected_matching(C8, [5, x])),
+    "incidence_vector": ("edge", lambda x: incidence_vector(C8, (5, x))),
+    "exists_cm_superset R": ("edge", lambda x: exists_cm_superset(C8, [5, x])),
+    "exists_cm_superset forbidden": ("edge", lambda x: exists_cm_superset(C8, [5], [x])),
+    "lambda_set": ("edge", lambda x: lambda_set(C8, 5, x)),
+    "is_disconnected_pair": ("edge", lambda x: is_disconnected_pair(C8, 5, x)),
+    "family_inequality": ("edge", lambda x: family_inequality(C8, 5, x)),
+    "check_validity_hypothesis": ("edge", lambda x: check_validity_hypothesis(C8, 5, x)),
+    "facet_hypothesis pair": ("edge", lambda x: facet_hypothesis(C8, (5, x), ())),
+    "facet_hypothesis lambda": ("edge", lambda x: facet_hypothesis(C8, (1, 5), (x,))),
+    "lazy_cut_for_disconnected": ("edge", lambda x: lazy_cut_for_disconnected(C8, (5, x))),
+    "minimal_separators": ("vertex", lambda x: minimal_separators(C8, x, 6)),
+    "minimalize": ("vertex", lambda x: minimalize(C8, Separator(x, 6, (4, 8)))),
+    "project_msi": ("vertex", lambda x: project_msi(C8, Separator(x, 6, (4, 8)))),
+}
+
+
+@pytest.mark.parametrize("bad", [0, 9, -1, True, 2.0, Fraction(2), "1"], ids=repr)
+@pytest.mark.parametrize("site", ID_SITES)
+def test_id_sites_refuse_bad_ids(site, bad):
+    kind, f = ID_SITES[site]
+    f(2)
+    if kind is None:
+        assert f(bad) is None
+        return
+    message = {"edge": f"edge id {bad!r} out of range 1..8",
+               "vertex": f"vertex {bad!r} out of range"}[kind]
+    with pytest.raises(GraphError, match=re.escape(message)):
+        f(bad)

@@ -12,7 +12,7 @@ from cmpoly import msi, solver
 from cmpoly.graph_core import Graph, GraphError, generate
 from cmpoly.inequality import Inequality
 from cmpoly.matchings import enumerate_cm_sets, enumerate_connected_matchings, incidence_vector
-from cmpoly.graph_core import is_separator, mask_bits, reach_within, vertex_mask
+from cmpoly.graph_core import is_separator, mask_bits, reach_within
 from cmpoly.matchings import is_connected_matching, is_matching
 from cmpoly.msi import (Separator, _min_vertex_cut, _split_network, dominates,
                         lazy_cut_for_disconnected, minimal_separators, minimalize,
@@ -20,8 +20,8 @@ from cmpoly.msi import (Separator, _min_vertex_cut, _split_network, dominates,
 from cmpoly.rational_la import integer_row
 from cmpoly.solver import SolveConfig
 
-from conftest import (assert_primitive_int_row, random_connected_graph, set_bfs_components,
-                      spread_weights)
+from conftest import (assert_primitive_int_row, mask_of, random_connected_graph,
+                      set_bfs_components, spread_weights)
 
 
 def reference_min_vertex_cut(g, a, b, cap):
@@ -202,7 +202,7 @@ def reference_minimal_separators(g):
     found = {pair: [] for pair in nonadjacent_pairs(g)}
     for size in range(g.n - 1):
         for C in combinations(range(1, g.n + 1), size):
-            cut = vertex_mask(C)
+            cut = mask_of(C)
             room, full = g.all_vertices & ~cut, []
             while room:
                 comp = reach_within(nbr, room, room & -room)
@@ -334,10 +334,10 @@ class TestVertexRow:
             for a, b in nonadjacent_pairs(g):
                 for s in generated_separators(g, a, b, g.n):
                     want = reference_project_msi(g, s)
-                    assert vertex_row(g, vertex_mask((a, b)), vertex_mask(s.C), "msi",
+                    assert vertex_row(g, mask_of((a, b)), mask_of(s.C), "msi",
                                       want.provenance) == want
                     assert project_msi(g, s) == want   # tag and provenance included
-                    assert msi_row(g, a, b, vertex_mask(s.C)) == want
+                    assert msi_row(g, a, b, mask_of(s.C)) == want
                     rows += 1
             degree = reference_degree_rows(g)
             assert [vertex_row(g, 1 << v, 0, "degree", f"v={v}")
@@ -595,7 +595,7 @@ class TestMinVertexCut:
         g = generate("cycle:6")
         flow, cut = full_min_vertex_cut(_split_network(g, [0] + [2] * 6), 1, 4)
         assert type(flow) is int and flow == 4
-        assert cut == vertex_mask({2, 6})
+        assert cut == mask_of({2, 6})
 
     def test_network_is_not_consumed(self):
         g = generate("cycle:6")
@@ -633,7 +633,7 @@ class TestMinVertexCut:
             for a, b in nonadjacent_pairs(g):
                 flow, cut = full_min_vertex_cut(net, a, b)
                 ref_flow, ref_cut = reference_min_vertex_cut(g, a, b, cap)
-                assert (flow, cut) == (ref_flow, vertex_mask(ref_cut))
+                assert (flow, cut) == (ref_flow, mask_of(ref_cut))
                 assert is_separator(g, a, b, mask_bits(cut))
                 assert sum(cap[v] for v in mask_bits(cut)) == flow
                 # brute force over every separator of the pair
@@ -661,7 +661,7 @@ class TestMinVertexCut:
                 for bound in (0, flow // 2, flow - 1, flow, flow + 1, 2 * flow + 3):
                     got = _min_vertex_cut(net, a, b, bound)
                     if bound > flow:
-                        assert got == (flow, vertex_mask(cut))
+                        assert got == (flow, mask_of(cut))
                         exact += 1
                     else:
                         assert got[1] is None and bound <= got[0] <= flow
