@@ -133,7 +133,8 @@ def cmd_solve(g, args):
         lines.append(f"upper_bound {res.stats['upper_bound']}")
     lines.append(f"nodes {res.stats['nodes']} pivots {res.stats['lp_pivots']} "
                  f"cuts_msi {res.stats['cuts']['msi']} "
-                 f"cuts_lazy {res.stats['cuts']['lazy']}")
+                 f"cuts_lazy {res.stats['cuts']['lazy']} "
+                 f"cuts_family {res.stats['family_rows']}")
     if not args.no_meta:
         lines.append(f"wall_time {res.stats['wall_time']:.3f}s")
     if args.oracle_check:

@@ -8,6 +8,8 @@ nonempty, L induces a clique in the line graph, and each triple
 {e1, e2, f} induces a 2-connected subgraph.  That facet hypothesis is
 sufficient, not necessary, so it under-claims: all five family facets of j26
 fail it.  A row is its own certificate: `family_pair` reads the pair and L back.
+`generate_family` builds every row; `separate_family` returns only those a
+point violates, without building the others, for the solver's cut loop.
 """
 
 from __future__ import annotations
@@ -95,10 +97,17 @@ def check_validity_hypothesis(g, e1, e2):
 
 
 def facet_hypothesis(g, pair, lam):
-    """The module's facet hypothesis for a pair of edge ids and its lambda set lam."""
+    """The module's facet hypothesis for a disconnected pair of edge ids and
+    its lambda set lam, which must name exactly `lambda_set` of the pair:
+    any other pair or lam raises GraphError."""
     pair_mask, clique = g.edge_mask(pair), g.edge_mask(lam)
     if len(pair) != 2 or pair_mask.bit_count() != 2:
         raise GraphError("pair needs two distinct edges")
+    e1, e2 = pair
+    if not is_disconnected_pair(g, e1, e2):
+        raise GraphError(f"edges {e1},{e2} are not a disconnected pair")
+    if clique != g.edge_mask(lambda_set(g, e1, e2)):
+        raise GraphError(f"{tuple(lam)} is not the lambda set of edges {e1},{e2}")
     line, ends = g.line_masks, g.endpoint_masks
     pair_cover = union_over(ends, pair_mask)
     # lam is a clique of the line graph when each f in it touches all of lam
@@ -107,26 +116,50 @@ def facet_hypothesis(g, pair, lam):
     return all(is_biconnected_mask(g, pair_cover | ends[f]) for f in lam)
 
 
+def _pair_row(g, near, e1, e2, xstar=None):
+    """The family row of the edges e1 < e2 when they are a disconnected pair
+    and pass the validity hypothesis, else None; given a point xstar, also
+    None unless the row is violated there.  near[e] is the mask of the edges
+    at line-graph distance at most 2 from e, so one mask test decides
+    disconnection and one mask expression gives lambda.  The validity search
+    runs last, entered with those masks: the cheap tests settle most pairs.
+    """
+    if near[e1] >> e2 & 1:
+        return None
+    line, ends = g.line_masks, g.endpoint_masks
+    touch = line[e1] | line[e2]
+    lam = near[e1] & near[e2] & ~touch
+    if xstar is not None and (xstar[e1 - 1] + xstar[e2 - 1]
+                              - sum(xstar[f - 1] for f in mask_bits(lam)) <= 1):
+        return None
+    # exists_cm_superset(g, (e1, e2), lam) without its input checks
+    if _grow(g, ends[e1] | ends[e2], g.all_edges & ~(touch | lam)):
+        return None
+    return _family_row(g, e1, e2, tuple(mask_bits(lam)))
+
+
 def generate_family(g):
     """The family row of each unordered disconnected pair that passes the
-    validity hypothesis, ordered by (min id, max id).
+    validity hypothesis, ordered by (min id, max id).  Each edge's 2-ball in
+    the line graph is built once, for `_pair_row`."""
+    near = [union_over(g.line_masks, ball) for ball in g.line_masks]
+    rows = (_pair_row(g, near, e1, e2)
+            for e1 in range(1, g.m + 1) for e2 in range(e1 + 1, g.m + 1))
+    return [q for q in rows if q is not None]
 
-    Each edge's balls in the line graph, line[e] (distance at most 1) and
-    near[e] (at most 2), are built once, so each pair costs one mask test
-    for disconnection and one mask expression for its lambda set, then one
-    validity search, entered with those masks.
+
+def separate_family(g, xstar):
+    """The rows of `generate_family(g)` that the point xstar (one value per
+    edge) violates, in the same order, with the same bytes.
+
+    Exact: a row x_e1 + x_e2 - x(lambda) <= 1 can be violated only when
+    x_e1 + x_e2 > 1, as x >= 0 on lambda, so only pairs of the support of
+    xstar with that sum are tested, and `_pair_row` runs the validity search
+    only for those whose row xstar violates.
     """
-    line, ends, every = g.line_masks, g.endpoint_masks, g.all_edges
-    near = [union_over(line, ball) for ball in line]
-    out = []
-    for e1 in range(1, g.m + 1):
-        for e2 in range(e1 + 1, g.m + 1):
-            if near[e1] >> e2 & 1:
-                continue
-            touch = line[e1] | line[e2]
-            lam = near[e1] & near[e2] & ~touch
-            # exists_cm_superset(g, (e1, e2), lam) without its input checks
-            if _grow(g, ends[e1] | ends[e2], every & ~(touch | lam)):
-                continue
-            out.append(_family_row(g, e1, e2, tuple(mask_bits(lam))))
-    return out
+    support = [e for e in range(1, g.m + 1) if xstar[e - 1]]
+    near = {e: _near(g, e) for e in support}
+    rows = (_pair_row(g, near, e1, e2, xstar)
+            for i, e1 in enumerate(support) for e2 in support[i + 1:]
+            if xstar[e1 - 1] + xstar[e2 - 1] > 1)
+    return [q for q in rows if q is not None]

@@ -37,6 +37,11 @@ class Separator:
     C: tuple
 
     def __post_init__(self):
+        # before the sort, which would compare a str with an int, and the set,
+        # which would merge True into 1 and 7.0 into 7
+        for v in self.C:
+            if type(v) is not int:
+                raise GraphError(f"vertex {v!r} out of range")
         object.__setattr__(self, "C", tuple(sorted(set(self.C))))
 
     def validate(self, g):

@@ -1,7 +1,7 @@
 """Exact branch-and-cut for maximum-weight connected matching.
 
-The LP relaxation at a node is the model's own rows (degree rows, optional a
-priori family rows, the cut pool) over the edges the node has not fixed; a
+The LP relaxation at a node is the model's own rows (the degree rows and the
+cut pool) over the edges the node has not fixed; a
 branch that fixes x_e = 1 also fixes to 0 every edge touching e, which e's
 degree rows force to 0.  A simplex solves it: a dual phase 1 under Bland's
 rule when a fix overdraws a row, then the primal simplex on the weights,
@@ -9,9 +9,13 @@ which enters the column of largest reduced cost (Dantzig) and falls back to
 Bland's rule during long degenerate runs.  It keeps an integer dictionary of
 the nonbasic columns, each row primitive with its own positive scale, so
 every bound and optimality claim is exact.
-Fractional points are attacked with projected minimal separator cuts;
-integral but disconnected matchings trigger lazy connectivity cuts;
-remaining fractionality is resolved by branching.
+At every LP point that is not a connected matching, the pairwise family is
+separated first (`separate_family`), unless SolveConfig turns it off: the
+rows of `generate_family` that x* violates go into the cut pool, found
+without building the rest, since a row x_e1 + x_e2 - x(lambda) <= 1 can be
+violated only when x*_e1 + x*_e2 > 1.  When none is, fractional points are attacked with projected minimal separator cuts and
+integral but disconnected matchings get a lazy connectivity cut; remaining
+fractionality is resolved by branching.
 """
 
 from __future__ import annotations
@@ -23,14 +27,14 @@ from fractions import Fraction
 from math import gcd
 from operator import itemgetter
 
-from .facet_family import generate_family
+from .facet_family import separate_family
 from .graph_core import GraphError, mask_bits
 from .matchings import is_connected_matching
 from .rational_la import exact_number, integer_row
 from .msi import lazy_cut_for_disconnected, separate_fractional, vertex_row
 
 
-# MSI separation rounds per node before it branches
+# cut rounds per node after which MSI separation stops and the node branches
 CUT_ROUNDS = 5
 # degenerate pivots in a row after which primal_phase prices by Bland's rule
 DEGENERATE_RUN = 50
@@ -61,17 +65,14 @@ class SolveResult:
     log: list
 
 
-def build_base_lp(g, w, config=None):
-    """Degree rows, which with x >= 0 imply x_e <= 1 (so no bound rows);
-    family rows appended a priori when enabled."""
-    config = config or SolveConfig()
+def build_base_lp(g, w):
+    """The degree rows, which with x >= 0 imply x_e <= 1 (so no bound rows).
+    Family rows are not put in here: `branch_and_cut` separates them."""
     w = tuple(exact_number(x) for x in w)
     if len(w) != g.m:
         raise GraphError(f"expected {g.m} weights, got {len(w)}")
     rows = [vertex_row(g, 1 << v, 0, "degree", f"v={v}")
             for v in range(1, g.n + 1) if g.incident_masks[v]]
-    if config.use_family_cuts:
-        rows.extend(generate_family(g))
     return Model(objective=w, rows=rows)
 
 
@@ -266,23 +267,26 @@ def _simplex(c, A, b):
 def branch_and_cut(g, w, config=None):
     """Best-bound branch-and-cut; the optimum equals the brute-force oracle.
 
-    Per node: solve the LP; separate MSI cuts while fractional (bounded
-    rounds); lazy connectivity cuts repair integral disconnected matchings;
+    Per node: solve the LP; at a point that is not a connected matching,
+    separate family rows first, when enabled; if none is violated, separate
+    MSI cuts while fractional (at most CUT_ROUNDS rounds of either kind) or
+    repair an integral disconnected matching with a lazy connectivity cut;
     otherwise branch on the most fractional variable, =1 child first, which
     also fixes to 0 every edge that touches the branching edge.
+    `stats["family_rows"]` counts the family rows separated.
     """
     config = config or SolveConfig()
     if config.node_limit < 1:
         raise GraphError(f"node limit must be at least 1, got {config.node_limit}")
     start = time.monotonic()
-    model = build_base_lp(g, w, config)
+    model = build_base_lp(g, w)
     half = Fraction(1, 2)
 
     incumbent_val = Fraction(0)
     incumbent_set = ()
     log = []
     stats = {"nodes": 0, "lp_pivots": 0, "cuts": {"msi": 0, "lazy": 0},
-             "family_rows": sum(1 for q in model.rows if q.tag == "family")}
+             "family_rows": 0}
 
     # heap of open nodes (-bound, node id, fixed0, fixed1), the fixes as edge
     # masks: best bound first, then lowest id; the root alone has no bound
@@ -312,20 +316,25 @@ def branch_and_cut(g, w, config=None):
                 break
             frac = [e for e in range(1, g.m + 1)
                     if xstar[e - 1] not in (0, 1)]
-            # every pooled row holds at xstar, so a round's cuts are all new
-            kind, cuts = "msi", []
             if not frac:
                 M = tuple(e for e in range(1, g.m + 1) if xstar[e - 1] == 1)
                 if len(M) < 2 or is_connected_matching(g, M):
                     note(value, "int")
                     incumbent_val, incumbent_set = value, M
                     break
-                kind, cuts = "lazy", [lazy_cut_for_disconnected(g, M)]
+            # every pooled row holds at xstar, so a round's cuts are all new
+            if config.use_family_cuts and (cuts := separate_family(g, xstar)):
+                stats["family_rows"] += len(cuts)
+            elif not frac:
+                cuts = [lazy_cut_for_disconnected(g, M)]
+                stats["cuts"]["lazy"] += 1
             elif config.use_msi_separation and cuts_here < CUT_ROUNDS:
                 cuts = separate_fractional(g, xstar)
+                stats["cuts"]["msi"] += len(cuts)
+            else:
+                cuts = []
             if cuts:
                 model.cut_pool.extend(cuts)
-                stats["cuts"][kind] += len(cuts)
                 cuts_here += 1
                 continue
             note(value, "frac")

@@ -7,7 +7,8 @@ import pytest
 
 from cmpoly.graph_core import Graph, line_distance
 from cmpoly.polytope import classify
-from cmpoly.solver import SolveConfig, build_base_lp, solve_lp_exact
+from cmpoly.facet_family import generate_family
+from cmpoly.solver import build_base_lp, solve_lp_exact
 
 
 def random_connected_graph(seed, n_lo=4, n_hi=8, max_extra=4, m_cap=12):
@@ -93,11 +94,17 @@ def class_histogram(H, g):
     return Counter(classify(q, g).key for q in H.facets)
 
 
+def with_family(model, g):
+    """model with every row of g's family appended to its rows: the root LP
+    that once put the family in up front."""
+    model.rows.extend(generate_family(g))
+    return model
+
+
 def root_gap_report(g, w):
-    """Root LP values (without family rows, with family rows)."""
-    no_fam = build_base_lp(g, w, SolveConfig(use_family_cuts=False))
-    with_fam = build_base_lp(g, w, SolveConfig(use_family_cuts=True))
-    return solve_lp_exact(no_fam)[0], solve_lp_exact(with_fam)[0]
+    """Root LP values (degree rows alone, degree rows and the whole family)."""
+    return (solve_lp_exact(build_base_lp(g, w))[0],
+            solve_lp_exact(with_family(build_base_lp(g, w), g))[0])
 
 
 def to_networkx(g):

@@ -1,13 +1,14 @@
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from cmpoly import matchings
 from cmpoly.facet_family import (check_validity_hypothesis, facet_hypothesis,
                                  family_inequality, family_pair, generate_family,
-                                 is_disconnected_pair, lambda_set)
+                                 is_disconnected_pair, lambda_set, separate_family)
 from cmpoly.graph_core import Graph, GraphError, generate, line_distance, parse_graph
 from cmpoly.inequality import Inequality
 from cmpoly.matchings import enumerate_cm_sets, enumerate_connected_matchings
@@ -226,6 +227,26 @@ class TestFacetHypothesis:
                 with pytest.raises(GraphError, match="pair needs two distinct edges"):
                     facet_hypothesis(g, pair, (f,))
 
+    def test_refuses_other_pairs_and_lambdas(self):
+        # every two-edge pair of each graph, with the empty set and each
+        # one-edge set as lam: once True for 240, 516 and 192 pairs that are
+        # not disconnected, and for a lam that is not the pair's lambda set
+        for name in ("petersen", "j26", "cube:3"):
+            g = generate(name)
+            lams = [(), *((f,) for f in range(1, g.m + 1))]
+            for pair in combinations(range(1, g.m + 1), 2):
+                if not reference_is_disconnected_pair(g, *pair):
+                    for lam in lams:
+                        with pytest.raises(GraphError, match="not a disconnected pair"):
+                            facet_hypothesis(g, pair, lam)
+                    continue
+                lam = reference_lambda_set(g, *pair)
+                assert facet_hypothesis(g, pair, lam) == reference_facet_hypothesis(g, *pair, lam)
+                for other in lams:
+                    if other != lam:
+                        with pytest.raises(GraphError, match="is not the lambda set"):
+                            facet_hypothesis(g, pair, other)
+
     def test_positive_case(self):
         g = Graph(6, ((1, 2), (1, 3), (1, 4), (2, 5), (3, 4), (3, 6), (4, 5),
                       (4, 6)))
@@ -334,6 +355,40 @@ class TestGenerateFamily:
                 assert lam == lambda_set(g, *pair)
                 if flag:
                     assert lam
+
+
+def violated_rows(g, x):
+    """The rows of generate_family(g) that the point x violates."""
+    return [q for q in generate_family(g) if q.evaluate(x) > q.rhs]
+
+
+class TestSeparateFamily:
+    def test_matches_filtered_family_on_random_points(self, random_suite):
+        # seeded points in [0, 1]^m, their entries drawn from quarters and
+        # from ratios with 30-digit parts, and a third of them zeroed
+        rng = Random(11)
+        graphs = random_suite + [generate(n) for n in ("petersen", "j26", "cube:3", "cycle:8")]
+        rows = 0
+        for g in graphs:
+            for _ in range(6):
+                x = [Fraction(0) if rng.random() < 1 / 3
+                     else Fraction(rng.randint(0, 4), 4) if rng.random() < 1 / 2
+                     else Fraction(rng.randint(0, 10 ** 30), 10 ** 30 + rng.randint(0, 99))
+                     for _ in range(g.m)]
+                got = separate_family(g, x)
+                assert got == violated_rows(g, x)   # Inequality equality includes provenance
+                rows += len(got)
+        assert rows >= 100
+
+    def test_integral_points(self):
+        # the 0/1 points of cycle:8 with two to four ones, and its all-1/2
+        # point, at which no family row is violated
+        g = generate("cycle:8")
+        for k in range(2, 5):
+            for M in combinations(range(1, g.m + 1), k):
+                x = [Fraction(int(e in M)) for e in range(1, g.m + 1)]
+                assert separate_family(g, x) == violated_rows(g, x)
+        assert separate_family(g, [Fraction(1, 2)] * g.m) == []
 
 
 class TestJ26Family:

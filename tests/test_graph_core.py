@@ -455,7 +455,7 @@ ID_SITES = {
     "family_inequality": ("edge", lambda x: family_inequality(C8, 5, x)),
     "check_validity_hypothesis": ("edge", lambda x: check_validity_hypothesis(C8, 5, x)),
     "facet_hypothesis pair": ("edge", lambda x: facet_hypothesis(C8, (5, x), ())),
-    "facet_hypothesis lambda": ("edge", lambda x: facet_hypothesis(C8, (1, 5), (x,))),
+    "facet_hypothesis lambda": ("edge", lambda x: facet_hypothesis(C8, (4, 8), (x, 6))),
     "lazy_cut_for_disconnected": ("edge", lambda x: lazy_cut_for_disconnected(C8, (5, x))),
     "minimal_separators": ("vertex", lambda x: minimal_separators(C8, x, 6)),
     "minimalize": ("vertex", lambda x: minimalize(C8, Separator(x, 6, (4, 8)))),

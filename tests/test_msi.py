@@ -1,4 +1,5 @@
 import random
+import re
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
@@ -169,6 +170,16 @@ class TestMinimalSeparator:
     def test_minimalize_rejects_invalid_separator(self, C):
         with pytest.raises(GraphError):
             minimalize(generate("cycle:6"), Separator(1, 4, C))
+
+    @pytest.mark.parametrize("a, b, C, bad", [(1, 5, (3, "7"), "7"), (1, 5, (3, 7, 7.0), 7.0),
+                                              (3, 7, (1, 5, True), True)],
+                             ids=["str", "float", "bool"])
+    def test_non_int_separator_vertex_rejected(self, a, b, C, bad):
+        # refused before the sort, which raised TypeError on the str, and the
+        # set, which merged 7.0 into 7 and True into 1, so that C read as the
+        # (a, b)-separator {3, 7} or {1, 5} of cycle:8
+        with pytest.raises(GraphError, match=re.escape(f"vertex {bad!r} out of range")):
+            project_msi(generate("cycle:8"), Separator(a, b, C))
 
     def test_out_of_range_endpoint_rejected(self):
         g = generate("cycle:6")
@@ -342,8 +353,7 @@ class TestVertexRow:
             degree = reference_degree_rows(g)
             assert [vertex_row(g, 1 << v, 0, "degree", f"v={v}")
                     for v in range(1, g.n + 1) if g.incident_edges(v)] == degree
-            model = solver.build_base_lp(g, [1] * g.m, SolveConfig(use_family_cuts=False))
-            assert model.rows == degree
+            assert solver.build_base_lp(g, [1] * g.m).rows == degree
         assert rows >= 1000
 
 

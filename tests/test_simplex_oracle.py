@@ -55,7 +55,7 @@ from cmpoly.msi import minimal_separators, msi_row
 from cmpoly.rational_la import integer_row
 from cmpoly.solver import SolveConfig, _simplex, branch_and_cut, build_base_lp, solve_lp_exact
 
-from conftest import BIG, random_connected_graph, root_gap_report, spread_weights
+from conftest import BIG, random_connected_graph, root_gap_report, spread_weights, with_family
 
 
 def fraction_simplex(c, A, b):
@@ -361,7 +361,8 @@ def corpus_lps(seed):
     """(model, fixed0, fixed1) triples for one seeded graph and weight draw,
     the fixes as edge masks.
 
-    The root LP; the projected MSIs of every minimal separator of one
+    The root LP, whose rows are the degree rows and, on even seeds, the
+    whole family (`with_family`); the projected MSIs of every minimal separator of one
     non-adjacent pair (a, b) (coefficients down to -2); then, on that cut
     pool:
     - an x_e=1 fix, alone and, as branch_and_cut fixes it, with every edge
@@ -382,7 +383,9 @@ def corpus_lps(seed):
     rng = random.Random(seed)
     g = random_connected_graph(seed, n_hi=8, m_cap=10)
     w = corpus_weights(rng, g, huge=seed % 3 == 2)
-    model = build_base_lp(g, w, SolveConfig(use_family_cuts=seed % 2 == 0))
+    model = build_base_lp(g, w)
+    if seed % 2 == 0:
+        with_family(model, g)
     yield model, 0, 0
     pairs = [(a, b) for a in range(1, g.n + 1) for b in range(a + 1, g.n + 1)
              if g.edge_id(a, b) is None]
@@ -411,10 +414,13 @@ def corpus_lps(seed):
 
 def test_integer_simplex_matches_fraction_simplex(monkeypatch):
     seen = pin_simplex(monkeypatch)
-    lps = phase1 = infeasible = minus2 = empty = dropped = 0
+    lps = phase1 = infeasible = minus2 = empty = dropped = family = 0
     dual_pivots = reference_pivots = 0
     for seed in range(60):
         for model, fixed0, fixed1 in corpus_lps(seed):
+            # a fix that overdraws a family row
+            family += any(q.tag == "family" and sum(q.coeffs[e - 1] for e in mask_bits(fixed1)) > 1
+                          for q in model.rows)
             got = solve_lp_exact(model, fixed0, fixed1)
             assert_solves_old_formulation(model, fixed0, fixed1, got)
             c, A, b, pivots, reference = seen[-1]
@@ -429,7 +435,7 @@ def test_integer_simplex_matches_fraction_simplex(monkeypatch):
             empty += not c
     assert len(seen) == lps
     assert lps >= 250 and phase1 >= 150 and infeasible >= 50 and minus2 >= 50
-    assert empty >= 50 and dropped >= 150
+    assert empty >= 50 and dropped >= 150 and family >= 10
     assert dual_pivots <= reference_pivots
 
 
@@ -471,9 +477,8 @@ def test_root_gap_report_with_huge_weights():
         g = random_connected_graph(seed, n_hi=8, m_cap=10)
         w = corpus_weights(rng, g, huge=True)
         want = tuple(
-            fraction_simplex(*old_formulation(
-                build_base_lp(g, w, SolveConfig(use_family_cuts=fam))))[0]
-            for fam in (False, True))
+            fraction_simplex(*old_formulation(model))[0]
+            for model in (build_base_lp(g, w), with_family(build_base_lp(g, w), g)))
         assert root_gap_report(g, w) == want
         assert any(v.denominator > 10 ** 20 for v in want)
 

@@ -1,51 +1,64 @@
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cmpoly import solver
+from cmpoly.facet_family import generate_family, separate_family
 from cmpoly.graph_core import Graph, GraphError, generate, mask_bits
 from cmpoly.matchings import brute_force_max_weight_cm, enumerate_connected_matchings, is_connected_matching
 from cmpoly.solver import SolveConfig, branch_and_cut, build_base_lp, solve_lp_exact
 
 from conftest import (assert_primitive_int_row, random_connected_graph, random_weights,
-                      root_gap_report, spread_weights)
+                      root_gap_report, spread_weights, with_family)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import instances  # noqa: E402
+
+
+def seed0_solve_cases():
+    """(graph, weights) of the 52 instances of perfbench's seed-0 solve and
+    solve-cuts lists."""
+    return [(inst.graph, inst.weights)
+            for inst in instances.solve_instances(0) + instances.solve_cuts_instances(0)]
 
 
 class TestBuildBaseLp:
     def test_path3(self):
         g = generate("path:3")
-        model = build_base_lp(g, [1, 1], SolveConfig(use_family_cuts=False))
+        model = build_base_lp(g, [1, 1])
         assert [q.tag for q in model.rows] == ["degree"] * 3
-        # P3 has no disconnected pair, so family cuts add nothing
-        model = build_base_lp(g, [1, 1], SolveConfig(use_family_cuts=True))
-        assert not any(q.tag == "family" for q in model.rows)
+        # P3 has no disconnected pair, so the family adds nothing
+        assert generate_family(g) == []
 
     @pytest.mark.parametrize("family", [False, True])
     def test_degree_rows_bound_every_edge(self, family):
         # no bound rows: every edge column has a +1 in some degree row, so
-        # with x >= 0 the degree rows imply x_e <= 1 and keep the LP bounded
+        # with x >= 0 the degree rows imply x_e <= 1 and keep the LP bounded,
+        # with or without the family beside them
         graphs = [random_connected_graph(seed, n_hi=10, m_cap=16) for seed in range(30)]
         graphs += [Graph(6, ((1, 2), (2, 3), (4, 5))),   # K2 component, isolated 6
                    Graph(2, ((1, 2),)), Graph(3, ())]
         for g in graphs:
-            model = build_base_lp(g, [1] * g.m, SolveConfig(use_family_cuts=family))
-            assert {q.tag for q in model.rows} <= {"degree", "family"}
+            model = build_base_lp(g, [1] * g.m)
+            assert {q.tag for q in model.rows} <= {"degree"}
+            if family:
+                with_family(model, g)
+                assert {q.tag for q in model.rows} <= {"degree", "family"}
             degree = [q for q in model.rows if q.tag == "degree"]
             assert all(any(q.coeffs[e - 1] == 1 for q in degree)
                        for e in range(1, g.m + 1)), g
 
     def test_c6_family_rows(self):
-        g = generate("cycle:6")
-        model = build_base_lp(g, [0] * 6, SolveConfig(use_family_cuts=True))
-        fam = {q.canonical() for q in model.rows if q.tag == "family"}
+        fam = {q.canonical() for q in generate_family(generate("cycle:6"))}
         assert ((1, 0, 0, 1, 0, 0), 1) in fam
         assert len(fam) == 3
 
     def test_j26_family_rows(self):
-        g = generate("j26")
-        model = build_base_lp(g, [0] * 14)
-        assert sum(1 for q in model.rows if q.tag == "family") >= 5
+        assert len(generate_family(generate("j26"))) >= 5
 
     def test_dimension_mismatch(self):
         with pytest.raises(GraphError):
@@ -73,7 +86,7 @@ class TestLpExact:
     def test_c6_family_row_caps_pair(self):
         g = generate("cycle:6")
         w = [1, 0, 0, 1, 0, 0]
-        value, _, _ = solve_lp_exact(build_base_lp(g, w))
+        value, _, _ = solve_lp_exact(with_family(build_base_lp(g, w), g))
         assert value == 1
 
     def test_deterministic(self):
@@ -321,3 +334,48 @@ class TestRootGap:
             w[f - 1] = Fraction(-1)
         v0, v1 = root_gap_report(g, w)
         assert v1 < v0
+
+
+class TestFamilySeparation:
+    def test_separated_rows_are_the_violated_family_rows(self, monkeypatch, random_suite):
+        # at every LP point of solves with family rows, separation returns
+        # exactly the rows of the whole family that the point violates
+        points = []
+        solve = solver.solve_lp_exact
+
+        def capture(model, fixed0=0, fixed1=0):
+            got = solve(model, fixed0, fixed1)
+            if got[1] is not None:
+                points.append(got[1])
+            return got
+
+        monkeypatch.setattr(solver, "solve_lp_exact", capture)
+        cases = seed0_solve_cases() + [(g, random_weights(seed, g.m))
+                                       for seed, g in enumerate(random_suite)]
+        rows = 0
+        for g, w in cases:
+            points.clear()
+            assert branch_and_cut(g, w).value == brute_force_max_weight_cm(g, w)[0]
+            family = generate_family(g)
+            for x in points:
+                got = separate_family(g, x)
+                assert got == [q for q in family if q.evaluate(x) > q.rhs]
+                rows += len(got)
+        assert rows >= 30
+
+    def test_a_priori_and_separated_optima_agree(self, monkeypatch):
+        # the whole family put in the root LP up front, as solve once did,
+        # against the family separated at x*: both reach brute force's
+        # optimum.  cycle:31 draw 0 is the one odd cycle here; each side
+        # takes about 1.3 s on it (draw 1 takes 3-4 s a side)
+        base = solver.build_base_lp
+        cycle31 = generate("cycle:31")
+        cases = seed0_solve_cases() + [
+            (cycle31, instances.spread_weights(random.Random("x-cycle:31-0"), cycle31))]
+        separated = [branch_and_cut(g, w) for g, w in cases]
+        monkeypatch.setattr(solver, "build_base_lp", lambda g, w: with_family(base(g, w), g))
+        a_priori = [branch_and_cut(g, w) for g, w in cases]
+        for (g, w), one, other in zip(cases, separated, a_priori):
+            assert one.value == other.value == brute_force_max_weight_cm(g, w)[0]
+            assert other.stats["family_rows"] == 0
+        assert sum(res.stats["family_rows"] for res in separated) > 0
