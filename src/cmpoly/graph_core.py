@@ -292,6 +292,29 @@ def line_distance(g, e, f):
     return math.inf
 
 
+def edge_parts(g):
+    """The parts of G's edges, as edge masks ordered by their least edge.
+
+    Edges e and f are linked when they are at line-graph distance exactly 2
+    (vertex-disjoint, but joined by an edge): f is in e's line-graph 2-ball,
+    union_over(line_masks, line_masks[e]), and not in line_masks[e].  The
+    parts are the components of this relation.  Every connected matching
+    lies inside one part: contracting its matched edges leaves the covered
+    induced subgraph connected, and two matched edges joined by an edge are
+    linked.  A linked pair is itself a connected matching, so the parts are
+    exactly the classes of "lie together in some connected matching".  No
+    part for m = 0.
+    """
+    line = g.line_masks
+    links = [union_over(line, near) & ~near for near in line]
+    parts, left = [], g.all_edges
+    while left:
+        part = reach_within(links, left, left & -left)
+        parts.append(part)
+        left ^= part
+    return parts
+
+
 def mask_bits(mask):
     """The set bits of mask, ascending."""
     bits = []
@@ -319,7 +342,8 @@ def reach_within(nbr, room, start):
 
     nbr is a neighbour-mask table such as Graph.neighbor_masks; room and
     start are vertex bitmasks with start inside room.  Induced
-    connectivity, components and separators all reduce to this search.
+    connectivity, components and separators all reduce to this search, and
+    so do edge parts, over a table of edge masks.
     """
     seen = frontier = start
     while frontier:

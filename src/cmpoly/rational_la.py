@@ -23,7 +23,10 @@ from operator import add, itemgetter, mul
 def exact_number(x):
     """x as a Fraction: an int, a Fraction or a string such as "1/10".  A
     float is refused, since 0.1 is not 1/10; so are a malformed string and a
-    zero denominator, all with ValueError."""
+    zero denominator, all with ValueError.  A Fraction is returned as it
+    is, since it is immutable."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise ValueError(f"inexact number {x!r}: give an int, a Fraction or a string like '1/10'")
     try:

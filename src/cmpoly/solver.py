@@ -1,5 +1,14 @@
 """Exact branch-and-cut for maximum-weight connected matching.
 
+It solves part by part.  Edges at line-graph distance exactly 2 are linked,
+and the parts of `edge_parts` are the components of that relation.  Every
+connected matching lies inside one part (contract its matched edges: the
+covered subgraph stays connected, and matched edges joined by an edge are
+linked), so max w.x over the polytope is the largest of the parts' maxima,
+each the maximum over the face where the other parts are 0.  The search
+starts from one root per part, with the other parts fixed to 0; a graph of
+one part keeps one unfixed root.
+
 The LP relaxation at a node is the model's own rows (the degree rows and the
 cut pool) over the edges the node has not fixed; a
 branch that fixes x_e = 1 also fixes to 0 every edge touching e, which e's
@@ -28,7 +37,7 @@ from math import gcd
 from operator import itemgetter
 
 from .facet_family import separate_family
-from .graph_core import GraphError, mask_bits
+from .graph_core import GraphError, edge_parts, mask_bits
 from .matchings import is_connected_matching
 from .rational_la import exact_number, integer_row
 from .msi import lazy_cut_for_disconnected, separate_fractional, vertex_row
@@ -267,6 +276,15 @@ def _simplex(c, A, b):
 def branch_and_cut(g, w, config=None):
     """Best-bound branch-and-cut; the optimum equals the brute-force oracle.
 
+    The heap starts with one root per part of `edge_parts(g)`: the root of a
+    part fixes every edge outside it to 0 and is bounded by the sum of the
+    part's positive weights, which orders the roots and lets the incumbent
+    prune a part before any LP.  This is exact, since every connected
+    matching lies inside one part, so the best of the parts' optima is the
+    optimum.  The roots share one incumbent, one cut pool (each pooled row is
+    valid on the whole polytope) and one log.  A graph with one part or no
+    edge has a single unfixed root with no bound.
+
     Per node: solve the LP; at a point that is not a connected matching,
     separate family rows first, when enabled; if none is violated, separate
     MSI cuts while fractional (at most CUT_ROUNDS rounds of either kind) or
@@ -289,9 +307,16 @@ def branch_and_cut(g, w, config=None):
              "family_rows": 0}
 
     # heap of open nodes (-bound, node id, fixed0, fixed1), the fixes as edge
-    # masks: best bound first, then lowest id; the root alone has no bound
-    open_nodes = [(None, 0, 0, 0)]
-    next_id = 1
+    # masks: best bound first, then lowest id; a lone unfixed root has no
+    # bound
+    parts = edge_parts(g)
+    if len(parts) < 2:
+        open_nodes = [(None, 0, 0, 0)]
+    else:
+        open_nodes = [(-sum(max(model.objective[e - 1], ZERO) for e in mask_bits(part)),
+                       i, g.all_edges ^ part, 0) for i, part in enumerate(parts)]
+        heapq.heapify(open_nodes)
+    next_id = len(open_nodes)
     status = "optimal"
 
     def note(bound, outcome):
@@ -346,7 +371,8 @@ def branch_and_cut(g, w, config=None):
             break
 
     if status == "node-limit":
-        # the root is popped first (node_limit >= 1), so every open node has a bound
+        # a root with no bound is alone and popped first (node_limit >= 1),
+        # so every open node has a bound
         stats["upper_bound"] = max([incumbent_val] + [-nb for nb, *_ in open_nodes])
     log.append(f"opt {incumbent_val} matching {{{','.join(map(str, incumbent_set))}}}")
     stats["wall_time"] = time.monotonic() - start

@@ -123,3 +123,27 @@ def test_bad_weight_is_a_value_error():
 def test_exact_numbers_pass_through():
     assert [exact_number(x) for x in (3, Fraction(1, 10), "1/10", "0.1", "-7/14")] == [
         3, Fraction(1, 10), Fraction(1, 10), Fraction(1, 10), Fraction(-1, 2)]
+
+
+@pytest.mark.parametrize("x,want", [(3, Fraction(3)), (-7, Fraction(-7)), (10 ** 40, Fraction(10 ** 40)),
+                                    ("1/10", Fraction(1, 10)), ("-7/14", Fraction(-1, 2)),
+                                    ("2.5", Fraction(5, 2)), (" 4 ", Fraction(4))])
+def test_int_and_str_become_fractions(x, want):
+    got = exact_number(x)
+    assert type(got) is Fraction and got == want
+
+
+def test_a_fraction_is_returned_as_it_is():
+    # a Fraction is immutable, so the weight a Graph holds can be shared
+    x = Fraction(10 ** 30 + 1, 3)
+    assert exact_number(x) is x
+    assert Graph(2, ((1, 2),), (x,)).weights[0] is x
+
+
+@pytest.mark.parametrize("x,message", [(0.5, "inexact"), (float("inf"), "inexact"),
+                                       ("1/0", "zero denominator"), ("3/0", "zero denominator"),
+                                       ("x", "Invalid literal"), ("1/2/3", "Invalid literal"),
+                                       ("", "Invalid literal")])
+def test_refusals_after_the_fraction_fast_path(x, message):
+    with pytest.raises(ValueError, match=message):
+        exact_number(x)

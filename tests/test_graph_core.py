@@ -9,10 +9,12 @@ import pytest
 
 from cmpoly.facet_family import (check_validity_hypothesis, facet_hypothesis,
                                  family_inequality, is_disconnected_pair, lambda_set)
-from cmpoly.graph_core import (Graph, GraphError, ParseError, format_graph, generate,
-                               is_biconnected_mask, is_connected_induced, is_separator,
-                               line_distance, parse_graph, reach_within)
-from cmpoly.matchings import exists_cm_superset, incidence_vector, is_connected_matching
+from cmpoly.graph_core import (Graph, GraphError, ParseError, edge_parts, format_graph,
+                               generate, is_biconnected_mask, is_connected_induced,
+                               is_separator, line_distance, mask_bits, parse_graph,
+                               reach_within)
+from cmpoly.matchings import (enumerate_cm_sets, exists_cm_superset, incidence_vector,
+                              is_connected_matching)
 from cmpoly.msi import (Separator, lazy_cut_for_disconnected, minimal_separators, minimalize,
                         project_msi)
 
@@ -195,6 +197,81 @@ class TestLineDistance:
                     assert d[e, f] == d[f, e]
                     for h in range(1, g.m + 1):
                         assert d[e, f] <= d[e, h] + d[h, f]
+
+
+def parts_corpus():
+    """300 seeded random graphs with n = 3-9 and m <= 14; every third one
+    loses every third edge, so some are disconnected or have isolated
+    vertices."""
+    graphs = []
+    for i in range(300):
+        g = random_connected_graph(f"parts-{i}", n_lo=3, n_hi=9, max_extra=6, m_cap=14)
+        if i % 3 == 2:
+            g = Graph(g.n, tuple(uv for j, uv in enumerate(g.edges) if j % 3))
+        graphs.append(g)
+    return graphs
+
+
+def reference_edge_parts(g):
+    """The components, as sorted edge-id lists, of the graph on the edges
+    whose pairs are at distance exactly 2 in networkx's line graph."""
+    L = nx.line_graph(to_networkx(g))
+    ids = {uv: e for e, uv in enumerate(g.edges, start=1)}
+    links = nx.Graph()
+    links.add_nodes_from(range(1, g.m + 1))
+    for uv, dist in nx.all_pairs_shortest_path_length(L, cutoff=2):
+        links.add_edges_from((ids[uv], ids[tuple(sorted(f))])
+                             for f, d in dist.items() if d == 2)
+    return sorted(sorted(c) for c in nx.connected_components(links))
+
+
+def together_classes(g):
+    """The classes of "lie together in some connected matching", as sorted
+    edge-id lists: the components of the graph joining each pair of edges
+    of each connected matching."""
+    together = nx.Graph()
+    together.add_nodes_from(range(1, g.m + 1))
+    for M in enumerate_cm_sets(g):
+        together.add_edges_from(zip(M, M[1:]))
+    return sorted(sorted(c) for c in nx.connected_components(together))
+
+
+class TestEdgeParts:
+    @pytest.mark.parametrize("name,parts", [
+        ("cycle:8", [[1, 3, 5, 7], [2, 4, 6, 8]]),
+        ("cycle:7", [[1, 2, 3, 4, 5, 6, 7]]),
+        ("path:6", [[1, 3, 5], [2, 4]]),
+        ("complete:3", [[1], [2], [3]]),
+        ("complete:4", [[1, 6], [2, 5], [3, 4]]),
+        ("petersen", [list(range(1, 16))]),
+    ])
+    def test_named_graphs(self, name, parts):
+        # an even cycle and a path split by the parity of the edge position;
+        # a triangle has no two disjoint edges, K4's perfect matchings are
+        # its parts
+        assert [mask_bits(p) for p in edge_parts(generate(name))] == parts
+
+    def test_no_edge_no_part(self):
+        assert edge_parts(Graph(0, ())) == edge_parts(Graph(3, ())) == []
+
+    def test_parts_are_the_line_graph_distance_two_components(self):
+        for g in parts_corpus():
+            parts = edge_parts(g)
+            assert [mask_bits(p) for p in parts] == reference_edge_parts(g), g
+            assert sum(parts) == g.all_edges
+
+    def test_every_connected_matching_lies_in_one_part(self):
+        # the parts lemma, and its converse: the parts are exactly the
+        # classes of "lie together in some connected matching"
+        split = 0
+        for g in parts_corpus():
+            parts = edge_parts(g)
+            for M in enumerate_cm_sets(g):
+                mask = mask_of(M)
+                assert sum(mask & ~p == 0 for p in parts) == (1 if M else len(parts)), (g, M)
+            assert [mask_bits(p) for p in parts] == together_classes(g), g
+            split += len(parts) > 1
+        assert 50 <= split <= 250
 
 
 class TestConnectedInduced:

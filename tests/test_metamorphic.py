@@ -2,11 +2,12 @@
 hold on any graph without a stored answer, checked on a seeded corpus.
 
 - Relabelling the vertices and edges maps the hrep facets, the family rows,
-  the msi rows, the class histogram and the connected matchings across by
-  the edge permutation, and keeps the solve optimum, with and without
-  family rows.
+  the msi rows, the class histogram, the connected matchings and the edge
+  parts across by the edge permutation, and keeps the solve optimum, with
+  and without family rows.
 - A disjoint union has |CM(G)| + |CM(H)| - 1 connected matchings (the empty
-  one is counted once), and its optimum is max(opt G, opt H).
+  one is counted once), its edge parts are those of G and those of H, and
+  its optimum is max(opt G, opt H).
 - An added isolated vertex changes no hrep or family row.  It keeps every
   msi row and adds the degree row of each vertex with an edge: the vertex
   and the new one have the empty separator.
@@ -20,7 +21,7 @@ from functools import cache
 import pytest
 
 from cmpoly.facet_family import generate_family
-from cmpoly.graph_core import Graph, generate
+from cmpoly.graph_core import Graph, edge_parts, generate, mask_bits
 from cmpoly.matchings import enumerate_cm_sets
 from cmpoly.msi import minimal_separators, msi_row, vertex_row
 from cmpoly.polytope import hrep, vrep
@@ -107,6 +108,14 @@ def test_relabelling_maps_rows_across(name):
 
 
 @pytest.mark.parametrize("name", CORPUS)
+def test_relabelling_maps_parts_across(name):
+    g = corpus_graph(name)
+    h, pe = relabel(g, random.Random(f"relabel-{name}"))
+    assert ({frozenset(pe[e] for e in mask_bits(p)) for p in edge_parts(g)}
+            == {frozenset(mask_bits(p)) for p in edge_parts(h)})
+
+
+@pytest.mark.parametrize("name", CORPUS)
 def test_relabelling_keeps_the_optimum(name):
     g, w = corpus_graph(name), weights(name)
     h, pe = relabel(g, random.Random(f"relabel-{name}"))
@@ -123,6 +132,8 @@ def test_disjoint_union(i):
     shifted = tuple((u + g.n, v + g.n) for u, v in h.edges)
     gh = Graph(g.n + h.n, g.edges + shifted)
     assert len(enumerate_cm_sets(gh)) == len(enumerate_cm_sets(g)) + len(enumerate_cm_sets(h)) - 1
+    # h's edge ids are shifted by g.m in gh, so its part masks are too
+    assert edge_parts(gh) == edge_parts(g) + [p << g.m for p in edge_parts(h)]
     for config in CONFIGS:
         assert optimum(gh, wg + wh, config) == max(optimum(g, wg, config),
                                                    optimum(h, wh, config))

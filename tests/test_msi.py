@@ -411,6 +411,19 @@ def full_flow_separate_fractional(g, xstar):
     return [cuts[k] for k in sorted(cuts)]
 
 
+def solver_point_cycles():
+    """(g, w) of the cycle solves whose LP points the separation tests
+    replay: cycles 8-13 with draws 0-3, and the odd cycles 9, 11 and 13
+    with draws 4-31.  The even cycles split into two parts and solve each
+    part at or near its root; an odd cycle is one part, so its solves
+    separate at most of their LP points."""
+    cases = [(n, draw) for n in range(8, 14) for draw in range(4)]
+    cases += [(n, draw) for n in (9, 11, 13) for draw in range(4, 32)]
+    for n, draw in cases:
+        g = generate(f"cycle:{n}")
+        yield g, spread_weights(random.Random(f"{n}-{draw}"), g, huge=False)
+
+
 class TestSeparateFractional:
     def test_cm_vertex_gives_nothing(self):
         g = generate("cycle:6")
@@ -448,8 +461,8 @@ class TestSeparateFractional:
 
     def test_matches_full_flow_reference_on_solver_points(self, monkeypatch):
         # every LP point that branch-and-cut separates, without family rows,
-        # on cycles 8-13 and seeded random graphs: the same rows, provenance
-        # included, in the same order
+        # on solver_point_cycles and seeded random graphs: the same rows,
+        # provenance included, in the same order
         points = rows = 0
 
         def checked(g, xstar):
@@ -463,11 +476,8 @@ class TestSeparateFractional:
 
         monkeypatch.setattr(solver, "separate_fractional", checked)
         config = SolveConfig(use_family_cuts=False)
-        for n in range(8, 14):
-            for draw in range(4):
-                g = generate(f"cycle:{n}")
-                w = spread_weights(random.Random(f"{n}-{draw}"), g, huge=False)
-                solver.branch_and_cut(g, w, config)
+        for g, w in solver_point_cycles():
+            solver.branch_and_cut(g, w, config)
         cycle_points = points
         for seed in range(40):
             g = random_connected_graph(seed, n_lo=6, n_hi=10, max_extra=6, m_cap=14)
@@ -571,9 +581,9 @@ class TestBottleneckPretest:
         assert got[0].evaluate(xstar) == Fraction(5, 4)
 
     def test_settled_pairs_on_solver_points(self, monkeypatch):
-        # the cycles 8-13 corpus of test_matches_full_flow_reference_on_solver_points:
-        # of the 2,576 pairs that once each ran a max-flow the pre-test
-        # settles 1,533, and every row is the full-flow reference's
+        # the solver_point_cycles corpus: of the 3,729 pairs that once each
+        # ran a max-flow the pre-test settles 1,711, and every row is the
+        # full-flow reference's
         calls = spy_min_vertex_cut(monkeypatch)
         pairs = []
 
@@ -585,12 +595,9 @@ class TestBottleneckPretest:
 
         monkeypatch.setattr(solver, "separate_fractional", checked)
         config = SolveConfig(use_family_cuts=False)
-        for n in range(8, 14):
-            for draw in range(4):
-                g = generate(f"cycle:{n}")
-                w = spread_weights(random.Random(f"{n}-{draw}"), g, huge=False)
-                solver.branch_and_cut(g, w, config)
-        assert (len(pairs), len(pairs) - len(calls)) == (2576, 1533)
+        for g, w in solver_point_cycles():
+            solver.branch_and_cut(g, w, config)
+        assert (len(pairs), len(pairs) - len(calls)) == (3729, 1711)
 
 
 def full_min_vertex_cut(net, a, b):

@@ -442,8 +442,10 @@ def test_integer_simplex_matches_fraction_simplex(monkeypatch):
 def test_branch_and_cut_lps_match_fraction_simplex(monkeypatch):
     # every LP of whole solves on cycles with spread weights: MSI and lazy
     # cut pools of several rounds, and the fixes of each branch.  Without
-    # family rows and MSI separation the trees on cycle:10 go deep
-    # enough for fixes to overdraw a row, so those LPs run phase 1.
+    # family rows and MSI separation the trees go deep enough for fixes to
+    # overdraw a row, so those LPs run phase 1; most of them are on cycles
+    # 13 and 15, which are one part each, while cycle:10 splits into two
+    # parts, each solved from its own root with the other part fixed to 0.
     seen = pin_simplex(monkeypatch)
     lps = phase1 = cut = 0
     solve = solver.solve_lp_exact
@@ -463,10 +465,11 @@ def test_branch_and_cut_lps_match_fraction_simplex(monkeypatch):
         g = generate(f"cycle:{7 + seed % 4}")
         w = spread_weights(rng, g, huge=seed % 3 == 2)
         branch_and_cut(g, w, SolveConfig(use_family_cuts=seed % 4 == 0))
-        g = generate("cycle:10")
-        w = spread_weights(rng, g, huge=False)
-        branch_and_cut(g, w, SolveConfig(use_family_cuts=False,
-                                         use_msi_separation=False))
+        for name in ("cycle:10", "cycle:13", "cycle:15"):
+            g = generate(name)
+            w = spread_weights(rng, g, huge=False)
+            branch_and_cut(g, w, SolveConfig(use_family_cuts=False,
+                                             use_msi_separation=False))
     assert lps >= 90 and phase1 >= 25 and cut >= 70
 
 

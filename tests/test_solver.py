@@ -7,7 +7,7 @@ import pytest
 
 from cmpoly import solver
 from cmpoly.facet_family import generate_family, separate_family
-from cmpoly.graph_core import Graph, GraphError, generate, mask_bits
+from cmpoly.graph_core import Graph, GraphError, edge_parts, generate, mask_bits
 from cmpoly.matchings import brute_force_max_weight_cm, enumerate_connected_matchings, is_connected_matching
 from cmpoly.solver import SolveConfig, branch_and_cut, build_base_lp, solve_lp_exact
 
@@ -222,8 +222,12 @@ class TestBranchAndCut:
         monkeypatch.setattr(solver, "solve_lp_exact", capture)
         monkeypatch.setattr(solver, "separate_fractional", checked)
         total = 0
-        for seed in range(12):
-            g = generate(f"cycle:{7 + seed % 4}")
+        # cycles 7-10, then odd cycles, which are one part and so run the
+        # whole cut loop from one root
+        names = [f"cycle:{7 + seed % 4}" for seed in range(12)]
+        names += [f"cycle:{9 + 2 * (seed % 3)}" for seed in range(12, 24)]
+        for seed, name in enumerate(names):
+            g = generate(name)
             models.clear()
             rows_out.clear()
             res = branch_and_cut(g, spread_weights(random.Random(seed), g, huge=False),
@@ -247,8 +251,11 @@ class TestBranchAndCut:
 
         monkeypatch.setattr(solver, "solve_lp_exact", capture)
         ones = 0
-        for seed in range(8):
-            g = generate(f"cycle:{8 + seed % 3}")
+        # cycles 8-10, then petersen and odd cycles, which are one part each
+        names = [f"cycle:{8 + seed % 3}" for seed in range(8)]
+        names += ["petersen", "cycle:11", "cycle:13"] * 4
+        for seed, name in enumerate(names):
+            g = generate(name)
             w = spread_weights(random.Random(seed), g, huge=False)
             fixes.clear()
             res = branch_and_cut(g, w, SolveConfig(use_family_cuts=False,
@@ -281,6 +288,20 @@ class TestBranchAndCut:
         assert res.status == "node-limit"
         assert res.stats["upper_bound"] >= res.value
 
+    def test_node_limit_on_a_split_graph(self):
+        # cycle:10's parts are its odd and its even edges.  The odd part has
+        # the larger root bound, 10, and is searched first, but its optimum
+        # is 5: edges 1 and 5 are connected only through edges of weight
+        # -100.  The optimum, 6, is edge 2 of the even part, whose root is
+        # still open when the limit is hit and bounds the upper bound
+        g = generate("cycle:10")
+        w = [5, 6, -100, 0, 5, 0, -100, 0, -100, 0]
+        res = branch_and_cut(g, w, SolveConfig(use_family_cuts=False,
+                                               use_msi_separation=False,
+                                               node_limit=1))
+        assert (res.status, res.value) == ("node-limit", 5)
+        assert res.stats["upper_bound"] >= brute_force_max_weight_cm(g, w)[0] == 6
+
     @pytest.mark.parametrize("limit", [0, -3])
     def test_node_limit_below_one_rejected(self, limit):
         # no node is solved, so no bound would be known
@@ -296,13 +317,104 @@ class TestBranchAndCut:
 
     def test_lazy_cut_path(self):
         # without family cuts and MSI separation, the integral point {e1,e4}
-        # must be repaired by a lazy connectivity cut
-        g = generate("cycle:6")
-        res = branch_and_cut(g, [1, 0, 0, 1, 0, 0],
+        # must be repaired by a lazy connectivity cut; {e1,e4,e6} is the
+        # optimum.  cycle:7 is one part; on cycle:6, e1 and e4 lie in
+        # different parts, so no LP point holds both
+        g = generate("cycle:7")
+        res = branch_and_cut(g, [1, 0, 0, 1, 0, 0, 0],
                              SolveConfig(use_family_cuts=False,
                                          use_msi_separation=False))
-        assert res.value == 1 and res.status == "optimal"
+        assert (res.value, res.matching, res.status) == (2, (1, 4, 6), "optimal")
         assert res.stats["cuts"]["lazy"] >= 1
+
+
+def disjoint_union(g, h):
+    """g and h side by side: h's vertices and edge ids come after g's."""
+    return Graph(g.n + h.n, g.edges + tuple((u + g.n, v + g.n) for u, v in h.edges))
+
+
+class TestSolveByParts:
+    CONFIGS = (SolveConfig(), SolveConfig(use_family_cuts=False),
+               SolveConfig(use_family_cuts=False, use_msi_separation=False))
+
+    @staticmethod
+    def fixes(monkeypatch):
+        """Record the (fixed0, fixed1) of every node LP."""
+        seen = []
+        solve = solver.solve_lp_exact
+
+        def capture(model, fixed0=0, fixed1=0):
+            seen.append((fixed0, fixed1))
+            return solve(model, fixed0, fixed1)
+
+        monkeypatch.setattr(solver, "solve_lp_exact", capture)
+        return seen
+
+    def test_every_lp_keeps_to_one_part(self, monkeypatch):
+        # on a split graph each node LP fixes every edge outside one part to
+        # 0; on a graph of one part the first LP fixes nothing
+        seen = self.fixes(monkeypatch)
+        for g, w in seed0_solve_cases():
+            parts = edge_parts(g)
+            seen.clear()
+            branch_and_cut(g, w, SolveConfig(use_family_cuts=False))
+            if len(parts) == 1:
+                assert seen[0] == (0, 0)
+            for fixed0, _ in seen:
+                assert any(g.all_edges & ~fixed0 & ~p == 0 for p in parts)
+
+    def test_seed0_lists(self):
+        split = 0
+        for g, w in seed0_solve_cases():
+            want = brute_force_max_weight_cm(g, w)[0]
+            split += len(edge_parts(g)) > 1
+            for config in self.CONFIGS:
+                res = branch_and_cut(g, w, config)
+                assert (res.value, res.status) == (want, "optimal")
+                assert res.value == sum(w[e - 1] for e in res.matching)
+        assert split == 11
+
+    def test_random_suite(self, random_suite):
+        for seed, g in enumerate(random_suite):
+            w = random_weights(seed + 700, g.m)
+            want = brute_force_max_weight_cm(g, w)[0]
+            for config in self.CONFIGS[:2]:
+                assert branch_and_cut(g, w, config).value == want
+
+    def test_disjoint_unions(self):
+        # a disjoint union has the parts of both graphs, and its optimum
+        # lies in one of them
+        for i in range(20):
+            g, h = (random_connected_graph(f"parts-union-{i}-{k}", n_lo=4, n_hi=7, m_cap=9)
+                    for k in range(2))
+            gh = disjoint_union(g, h)
+            w = spread_weights(random.Random(f"parts-union-{i}"), gh, huge=i % 4 == 3)
+            assert len(edge_parts(gh)) >= 2
+            want = brute_force_max_weight_cm(gh, w)[0]
+            for config in self.CONFIGS:
+                assert branch_and_cut(gh, w, config).value == want
+
+    @pytest.mark.parametrize("name,draw", [("cycle:20", 0), ("cycle:20", 1), ("cycle:24", 0),
+                                           ("cycle:30", 0), ("cycle:30", 1)])
+    def test_long_even_cycles_without_family_rows(self, name, draw):
+        # searched as one tree these take 17-51 nodes and up to 45 s; part
+        # by part at most 2 nodes per part
+        g = generate(name)
+        w = instances.spread_weights(random.Random(f"x-{name}-{draw}"), g)
+        res = branch_and_cut(g, w, SolveConfig(use_family_cuts=False))
+        assert res.value == brute_force_max_weight_cm(g, w)[0]
+        assert res.stats["nodes"] <= 2 * len(edge_parts(g)) == 4
+
+    def test_root_bound_prunes_a_part_without_an_lp(self, monkeypatch):
+        # cycle:6's parts are {1,3,5} and {2,4,6}; the second part's root
+        # bound, the positive part of its weight, is 1, which the first
+        # part's optimum reaches, so it is pruned unsolved
+        seen = self.fixes(monkeypatch)
+        res = branch_and_cut(generate("cycle:6"), [1, 1, 0, 0, 0, 0],
+                             SolveConfig(use_family_cuts=False))
+        assert res.log == ["node 0 bound 1 cuts 0 status int",
+                           "node 1 bound 1 cuts 0 status pruned", "opt 1 matching {1}"]
+        assert seen == [(0b1010100, 0)] and res.stats["nodes"] == 1
 
 
 class TestRootGap:
@@ -352,6 +464,12 @@ class TestFamilySeparation:
         monkeypatch.setattr(solver, "solve_lp_exact", capture)
         cases = seed0_solve_cases() + [(g, random_weights(seed, g.m))
                                        for seed, g in enumerate(random_suite)]
+        # petersen is one part, and its family rows cut the spread weights'
+        # root points, where the even cycles of the seed-0 lists now solve
+        # each part at its root
+        petersen = generate("petersen")
+        cases += [(petersen, spread_weights(random.Random(f"petersen-{draw}"), petersen, huge=False))
+                  for draw in range(8)]
         rows = 0
         for g, w in cases:
             points.clear()
