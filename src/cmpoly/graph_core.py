@@ -306,13 +306,19 @@ def edge_parts(g):
     part for m = 0.
     """
     line = g.line_masks
-    links = [union_over(line, near) & ~near for near in line]
-    parts, left = [], g.all_edges
-    while left:
-        part = reach_within(links, left, left & -left)
-        parts.append(part)
-        left ^= part
-    return parts
+    return components([union_over(line, near) & ~near for near in line], g.all_edges)
+
+
+def components(nbr, room):
+    """The components of room under the neighbour-mask table nbr, as masks
+    ordered by their least bit, each one `reach_within` search: the edge
+    parts of G, and the coordinate blocks of a V-description in `polytope`."""
+    comps = []
+    while room:
+        comp = reach_within(nbr, room, room & -room)
+        comps.append(comp)
+        room ^= comp
+    return comps
 
 
 def mask_bits(mask):

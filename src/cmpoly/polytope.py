@@ -5,10 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, product
+from math import gcd, lcm
 
 from .facet_family import family_pair
-from .graph_core import GraphError, mask_bits, union_over
+from .graph_core import GraphError, components, mask_bits, union_over
 from .inequality import Inequality
 from .matchings import DEFAULT_ENUM_LIMIT, enumerate_connected_matchings
 from .rational_la import (affine_dimension, eliminate, exact_number, integer_row,
@@ -48,6 +49,14 @@ class VRep:
         on first use and kept for `face_dimension`."""
         return tuple(sum(1 << i for i, x in enumerate(row) if x & 1) for row in self.rows)
 
+    @cached_property
+    def supports(self):
+        """Each point's support as an int mask, bit j + 1 for coordinate j
+        (the bit of edge id j + 1 in `graph_core`'s edge masks), built on
+        first use for `hrep`."""
+        bits = [1 << j for j in range(1, self.m + 1)]
+        return tuple(sum(compress(bits, p)) for p in self.points)
+
 
 @dataclass(frozen=True)
 class HRep:
@@ -81,8 +90,76 @@ def polytope_dimension(V):
 
 def hrep(V):
     """Minimal facet description of a full-dimensional polytope given by its
-    vertices, via the double description method on the polar of the
-    homogenization cone.
+    points, as rows sorted by (coeffs, rhs).
+
+    When 0 is one of the points, V's coordinates fall into blocks, the
+    components of "nonzero together in some point" (`_coordinate_blocks`);
+    for 𝔠(G) they are the parts of `graph_core.edge_parts`.  With two or
+    more blocks that cover all m coordinates, each point lies in the
+    coordinate subspace of one block, P_i is the hull of the points there
+    (0 among them), and conv(V) = conv(∪ P_i).  Its polar is the product of
+    the P_i's polars: the vertices are products of the blocks' vertices,
+    and the rays are one block's ray with zeros elsewhere.  So each block
+    runs its own double description (`_double_description`) on its points,
+    projected, and the facets are each block's rows through 0, padded with
+    zeros, and, for each choice of one row a_i.x <= b_i with b_i > 0 per
+    block, the row sum_i (L / b_i) a_i.x <= L, L = lcm(b_i), which
+    `Inequality` makes primitive.
+
+    Any other V runs one double description over all m coordinates, and
+    raises as it does: no 0 point, one block, a coordinate that is 0 in
+    every point, m = 0, or a block that is not full-dimensional (V is
+    full-dimensional exactly when every block is).
+    """
+    blocks = _coordinate_blocks(V) if 0 in V.supports else []
+    if len(blocks) < 2 or sum(blocks) != (1 << V.m + 1) - 2:
+        return _double_description(V)
+    facets, tops = [], []
+    for block in blocks:
+        cols = [b - 1 for b in mask_bits(block)]
+        P = VRep(len(cols), [tuple(p[j] for j in cols)
+                             for p, s in zip(V.points, V.supports) if not s & ~block])
+        try:
+            block_facets = _double_description(P).facets
+        except GraphError:
+            # a flat block makes V flat: the single run raises as it always has
+            return _double_description(V)
+        top = []
+        for q in block_facets:
+            row = [0] * V.m
+            for j, c in zip(cols, q.coeffs):
+                row[j] = c
+            if q.rhs:
+                top.append((q.rhs, row))
+            else:
+                facets.append(Inequality(row, 0))
+        tops.append(top)
+    for choice in product(*tops):
+        L = lcm(*[b for b, _ in choice])
+        rows = [row if b == L else [x * (L // b) for x in row] for b, row in choice]
+        facets.append(Inequality(list(map(sum, zip(*rows))), L))
+    facets.sort(key=lambda q: (q.coeffs, q.rhs))
+    return HRep(tuple(facets))
+
+
+def _coordinate_blocks(V):
+    """The blocks of V's live coordinates, as masks in the bits of
+    `VRep.supports`, ordered by their least coordinate: the components of
+    "nonzero together in some point" under the co-support table, whose
+    entry b is the union of the supports that hold bit b.  A coordinate
+    that is 0 in every point is in no block."""
+    table = [0] * (V.m + 1)
+    live = 0
+    for s in V.supports:
+        live |= s
+        for b in mask_bits(s):
+            table[b] |= s
+    return components(table, live)
+
+
+def _double_description(V):
+    """`hrep` by one double description over all m coordinates, on the polar
+    of the homogenization cone.
 
     Rays of the polar cone {y : y.(1,p) >= 0 for all points p} are exactly the
     facet normals; the run starts from a simplicial subcone and inserts the
@@ -119,6 +196,10 @@ def hrep(V):
     the step, and those rays are its extreme rays; a new ray lies inside a
     two-dimensional face of that cone, so it is not one of them.  New slots
     are the highest, so appending them keeps `slots` ascending.
+
+    Every ray is a primitive int row: the start rays come from
+    `inverse_columns`, and a new ray vp*rn - vn*rp of two int rays is
+    divided by the gcd of its entries, one `math.gcd` call.
     """
     m = V.m
     dim = m + 1
@@ -184,9 +265,9 @@ def hrep(V):
                     continue
                 # a positive combination of the two parents: tight exactly
                 # where both are, and on the new constraint
-                rn = rays[kn]
-                new.append((integer_row([vp * y - vn * x for x, y in zip(rp, rn)]),
-                            common | bit))
+                ray = [vp * y - vn * x for x, y in zip(rp, rays[kn])]
+                d = gcd(*ray)
+                new.append(([x // d for x in ray] if d > 1 else ray, common | bit))
         for k, _, _ in neg:
             rays[k] = tight[k] = None
             alive ^= 1 << k

@@ -292,6 +292,10 @@ def branch_and_cut(g, w, config=None):
     otherwise branch on the most fractional variable, =1 child first, which
     also fixes to 0 every edge that touches the branching edge.
     `stats["family_rows"]` counts the family rows separated.
+
+    The node limit is tested on a popped node after the prune test: a node
+    the incumbent prunes costs nothing, and the search stops with status
+    `node-limit` only when a node it cannot prune would exceed the limit.
     """
     config = config or SolveConfig()
     if config.node_limit < 1:
@@ -323,14 +327,17 @@ def branch_and_cut(g, w, config=None):
         log.append(f"node {node_id} bound {bound} cuts {cuts_here} status {outcome}")
 
     while open_nodes:
-        if stats["nodes"] >= config.node_limit:
-            status = "node-limit"
-            break
-        neg_bound, node_id, fixed0, fixed1 = heapq.heappop(open_nodes)
+        node = heapq.heappop(open_nodes)
+        neg_bound, node_id, fixed0, fixed1 = node
         cuts_here = 0
         if neg_bound is not None and -neg_bound <= incumbent_val:
             note(-neg_bound, "pruned")
             continue
+        if stats["nodes"] >= config.node_limit:
+            # a node the incumbent cannot prune stays open
+            heapq.heappush(open_nodes, node)
+            status = "node-limit"
+            break
         stats["nodes"] += 1
 
         while True:

@@ -9,10 +9,10 @@ import pytest
 
 from cmpoly.facet_family import (check_validity_hypothesis, facet_hypothesis,
                                  family_inequality, is_disconnected_pair, lambda_set)
-from cmpoly.graph_core import (Graph, GraphError, ParseError, edge_parts, format_graph,
-                               generate, is_biconnected_mask, is_connected_induced,
-                               is_separator, line_distance, mask_bits, parse_graph,
-                               reach_within)
+from cmpoly.graph_core import (Graph, GraphError, ParseError, components, edge_parts,
+                               format_graph, generate, is_biconnected_mask,
+                               is_connected_induced, is_separator, line_distance, mask_bits,
+                               parse_graph, reach_within)
 from cmpoly.matchings import (enumerate_cm_sets, exists_cm_superset, incidence_vector,
                               is_connected_matching)
 from cmpoly.msi import (Separator, lazy_cut_for_disconnected, minimal_separators, minimalize,
@@ -253,6 +253,15 @@ class TestEdgeParts:
 
     def test_no_edge_no_part(self):
         assert edge_parts(Graph(0, ())) == edge_parts(Graph(3, ())) == []
+
+    def test_components_stay_inside_room(self):
+        # bits 1 and 2 are linked, and so are 2 and 3; bit 3 is outside the
+        # room, so 1-2 and 4 are components, and a bit with no neighbour is
+        # one alone
+        nbr = [0, 0b100, 0b1010, 0b100, 0]
+        assert components(nbr, 0b10110) == [0b110, 0b10000]
+        assert components(nbr, 0b11110) == [0b1110, 0b10000]
+        assert components(nbr, 0) == []
 
     def test_parts_are_the_line_graph_distance_two_components(self):
         for g in parts_corpus():

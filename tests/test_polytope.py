@@ -10,11 +10,12 @@ import sympy
 
 from cmpoly import polytope
 from cmpoly.facet_family import family_inequality, is_disconnected_pair, lambda_set
-from cmpoly.graph_core import Graph, GraphError, generate
+from cmpoly.graph_core import Graph, GraphError, edge_parts, generate, mask_bits
 from cmpoly.inequality import Inequality
 from cmpoly.matchings import enumerate_connected_matchings
-from cmpoly.polytope import (FacetClass, HRep, VRep, classify, export_vrep_interop,
-                             face_dimension, hrep, polytope_dimension, verify_valid, vrep)
+from cmpoly.polytope import (FacetClass, HRep, VRep, _coordinate_blocks, _double_description,
+                             classify, export_vrep_interop, face_dimension, hrep,
+                             polytope_dimension, verify_valid, vrep)
 from cmpoly.rational_la import (affine_dimension, eliminate, integer_row, inverse_columns,
                                 parity_rank, products, rank)
 
@@ -296,6 +297,143 @@ class TestHrepAgainstScan:
             led += any(row[0] != 1 for row in rows)
             several += any(len(set(row) - {0}) >= 3 for row in rows)
         assert full >= 140 and led >= 140 and several >= 100
+
+
+def disjoint_union(g, h):
+    """g and h side by side: h's vertices shifted past g's, its edges after g's."""
+    return Graph(g.n + h.n, g.edges + tuple((u + g.n, v + g.n) for u, v in h.edges))
+
+
+def random_block_vrep(rng):
+    """0 and, on each of 2-3 blocks of 1-3 coordinates, a few distinct
+    nonzero points of [-3, 3] supported inside the block: a V whose blocks
+    are those given, unless a point misses part of its block."""
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
+    m = sum(sizes)
+    pts = {(0,) * m}
+    start = 0
+    for k in sizes:
+        for _ in range(rng.randint(k + 1, k + 5)):
+            vals = [rng.randint(-3, 3) for _ in range(k)]
+            if any(vals):
+                pts.add((0,) * start + tuple(vals) + (0,) * (m - start - k))
+        start += k
+    return VRep(m, tuple(sorted(pts)))
+
+
+def single_dd_calls(monkeypatch):
+    """The V of each `_double_description` call, through a spy."""
+    calls = []
+
+    def spy(V):
+        calls.append(V)
+        return _double_description(V)
+
+    monkeypatch.setattr(polytope, "_double_description", spy)
+    return calls
+
+
+BY_PARTS_NAMED = (["path:%d" % k for k in range(3, 14)] + ["cycle:%d" % k for k in range(4, 13, 2)]
+                  + ["j26", "cycle:7", "cube:3"])
+STAR = Graph(6, tuple((1, v) for v in range(2, 7)))
+
+
+class TestHrepByParts:
+    """hrep by coordinate blocks against one double description over all
+    coordinates: equal facet lists, in order."""
+
+    @pytest.mark.parametrize("name", BY_PARTS_NAMED)
+    def test_named(self, name):
+        g = generate(name)
+        V = vrep(g)
+        assert _coordinate_blocks(V) == edge_parts(g)
+        assert hrep(V).facets == _double_description(V).facets
+
+    def test_star(self):
+        # no two edges of a star are disjoint, so each edge is a part; the
+        # facets are x >= 0 and the one product row x(E) <= 1
+        V = vrep(STAR)
+        assert [mask_bits(b) for b in _coordinate_blocks(V)] == [[e] for e in range(1, 6)]
+        H = hrep(V)
+        assert H.facets == _double_description(V).facets
+        assert [q.format_row() for q in H.facets][-1] == "1 1 1 1 1 <= 1"
+
+    def test_random_graphs_that_split(self):
+        split = 0
+        for seed in range(300):
+            g = random_connected_graph(seed)
+            parts = edge_parts(g)
+            if len(parts) < 2:
+                continue
+            V = vrep(g)
+            assert _coordinate_blocks(V) == parts, g.edges
+            assert hrep(V).facets == _double_description(V).facets, g.edges
+            split += 1
+        assert split == 104
+
+    def test_products_take_the_lcm(self):
+        # complete:5 has the blossom row x(E) <= 2 and cycle:7 the blossom
+        # row x(E) <= 3, so their product row has rhs 6
+        g = disjoint_union(generate("complete:5"), generate("cycle:7"))
+        V = vrep(g)
+        assert [mask_bits(b) for b in _coordinate_blocks(V)] == [list(range(1, 11)),
+                                                                 list(range(11, 18))]
+        H = hrep(V)
+        assert H.facets == _double_description(V).facets
+        assert Inequality([3] * 10 + [2] * 7, 6) in H.facets
+
+    def test_random_block_vreps(self):
+        rng = random.Random(5)
+        split = 0
+        for _ in range(200):
+            V = random_block_vrep(rng)
+            if affine_dimension(V.points) < V.m:
+                for f in (hrep, _double_description):
+                    with pytest.raises(GraphError, match="full-dimensional"):
+                        f(V)
+                continue
+            assert hrep(V).facets == _double_description(V).facets, V
+            split += len(_coordinate_blocks(V)) > 1
+        assert split >= 100
+
+    @pytest.mark.parametrize("V", [
+        vrep(generate("j26")),                                    # one block
+        VRep(6, vrep(generate("path:7")).points[1:]),             # no 0 point
+        VRep(0, ((),)),                                           # m = 0
+    ], ids=["one-block", "no-zero", "m0"])
+    def test_single_double_description(self, V, monkeypatch):
+        want = _double_description(V)
+        calls = single_dd_calls(monkeypatch)
+        assert hrep(V) == want
+        assert calls == [V]
+
+    @pytest.mark.parametrize("V", [
+        # path:7 with a seventh coordinate that is 0 in every point
+        VRep(7, tuple(p + (0,) for p in vrep(generate("path:7")).points)),
+        # blocks {1, 2} and {3}; the first is a segment in the plane
+        VRep(3, ((0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 0, 1))),
+    ], ids=["dead-coordinate", "flat-block"])
+    def test_flat_input_raises_as_one_double_description(self, V, monkeypatch):
+        with pytest.raises(GraphError) as want:
+            _double_description(V)
+        calls = single_dd_calls(monkeypatch)
+        with pytest.raises(GraphError) as got:
+            hrep(V)
+        assert str(got.value) == str(want.value) == "hrep requires a full-dimensional V-description"
+        assert calls[-1] is V
+
+    @pytest.mark.parametrize("m", range(6, 16))
+    def test_path_facet_count(self, m):
+        # a path's parts are its odd and its even edges; each part of k edges
+        # has 2^(k-1) alternating rhs-1 rows, so 2^(m-2) products, and m
+        # nonnegativity rows
+        assert len(hrep(vrep(generate(f"path:{m + 1}"))).facets) == 2 ** (m - 2) + m
+
+    @pytest.mark.parametrize("k", range(4, 8))
+    def test_even_cycle_facet_count(self, k):
+        # fitted to the measured counts, not proved (ROADMAP.md item 18)
+        s = 2 ** k - (k - 1) ** 2 - 1
+        assert len(hrep(vrep(generate(f"cycle:{2 * k}"))).facets) == s * s + 2 * k
 
 
 class TestVerifyValid:

@@ -279,14 +279,28 @@ class TestBranchAndCut:
         assert (a.value, a.matching, a.status, sa) == (b.value, b.matching, b.status, sb)
         assert a.log == b.log
 
-    def test_node_limit(self):
+    def test_node_limit_after_pruning(self):
+        # cycle:6's parts, its odd and its even edges, both have root bound
+        # 1.  The first root's LP finds the optimum 1, and the incumbent
+        # prunes the second root, so the one-node limit is never reached
         g = generate("cycle:6")
         res = branch_and_cut(g, [1, 0, 0, 1, 0, 0],
                              SolveConfig(use_family_cuts=False,
                                          use_msi_separation=False,
                                          node_limit=1))
-        assert res.status == "node-limit"
-        assert res.stats["upper_bound"] >= res.value
+        assert (res.status, res.value) == ("optimal", 1)
+        assert res.stats["nodes"] == 1 and "upper_bound" not in res.stats
+        assert res.log[-2:] == ["node 1 bound 1 cuts 0 status pruned", "opt 1 matching {1}"]
+
+    def test_node_limit(self):
+        # the root LP of cycle:7 is fractional (7/2), and its two children
+        # are still open, with bound 7/2 above the incumbent 0, at the limit
+        g = generate("cycle:7")
+        res = branch_and_cut(g, [1] * 7, SolveConfig(use_family_cuts=False,
+                                                     use_msi_separation=False,
+                                                     node_limit=1))
+        assert (res.status, res.value, res.stats["nodes"]) == ("node-limit", 0, 1)
+        assert res.stats["upper_bound"] == Fraction(7, 2)
 
     def test_node_limit_on_a_split_graph(self):
         # cycle:10's parts are its odd and its even edges.  The odd part has
