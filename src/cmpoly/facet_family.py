@@ -155,8 +155,9 @@ def separate_family(g, xstar):
     Exact: a row x_e1 + x_e2 - x(lambda) <= 1 can be violated only when
     x_e1 + x_e2 > 1, as x >= 0 on lambda, so only pairs of the support of
     xstar with that sum are tested, and `_pair_row` runs the validity search
-    only for those whose row xstar violates.
+    only for those whose row xstar violates.  `Graph.edge_point` reads xstar.
     """
+    xstar = g.edge_point(xstar)
     support = [e for e in range(1, g.m + 1) if xstar[e - 1]]
     near = {e: _near(g, e) for e in support}
     rows = (_pair_row(g, near, e1, e2, xstar)

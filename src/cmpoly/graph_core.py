@@ -97,10 +97,18 @@ class Graph:
             mask |= 1 << v
         return mask
 
-    def endpoints(self, e):
-        """Endpoints of edge id e (1-based)."""
-        self.edge_mask((e,))
-        return self.edges[e - 1]
+    def edge_point(self, x):
+        """The point x, one value per edge id, as exact numbers: ints and
+        Fractions as they stand, any other entry through `exact_number`,
+        which refuses a float.  A length other than m or an entry outside
+        [0, 1] raises."""
+        if not {*map(type, x)} <= {int, Fraction}:
+            x = [exact_number(v) for v in x]
+        if len(x) != self.m:
+            raise GraphError("xstar dimension mismatch")
+        if any(v < 0 or v > 1 for v in x):
+            raise GraphError("xstar must lie in the unit box")
+        return x
 
     def cover_mask(self, edge_ids):
         """Mask of the vertices covered by the given edge ids."""

@@ -27,7 +27,7 @@ from fractions import Fraction
 from .graph_core import GraphError, is_separator, mask_bits, reach_within, union_over
 from .inequality import Inequality
 from .matchings import is_matching
-from .rational_la import exact_number, integer_row
+from .rational_la import integer_row
 
 
 @dataclass(frozen=True)
@@ -187,19 +187,10 @@ def separate_fractional(g, xstar):
     so no cut is below that bound, which is what `_min_vertex_cut` reports
     with None.  Those vertices are a prefix of the vertices sorted by y, so
     each bound reads its mask off the prefix masks; the network is built
-    only for the first pair that needs a max-flow.
-
-    A point of ints and Fractions is read as it stands; any other goes
-    through `exact_number` entry by entry, which takes a string such as
-    "1/2" and refuses a float.
+    only for the first pair that needs a max-flow.  `Graph.edge_point`
+    reads xstar.
     """
-    if not {*map(type, xstar)} <= {int, Fraction}:
-        xstar = [exact_number(x) for x in xstar]
-    if len(xstar) != g.m:
-        raise GraphError("xstar dimension mismatch")
-    for x in xstar:
-        if x < 0 or x > 1:
-            raise GraphError("xstar must lie in the unit box")
+    xstar = g.edge_point(xstar)
     # D is the lcm of the denominators and X is D * xstar: integer_row's gcd
     # is 1, as for each prime p dividing D the entry whose denominator holds
     # the highest power of p scales to a numerator that p does not divide.

@@ -4,9 +4,10 @@ facet verification and classification, and interop export."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, compress, product
+from functools import cached_property, reduce
+from itertools import chain, compress
 from math import gcd, lcm
+from operator import itemgetter
 
 from .facet_family import family_pair
 from .graph_core import GraphError, components, mask_bits, union_over
@@ -92,54 +93,50 @@ def hrep(V):
     """Minimal facet description of a full-dimensional polytope given by its
     points, as rows sorted by (coeffs, rhs).
 
-    When 0 is one of the points, V's coordinates fall into blocks, the
-    components of "nonzero together in some point" (`_coordinate_blocks`);
-    for 𝔠(G) they are the parts of `graph_core.edge_parts`.  With two or
-    more blocks that cover all m coordinates, each point lies in the
-    coordinate subspace of one block, P_i is the hull of the points there
-    (0 among them), and conv(V) = conv(∪ P_i).  Its polar is the product of
-    the P_i's polars: the vertices are products of the blocks' vertices,
-    and the rays are one block's ray with zeros elsewhere.  So each block
-    runs its own double description (`_double_description`) on its points,
-    projected, and the facets are each block's rows through 0, padded with
-    zeros, and, for each choice of one row a_i.x <= b_i with b_i > 0 per
-    block, the row sum_i (L / b_i) a_i.x <= L, L = lcm(b_i), which
-    `Inequality` makes primitive.
-
-    Any other V runs one double description over all m coordinates, and
-    raises as it does: no 0 point, one block, a coordinate that is 0 in
-    every point, m = 0, or a block that is not full-dimensional (V is
-    full-dimensional exactly when every block is).
+    When 0 is one of the points and V's coordinate blocks
+    (`_coordinate_blocks`; for 𝔠(G) the parts of `graph_core.edge_parts`)
+    cover all m coordinates, conv(V) = conv(∪ P_i), P_i the hull of the
+    points in block i, and its polar is the product of the P_i's polars:
+    its vertices are products of the blocks' vertices, and its rays are one
+    block's ray padded with zeros.  Any other V is one block of all m
+    coordinates.  Each block runs one double description
+    (`_double_description`) on its rows of `V.rows`, cut to the constant
+    and its coordinates; a ray y is the row -y[1:].x <= y[0], padded with
+    zeros.  The facets are the rows with rhs <= 0 and the products of one
+    rhs > 0 row per block (`_product_rows`), made primitive by
+    `Inequality`; one block keeps its rows as they are.  The first flat
+    block raises.
     """
+    full = (1 << V.m + 1) - 2
     blocks = _coordinate_blocks(V) if 0 in V.supports else []
-    if len(blocks) < 2 or sum(blocks) != (1 << V.m + 1) - 2:
-        return _double_description(V)
+    if sum(blocks) != full or len(blocks) < 2:
+        blocks = [full]
     facets, tops = [], []
     for block in blocks:
-        cols = [b - 1 for b in mask_bits(block)]
-        P = VRep(len(cols), [tuple(p[j] for j in cols)
-                             for p, s in zip(V.points, V.supports) if not s & ~block])
-        try:
-            block_facets = _double_description(P).facets
-        except GraphError:
-            # a flat block makes V flat: the single run raises as it always has
-            return _double_description(V)
+        cols = mask_bits(block)   # coordinate j is entry j of a row
+        rows = V.rows if block == full else list(map(
+            itemgetter(0, *cols), compress(V.rows, [not s & ~block for s in V.supports])))
         top = []
-        for q in block_facets:
+        for ray in _double_description(rows):
             row = [0] * V.m
-            for j, c in zip(cols, q.coeffs):
-                row[j] = c
-            if q.rhs:
-                top.append((q.rhs, row))
+            for j, y in zip(cols, ray[1:]):
+                row[j - 1] = -y
+            if ray[0] > 0:
+                top.append((ray[0], row))
             else:
-                facets.append(Inequality(row, 0))
+                facets.append(Inequality(row, ray[0]))
         tops.append(top)
-    for choice in product(*tops):
-        L = lcm(*[b for b, _ in choice])
-        rows = [row if b == L else [x * (L // b) for x in row] for b, row in choice]
-        facets.append(Inequality(list(map(sum, zip(*rows))), L))
+    facets += [Inequality(row, b) for b, row in reduce(_product_rows, tops)]
     facets.sort(key=lambda q: (q.coeffs, q.rhs))
     return HRep(tuple(facets))
+
+
+def _product_rows(left, right):
+    """Each row L1 of left with each row L2 of right, as the row
+    (L / L1) r1 + (L / L2) r2 <= L, L = lcm(L1, L2): folded over the blocks
+    from the first, it gives sum_i (L / b_i) a_i <= L, L = lcm(b_i)."""
+    return [(L, [L // L1 * x + L // L2 * y for x, y in zip(r1, r2)])
+            for L1, r1 in left for L2, r2 in right for L in (lcm(L1, L2),)]
 
 
 def _coordinate_blocks(V):
@@ -157,9 +154,10 @@ def _coordinate_blocks(V):
     return components(table, live)
 
 
-def _double_description(V):
-    """`hrep` by one double description over all m coordinates, on the polar
-    of the homogenization cone.
+def _double_description(rows):
+    """The extreme rays, as primitive int rows, of the polar of the
+    homogenization cone of a full-dimensional point set given by its integer
+    rows, each (1, *p) up to a positive scale.  A flat point set raises.
 
     Rays of the polar cone {y : y.(1,p) >= 0 for all points p} are exactly the
     facet normals; the run starts from a simplicial subcone and inserts the
@@ -201,17 +199,16 @@ def _double_description(V):
     `inverse_columns`, and a new ray vp*rn - vn*rp of two int rays is
     divided by the gcd of its entries, one `math.gcd` call.
     """
-    m = V.m
-    dim = m + 1
-    cons = V.rows
-    basis_idx, _ = eliminate(cons)
-    if len(basis_idx) != dim:
+    basis_idx, _ = eliminate(rows)
+    if not rows or len(basis_idx) != len(rows[0]):
         raise GraphError("hrep requires a full-dimensional V-description")
+    dim = len(basis_idx)
+    m = dim - 1
     if m == 0:
         # A single point has no facets; the lone ray is the trivial row 0 <= 1.
-        return HRep(())
+        return []
 
-    rays = inverse_columns([cons[i] for i in basis_idx])   # by slot; None once removed
+    rays = inverse_columns([rows[i] for i in basis_idx])   # by slot; None once removed
     tight = [(1 << dim) - 1 - (1 << i) for i in range(dim)]
     alive = (1 << dim) - 1
     tight_on = [alive ^ (1 << b) for b in range(dim)]
@@ -219,13 +216,13 @@ def _double_description(V):
 
     need = m - 1   # adjacent rays share at least m - 1 tight constraints
     chosen = set(basis_idx)
-    rest = [i for i in range(len(cons)) if i not in chosen]
+    rest = [i for i in range(len(rows)) if i not in chosen]
 
     for ci in rest:
         bit = 1 << len(tight_on)
         pos, neg = [], []
         zero = 0
-        for k, v in zip(slots, products(cons[ci], [rays[k] for k in slots])):
+        for k, v in zip(slots, products(rows[ci], [rays[k] for k in slots])):
             if v > 0:
                 pos.append((k, v))
             elif v == 0:
@@ -281,9 +278,7 @@ def _double_description(V):
             for b in mask_bits(t):
                 tight_on[b] |= slot
 
-    facets = [Inequality([-v for v in rays[k][1:]], rays[k][0]) for k in slots]
-    facets.sort(key=lambda q: (q.coeffs, q.rhs))
-    return HRep(tuple(facets))
+    return [rays[k] for k in slots]
 
 
 def _check_width(q, m):

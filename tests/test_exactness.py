@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from cmpoly.facet_family import separate_family
 from cmpoly.graph_core import Graph, generate
 from cmpoly.inequality import Inequality
 from cmpoly.matchings import brute_force_max_weight_cm
@@ -81,6 +82,10 @@ ENTRY_SITES = {
     # two disjoint edges at (1, x): y_1 + y_3 > 1 gives the MSI x_1 + x_2 <= 1
     "separate_fractional": lambda x: [q.format_line() for q in separate_fractional(
         Graph(4, ((1, 2), (3, 4))), [1, x])],
+    # edges 1 and 5 of cycle:8 at (1, x): x_1 + x_5 > 1 gives their family
+    # row x_1 + x_5 - x_3 - x_7 <= 1
+    "separate_family": lambda x: [q.format_line() for q in separate_family(
+        generate("cycle:8"), [1, 0, 0, 0, x, 0, 0, 0])],
 }
 
 

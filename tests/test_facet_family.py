@@ -12,6 +12,7 @@ from cmpoly.facet_family import (check_validity_hypothesis, facet_hypothesis,
 from cmpoly.graph_core import Graph, GraphError, generate, line_distance, parse_graph
 from cmpoly.inequality import Inequality
 from cmpoly.matchings import enumerate_cm_sets, enumerate_connected_matchings
+from cmpoly.msi import separate_fractional
 
 from conftest import (assert_primitive_int_row, random_connected_graph, set_bfs_components,
                       to_networkx)
@@ -20,7 +21,7 @@ from conftest import (assert_primitive_int_row, random_connected_graph, set_bfs_
 def reference_lambda_set(g, e1, e2):
     """The set-based lambda set: edges avoiding both pairs' endpoints with an
     endpoint next to each edge of the pair."""
-    ends1, ends2 = set(g.endpoints(e1)), set(g.endpoints(e2))
+    ends1, ends2 = set(g.edges[e1 - 1]), set(g.edges[e2 - 1])
     near1 = {w for u in ends1 for w in g.neighbors(u)} - ends1
     near2 = {w for u in ends2 for w in g.neighbors(u)} - ends2
     ends = ends1 | ends2
@@ -30,7 +31,7 @@ def reference_lambda_set(g, e1, e2):
 
 
 def reference_is_disconnected_pair(g, e1, e2):
-    a, b = set(g.endpoints(e1)), set(g.endpoints(e2))
+    a, b = set(g.edges[e1 - 1]), set(g.edges[e2 - 1])
     return not a & b and len(set_bfs_components(g, a | b)) > 1
 
 
@@ -40,11 +41,11 @@ def reference_facet_hypothesis(g, e1, e2, lam):
     G = to_networkx(g)
     if not lam:
         return False
-    if any(not set(g.endpoints(f)) & set(g.endpoints(f2))
+    if any(not set(g.edges[f - 1]) & set(g.edges[f2 - 1])
            for i, f in enumerate(lam) for f2 in lam[i + 1:]):
         return False
-    pair_cover = set(g.endpoints(e1)) | set(g.endpoints(e2))
-    return all(nx.is_biconnected(G.subgraph(pair_cover | set(g.endpoints(f))))
+    pair_cover = set(g.edges[e1 - 1]) | set(g.edges[e2 - 1])
+    return all(nx.is_biconnected(G.subgraph(pair_cover | set(g.edges[f - 1])))
                for f in lam)
 
 
@@ -389,6 +390,24 @@ class TestSeparateFamily:
                 x = [Fraction(int(e in M)) for e in range(1, g.m + 1)]
                 assert separate_family(g, x) == violated_rows(g, x)
         assert separate_family(g, [Fraction(1, 2)] * g.m) == []
+
+    @pytest.mark.parametrize("x,error,message", [
+        ([0.6] * 8, ValueError, "inexact number 0.6"),
+        ([0] * 3, GraphError, "xstar dimension mismatch"),
+        ([0] * 12, GraphError, "xstar dimension mismatch"),
+        ([-1] + [0] * 7, GraphError, "xstar must lie in the unit box"),
+        (["3/2"] + [0] * 7, GraphError, "xstar must lie in the unit box"),
+    ], ids=["float", "short", "long", "negative", "above-one"])
+    def test_refuses_what_separate_fractional_refuses(self, x, error, message):
+        g = generate("cycle:8")
+        for separate in (separate_family, separate_fractional):
+            with pytest.raises(error, match=message):
+                separate(g, x)
+
+    def test_reads_a_string_point_as_its_fractions(self):
+        g = generate("cycle:8")
+        x = [Fraction(3, 4), 0, 0, 0, Fraction(1, 2), 0, 0, 0]
+        assert separate_family(g, x) == separate_family(g, [str(v) for v in x]) != []
 
 
 class TestJ26Family:

@@ -521,7 +521,6 @@ class TestGraphInvariants:
 # as no edge (None).  Each site takes x = 2.
 C8 = generate("cycle:8")
 ID_SITES = {
-    "Graph.endpoints": ("edge", lambda x: C8.endpoints(x)),
     "Graph.cover_mask": ("edge", lambda x: C8.cover_mask([1, x])),
     "Graph.weight": ("edge", lambda x: C8.weight(x)),
     "Graph.neighbors": ("vertex", lambda x: C8.neighbors(x)),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cmpoly import msi, solver
+from cmpoly import graph_core, msi, solver
 from cmpoly.graph_core import Graph, GraphError, generate
 from cmpoly.inequality import Inequality
 from cmpoly.matchings import enumerate_cm_sets, enumerate_connected_matchings, incidence_vector
@@ -109,7 +109,7 @@ def reference_minimalize(g, s):
 def reference_lazy_cut(g, M):
     """Set-based lazy cut: a is the least vertex of the first component of
     the covered vertices, b the least vertex of the other components."""
-    covered = {v for e in M for v in g.endpoints(e)}
+    covered = {v for e in M for v in g.edges[e - 1]}
     comps = set_bfs_components(g, covered)
     a = min(comps[0])
     b = min(min(c) for c in comps[1:])
@@ -506,10 +506,11 @@ class TestSeparateFractional:
     def test_exact_number_only_for_other_types(self, monkeypatch):
         """A point of ints and Fractions is read as it stands; a str or
         bool entry sends the point through `exact_number`, with the same
-        rows as its Fraction form, and a float entry is refused there."""
+        rows as its Fraction form, and a float entry is refused there.
+        `Graph.edge_point` reads the point, so the spy sits in graph_core."""
         calls = []
-        exact = msi.exact_number
-        monkeypatch.setattr(msi, "exact_number", lambda x: calls.append(x) or exact(x))
+        exact = graph_core.exact_number
+        monkeypatch.setattr(graph_core, "exact_number", lambda x: calls.append(x) or exact(x))
         g = generate("cycle:6")
         x = Fraction(3, 4)
         want = separate_fractional(g, [x, 0, 0, x, 0, 0])

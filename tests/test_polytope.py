@@ -321,33 +321,55 @@ def random_block_vrep(rng):
     return VRep(m, tuple(sorted(pts)))
 
 
-def single_dd_calls(monkeypatch):
-    """The V of each `_double_description` call, through a spy."""
+def single_hrep(V):
+    """hrep by one double description over all m coordinates: the rays of
+    `_double_description(V.rows)` as rows -y[1:].x <= y[0], sorted."""
+    facets = [Inequality([-y for y in ray[1:]], ray[0]) for ray in _double_description(V.rows)]
+    return HRep(tuple(sorted(facets, key=lambda q: (q.coeffs, q.rhs))))
+
+
+def dd_calls(monkeypatch):
+    """The rows of each `_double_description` call, through a spy."""
     calls = []
 
-    def spy(V):
-        calls.append(V)
-        return _double_description(V)
+    def spy(rows):
+        calls.append(rows)
+        return _double_description(rows)
 
     monkeypatch.setattr(polytope, "_double_description", spy)
     return calls
 
 
+def block_rows(V, block):
+    """The rows (1, *p) of V's points p inside the block's coordinates, cut
+    to the constant and those coordinates: one block's points, projected."""
+    cols = [b - 1 for b in mask_bits(block)]
+    return [(1, *(p[j] for j in cols)) for p in V.points
+            if not any(x for j, x in enumerate(p) if j not in cols)]
+
+
 BY_PARTS_NAMED = (["path:%d" % k for k in range(3, 14)] + ["cycle:%d" % k for k in range(4, 13, 2)]
                   + ["j26", "cycle:7", "cube:3"])
 STAR = Graph(6, tuple((1, v) for v in range(2, 7)))
+# the edge {1, 2} with four leaves at 1 and three at 2: every edge meets
+# {1, 2}, so {1, 2} is a part of one edge, and the other seven edges are
+# one part, as in perfbench's hull instance seeded-m8-2
+DOUBLE_STAR = Graph(9, ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 7), (2, 8), (2, 9)))
+SPLIT = {"path:7": generate("path:7"), "cycle:8": generate("cycle:8"), "star": STAR,
+         "double-star": DOUBLE_STAR,
+         "complete:5+cycle:7": disjoint_union(generate("complete:5"), generate("cycle:7"))}
 
 
 class TestHrepByParts:
     """hrep by coordinate blocks against one double description over all
-    coordinates: equal facet lists, in order."""
+    coordinates (`single_hrep`): equal facet lists, in order."""
 
     @pytest.mark.parametrize("name", BY_PARTS_NAMED)
     def test_named(self, name):
         g = generate(name)
         V = vrep(g)
         assert _coordinate_blocks(V) == edge_parts(g)
-        assert hrep(V).facets == _double_description(V).facets
+        assert hrep(V).facets == single_hrep(V).facets
 
     def test_star(self):
         # no two edges of a star are disjoint, so each edge is a part; the
@@ -355,8 +377,17 @@ class TestHrepByParts:
         V = vrep(STAR)
         assert [mask_bits(b) for b in _coordinate_blocks(V)] == [[e] for e in range(1, 6)]
         H = hrep(V)
-        assert H.facets == _double_description(V).facets
+        assert H.facets == single_hrep(V).facets
         assert [q.format_row() for q in H.facets][-1] == "1 1 1 1 1 <= 1"
+
+    def test_one_edge_block(self):
+        V = vrep(DOUBLE_STAR)
+        assert [mask_bits(b) for b in _coordinate_blocks(V)] == [[1], list(range(2, 9))]
+        H = hrep(V)
+        assert H.facets == single_hrep(V).facets
+        # x_1 <= 1 times each rhs-1 row of the other part, e.g. the degree
+        # row of vertex 1, x(delta(1)) <= 1
+        assert Inequality([1] * 5 + [0] * 3, 1) in H.facets
 
     def test_random_graphs_that_split(self):
         split = 0
@@ -367,19 +398,18 @@ class TestHrepByParts:
                 continue
             V = vrep(g)
             assert _coordinate_blocks(V) == parts, g.edges
-            assert hrep(V).facets == _double_description(V).facets, g.edges
+            assert hrep(V).facets == single_hrep(V).facets, g.edges
             split += 1
         assert split == 104
 
     def test_products_take_the_lcm(self):
         # complete:5 has the blossom row x(E) <= 2 and cycle:7 the blossom
         # row x(E) <= 3, so their product row has rhs 6
-        g = disjoint_union(generate("complete:5"), generate("cycle:7"))
-        V = vrep(g)
+        V = vrep(SPLIT["complete:5+cycle:7"])
         assert [mask_bits(b) for b in _coordinate_blocks(V)] == [list(range(1, 11)),
                                                                  list(range(11, 18))]
         H = hrep(V)
-        assert H.facets == _double_description(V).facets
+        assert H.facets == single_hrep(V).facets
         assert Inequality([3] * 10 + [2] * 7, 6) in H.facets
 
     def test_random_block_vreps(self):
@@ -388,13 +418,23 @@ class TestHrepByParts:
         for _ in range(200):
             V = random_block_vrep(rng)
             if affine_dimension(V.points) < V.m:
-                for f in (hrep, _double_description):
+                for f in (hrep, single_hrep):
                     with pytest.raises(GraphError, match="full-dimensional"):
                         f(V)
                 continue
-            assert hrep(V).facets == _double_description(V).facets, V
+            assert hrep(V).facets == single_hrep(V).facets, V
             split += len(_coordinate_blocks(V)) > 1
         assert split >= 100
+
+    @pytest.mark.parametrize("name", SPLIT)
+    def test_one_double_description_per_block(self, name, monkeypatch):
+        V = vrep(SPLIT[name])
+        blocks = _coordinate_blocks(V)
+        want = single_hrep(V)
+        calls = dd_calls(monkeypatch)
+        assert hrep(V) == want
+        assert [list(rows) for rows in calls] == [block_rows(V, b) for b in blocks]
+        assert len(calls) == len(blocks) > 1
 
     @pytest.mark.parametrize("V", [
         vrep(generate("j26")),                                    # one block
@@ -402,25 +442,34 @@ class TestHrepByParts:
         VRep(0, ((),)),                                           # m = 0
     ], ids=["one-block", "no-zero", "m0"])
     def test_single_double_description(self, V, monkeypatch):
-        want = _double_description(V)
-        calls = single_dd_calls(monkeypatch)
+        # one block of all m coordinates passes V.rows itself
+        want = single_hrep(V)
+        calls = dd_calls(monkeypatch)
         assert hrep(V) == want
-        assert calls == [V]
+        assert len(calls) == 1 and calls[0] is V.rows
 
-    @pytest.mark.parametrize("V", [
-        # path:7 with a seventh coordinate that is 0 in every point
-        VRep(7, tuple(p + (0,) for p in vrep(generate("path:7")).points)),
+    @pytest.mark.parametrize("V,flat", [
+        # path:7 with a seventh coordinate that is 0 in every point: one
+        # block of all seven coordinates
+        (VRep(7, tuple(p + (0,) for p in vrep(generate("path:7")).points)), None),
         # blocks {1, 2} and {3}; the first is a segment in the plane
-        VRep(3, ((0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 0, 1))),
-    ], ids=["dead-coordinate", "flat-block"])
-    def test_flat_input_raises_as_one_double_description(self, V, monkeypatch):
+        (VRep(3, ((0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 0, 1))), 0),
+        # blocks {1} and {2, 3}; the second is a segment in the plane
+        (VRep(3, ((0, 0, 0), (1, 0, 0), (0, 1, 1), (0, 2, 2))), 1),
+    ], ids=["dead-coordinate", "flat-block", "flat-last-block"])
+    def test_flat_input_raises_as_one_double_description(self, V, flat, monkeypatch):
+        # the flat block raises from its own call, and no call follows
         with pytest.raises(GraphError) as want:
-            _double_description(V)
-        calls = single_dd_calls(monkeypatch)
+            single_hrep(V)
+        calls = dd_calls(monkeypatch)
         with pytest.raises(GraphError) as got:
             hrep(V)
         assert str(got.value) == str(want.value) == "hrep requires a full-dimensional V-description"
-        assert calls[-1] is V
+        if flat is None:
+            assert len(calls) == 1 and calls[0] is V.rows
+        else:
+            blocks = _coordinate_blocks(V)[:flat + 1]
+            assert [list(rows) for rows in calls] == [block_rows(V, b) for b in blocks]
 
     @pytest.mark.parametrize("m", range(6, 16))
     def test_path_facet_count(self, m):
