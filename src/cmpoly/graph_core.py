@@ -48,7 +48,7 @@ class Graph:
         seen = set()
         self.edges = tuple(_check_edge(self.n, u, v, seen) for u, v in self.edges)
         if self.weights is not None:
-            self.weights = tuple(exact_number(w) for w in self.weights)
+            self.weights = tuple(map(exact_number, self.weights))
             if len(self.weights) != len(self.edges):
                 raise GraphError("weight count does not match edge count")
         self.neighbor_masks = [0] * (self.n + 1)

@@ -4,7 +4,8 @@ A row given with rational coefficients is kept as its primitive integer
 multiple (`rational_la.integer_row` over coeffs and rhs): ints whose gcd is
 1, or all zero.  A positive scale changes neither validity nor tightness, so
 rows that differ only by one compare equal, and the printed row is the
-stored one.
+stored one.  `integer_row` returns a row of ints whose gcd is 1 or 0 as it
+is given, so such a row is stored without a copy.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from .rational_la import exact_number, integer_row, products
 _INT = r"[-+]?[0-9]+"   # an ASCII integer token
 _INT_TOKEN = re.compile(_INT).fullmatch
 _INT_TOKENS = re.compile(rf"{_INT}(?: {_INT})*").fullmatch   # tokens joined by " "
+_TAG = re.compile(r"tag=(\S+)").search
+_set = object.__setattr__   # the frozen class's own __setattr__ refuses
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Inequality:
     """A row `coeffs . x <= rhs` with a classification tag and provenance note."""
 
@@ -29,10 +32,14 @@ class Inequality:
     tag: str = ""
     provenance: str = ""
 
-    def __post_init__(self):
-        *ints, r = integer_row([*self.coeffs, self.rhs])
-        object.__setattr__(self, "coeffs", tuple(ints))
-        object.__setattr__(self, "rhs", r)
+    def __init__(self, coeffs, rhs, tag="", provenance=""):
+        row = tuple(integer_row((*coeffs, rhs)))   # tuple() of a tuple is itself
+        # field by field: reading self.__dict__ would give each row a dict
+        # of its own, which the interpreter otherwise defers
+        _set(self, "coeffs", row[:-1])
+        _set(self, "rhs", row[-1])
+        _set(self, "tag", tag)
+        _set(self, "provenance", provenance)
 
     @property
     def m(self):
@@ -55,8 +62,8 @@ class Inequality:
 
     def with_tag(self, tag):
         """This row with its tag set to `tag`.  The stored row is primitive
-        already, so it is copied as it stands; `dataclasses.replace` would
-        run `__post_init__` and reduce it again."""
+        already, so it is copied as it stands, with the `sign_masks` it has
+        built."""
         q = object.__new__(type(self))
         q.__dict__.update(self.__dict__, tag=tag)
         return q
@@ -114,11 +121,8 @@ def parse_inequality_line(line):
     if not sense or len(rhs.split()) != 1:
         raise ValueError(f"bad inequality line: {line!r}")
     *coeffs, rhs = _read_tokens([*lhs.split(), rhs.strip()], line)
-    tag = ""
-    tm = re.search(r"tag=(\S+)", comment)
-    if tm:
-        tag = tm.group(1)
-    return Inequality(coeffs, rhs, tag=tag, provenance=comment.strip())
+    tm = _TAG(comment)
+    return Inequality(coeffs, rhs, tag=tm[1] if tm else "", provenance=comment.strip())
 
 
 def parse_hrep_file(text):

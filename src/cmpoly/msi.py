@@ -72,9 +72,8 @@ def minimalize(g, s):
 def vertex_row(g, plus, minus, tag, provenance):
     """The row y(plus) - y(minus) <= 1 of vertex masks in edge space, through
     y_v = x(delta(v)): edge e gets +1 per endpoint in plus, -1 per one in minus."""
-    ends = g.endpoint_masks
-    return Inequality([(ends[e] & plus).bit_count() - (ends[e] & minus).bit_count()
-                       for e in range(1, g.m + 1)], 1, tag=tag, provenance=provenance)
+    return Inequality([(u & plus).bit_count() - (u & minus).bit_count()
+                       for u in g.endpoint_masks[1:]], 1, tag=tag, provenance=provenance)
 
 
 def msi_row(g, a, b, C):

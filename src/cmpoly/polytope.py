@@ -41,13 +41,18 @@ class VRep:
         """Each point's row (1, *p) as a primitive integer tuple, built on
         first use and kept: `hrep`, `parities` and the `face_dimension`
         calls that parity cannot settle read them, so a point is scaled to
-        integers once."""
+        integers once.  A point of ints gives (1, *p) as it stands, which
+        its entry 1 makes primitive and `integer_row` returns uncopied."""
         return tuple(tuple(integer_row((1, *p))) for p in self.points)
 
     @cached_property
     def parities(self):
         """Each row of `rows` mod 2 as an int mask, bit i for entry i, built
-        on first use and kept for `face_dimension`."""
+        on first use and kept for `face_dimension`.  When every entry is 0
+        or 1, a row is (1, *p) and its mask is the point's support with bit
+        0 set, as `supports` puts coordinate j at bit j + 1."""
+        if {*chain.from_iterable(self.points)} <= {0, 1}:
+            return tuple(s | 1 for s in self.supports)
         return tuple(sum(1 << i for i, x in enumerate(row) if x & 1) for row in self.rows)
 
     @cached_property

@@ -24,9 +24,18 @@ def exact_number(x):
     """x as a Fraction: an int, a Fraction or a string such as "1/10".  A
     float is refused, since 0.1 is not 1/10; so are a malformed string and a
     zero denominator, all with ValueError.  A Fraction is returned as it
-    is, since it is immutable."""
+    is, since it is immutable.  A string `a/b` or `-a/b` of ASCII digits
+    with b nonzero is read by two int() calls, to the value Fraction reads;
+    any other string is read by Fraction."""
     if type(x) is Fraction:
         return x
+    if type(x) is str:
+        a, slash, b = x.partition("/")
+        digits = a[1:] if a[:1] == "-" else a
+        if slash and digits.isdigit() and b.isdigit() and (a + b).isascii():
+            n, d = int(a), int(b)   # in Fraction's order, for int()'s digit limit
+            if d:
+                return Fraction(n, d)
     if isinstance(x, float):
         raise ValueError(f"inexact number {x!r}: give an int, a Fraction or a string like '1/10'")
     try:
@@ -36,12 +45,14 @@ def exact_number(x):
 
 
 def integer_row(values):
-    """Primitive integer multiple of a rational row, sign kept, as a new list.
+    """Primitive integer multiple of a rational row, sign kept.
 
-    A row of ints (`type(x) is int`; a bool takes the general path) is only
-    divided by the gcd of its entries.  Any other row is first scaled by the
-    lcm of the denominators; a float in it is refused by `exact_number`.  An
-    all-zero row stays zero.
+    A row of ints (`type(x) is int`; a bool takes the general path) whose gcd
+    is 1, or that is all zero, is primitive already and is returned as it is
+    given, list or tuple; one with a larger gcd is divided by it into a new
+    list.  Any other row is first scaled by the lcm of the denominators into
+    a new list; a float in it is refused by `exact_number`.  The given row is
+    never changed.
     """
     if (kinds := {*map(type, values)}) - {int}:
         if any(issubclass(t, float) for t in kinds):
@@ -49,7 +60,7 @@ def integer_row(values):
         scale = lcm(*[x.denominator for x in values])
         values = [x.numerator * (scale // x.denominator) for x in values]
     g = gcd(*values)
-    return [x // g for x in values] if g > 1 else list(values)
+    return [x // g for x in values] if g > 1 else values
 
 
 def products(a, rows):

@@ -10,9 +10,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cmpoly.facet_family import separate_family
-from cmpoly.graph_core import Graph, generate
+from cmpoly.graph_core import Graph, generate, parse_graph
 from cmpoly.inequality import Inequality
 from cmpoly.matchings import brute_force_max_weight_cm
 from cmpoly.msi import separate_fractional
@@ -152,3 +154,46 @@ def test_a_fraction_is_returned_as_it_is():
 def test_refusals_after_the_fraction_fast_path(x, message):
     with pytest.raises(ValueError, match=message):
         exact_number(x)
+
+
+def fraction_or_error(read, x):
+    """read(x), or the text of the ValueError it raises."""
+    try:
+        return read(x)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def read_by_fraction(x):
+    """`exact_number` of a string as it was before its `a/b` path: Fraction
+    reads it, and a zero denominator is a ValueError."""
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
+
+
+# ASCII `a/b`, with a leading zero, either sign, a zero denominator, two
+# slashes, an underscore, an Arabic-Indic and a fullwidth digit, a space,
+# a decimal, an exponent, the empty string, and tokens past int()'s
+# digit limit
+@pytest.mark.parametrize("x", ["3/2", "03/2", "-3/2", "+3/2", "3/0", "0/0", "1/2/3", "1_0/3",
+                               "\u0663/2", "\uff13/2", " 3/2", "1.5", "1e3", "",
+                               "1" * 5000 + "/3", "3/" + "1" * 5000,
+                               "-" + "1" * 4400 + "/" + "1" * 5000],
+                         ids=lambda x: repr(x) if len(x) < 12 else f"{len(x)}-chars")
+def test_a_over_b_reads_as_fraction_does(x):
+    assert fraction_or_error(exact_number, x) == fraction_or_error(read_by_fraction, x)
+
+
+@given(st.from_regex(r"-?[0-9]{1,30}/[0-9]{1,30}", fullmatch=True))
+def test_ascii_a_over_b_reads_as_fraction_does(x):
+    got = fraction_or_error(exact_number, x)
+    assert got == fraction_or_error(read_by_fraction, x)
+    assert type(got) is Fraction or got.startswith("ValueError: zero denominator")
+
+
+def test_graph_file_keeps_underscores_and_non_ascii_digits():
+    """int() reads `1_0` in a header, and Fraction a fullwidth weight."""
+    assert parse_graph("p 1_0 1\ne 1 2\n").n == 10
+    assert parse_graph("p 2 1\ne 1 2 w \uff12/3\n").weights == (Fraction(2, 3),)

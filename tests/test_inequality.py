@@ -1,4 +1,5 @@
 import re
+from dataclasses import FrozenInstanceError, dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from cmpoly import inequality
 from cmpoly.inequality import Inequality, parse_entry, parse_inequality_line
+from cmpoly.rational_la import integer_row
 
 from conftest import assert_primitive_int_row
 
@@ -70,6 +72,69 @@ class TestInequality:
         assert (t.coeffs, t.rhs, t.tag, t.provenance) == ((1, -2, 0), 3, "other", "pair=(1,2)")
         assert t.sign_masks == masks and q.tag == ""
         assert t == Inequality([1, -2, 0], 3, tag="other", provenance="pair=(1,2)")
+
+
+@dataclass(frozen=True)
+class ReferenceInequality:
+    """`Inequality` as the generated dataclass `__init__` built it, with
+    `integer_row` in `__post_init__` and every row copied into new tuples."""
+
+    coeffs: tuple
+    rhs: int
+    tag: str = ""
+    provenance: str = ""
+
+    def __post_init__(self):
+        *ints, r = integer_row([*self.coeffs, self.rhs])
+        object.__setattr__(self, "coeffs", tuple(ints))
+        object.__setattr__(self, "rhs", r)
+
+
+ints = st.integers(-9, 9)
+# (coeffs, rhs): int rows with gcd 1 and, scaled, gcd > 1; the all-zero row;
+# bools, Fractions and rows that mix them with ints
+constructor_rows = st.integers(0, 5).flatmap(lambda m: st.one_of(
+    st.tuples(st.lists(ints, min_size=m, max_size=m), ints),
+    st.tuples(st.lists(ints, min_size=m, max_size=m), ints, st.integers(2, 6)).map(
+        lambda t: ([c * t[2] for c in t[0]], t[1] * t[2])),
+    st.just(([0] * m, 0)),
+    st.tuples(st.lists(st.booleans(), min_size=m, max_size=m), st.booleans()),
+    st.tuples(st.lists(fracs, min_size=m, max_size=m), fracs),
+    st.tuples(st.lists(st.one_of(ints, st.booleans(), fracs), min_size=m, max_size=m),
+              st.one_of(ints, st.booleans(), fracs))))
+
+
+class TestConstructor:
+    """Every row goes through `integer_row`, which hands back a row of ints
+    with gcd 1 (or all zero) as given: the stored row, equality, hash, repr,
+    frozenness and `with_tag` are those of `ReferenceInequality`."""
+
+    @given(constructor_rows, st.sampled_from(["", "msi"]), st.sampled_from(["", "v=3"]))
+    def test_matches_the_integer_row_reference(self, row, tag, provenance):
+        coeffs, rhs = row
+        q = Inequality(coeffs, rhs, tag=tag, provenance=provenance)
+        ref = ReferenceInequality(coeffs, rhs, tag, provenance)
+        assert (q.coeffs, q.rhs, q.tag, q.provenance) == \
+            (ref.coeffs, ref.rhs, ref.tag, ref.provenance)
+        assert [*q.coeffs, q.rhs] == integer_row([*coeffs, rhs])
+        assert type(q.coeffs) is tuple and all(type(x) is int for x in (*q.coeffs, q.rhs))
+        assert q == Inequality(list(coeffs), rhs, tag, provenance)
+        assert hash(q) == hash(ref)
+        assert repr(q) == "Inequality" + repr(ref).removeprefix("ReferenceInequality")
+        t = q.with_tag("other")
+        assert (t.coeffs, t.rhs, t.tag, t.provenance) == (q.coeffs, q.rhs, "other", provenance)
+        assert t == replace(q, tag="other") == Inequality(coeffs, rhs, "other", provenance)
+
+    @pytest.mark.parametrize("coeffs,rhs", [((1, -2, 0), 3), ((2, 4), 6), ((0, 0), 0),
+                                            ((True, False), True), ((Fraction(1, 2),), 1)],
+                             ids=["primitive", "gcd-2", "zero", "bool", "fraction"])
+    def test_frozen(self, coeffs, rhs):
+        q = Inequality(coeffs, rhs, tag="x")
+        for field, value in (("coeffs", (1,)), ("rhs", 0), ("tag", "y"), ("provenance", "z")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(q, field, value)
+        ref = ReferenceInequality(coeffs, rhs)
+        assert (q.coeffs, q.rhs, q.tag) == (ref.coeffs, ref.rhs, "x")
 
 
 class TestParse:

@@ -7,6 +7,8 @@ from types import SimpleNamespace
 import networkx as nx
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cmpoly import polytope
 from cmpoly.facet_family import family_inequality, is_disconnected_pair, lambda_set
@@ -918,3 +920,24 @@ def test_vrep_rejects_duplicates():
         VRep(2, ((0, 0), (0, 0)))
     with pytest.raises(ValueError, match="point dimension mismatch"):
         VRep(2, ((0, 0), (1,)))
+
+
+# point entries: 0/1, other ints, Fractions, bools, and all of them mixed
+POINT_ENTRIES = [st.sampled_from([0, 1]), st.integers(-1, 2),
+                 st.fractions(-2, 2, max_denominator=4), st.booleans()]
+POINT_ENTRIES.append(st.one_of(*POINT_ENTRIES))
+
+
+@given(st.integers(0, 4).flatmap(lambda m: st.tuples(
+    st.just(m), st.sampled_from(POINT_ENTRIES).flatmap(lambda entry: st.lists(
+        st.tuples(*[entry] * m), min_size=1, max_size=6, unique=True)))))
+def test_vrep_rows_and_parities_match_the_references(m_and_points):
+    """`rows` is `integer_row((1, *p))` per point, ints in tuples, and
+    `parities` sets bit i for each odd entry i of a row, whether a point is
+    of 0/1 ints, other ints, Fractions or bools; m = 0 included."""
+    m, points = m_and_points
+    V = VRep(m, tuple(points))
+    assert V.rows == tuple(tuple(integer_row((1, *p))) for p in V.points)
+    assert all(type(row) is tuple and {*map(type, row)} == {int} for row in V.rows)
+    assert V.parities == tuple(sum(1 << i for i, x in enumerate(row) if x & 1)
+                               for row in V.rows)

@@ -273,12 +273,14 @@ class TestIntegerRow:
         st.lists(st.booleans(), max_size=6)))
     def test_matches_old_canonical(self, row):
         """Fraction, int, mixed and bool rows (int rows take the gcd-only
-        path): the lcm/gcd reference, all ints, and never the caller's list."""
+        path): the lcm/gcd reference, all ints, the caller's list itself
+        exactly when it is ints with gcd 1 or 0, and that list unchanged."""
         before = list(row)
         got = integer_row(row)
         assert got == _old_canonical(row)
         assert all(type(x) is int for x in got)
-        assert got is not row and row == before
+        primitive_ints = all(type(x) is int for x in row) and gcd(*row) <= 1
+        assert (got is row) == primitive_ints and row == before
         assert all(type(x) is type(y) for x, y in zip(row, before))
 
     def test_keeps_sign(self):
